@@ -17,9 +17,12 @@ R = TypeVar("R")
 
 def worker_count() -> int:
     env = os.environ.get("MIRROR_THREADS")
-    if env is not None:
+    if env is None:
+        return os.cpu_count() or 1
+    try:
         return max(1, int(env))
-    return os.cpu_count() or 1
+    except ValueError:
+        raise ValueError(f"MIRROR_THREADS must be an integer, got {env!r}") from None
 
 
 def map_deterministic(fn: Callable[[T], R], items: Sequence[T]) -> list[R]:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._parallel import worker_count
 from .core import load_dataset, validate_equal_sample_size
 from .embedding import (
     cmds,
@@ -60,6 +61,14 @@ def _metric_p(metric: str) -> float:
     return _METRIC_ORDER[metric]
 
 
+def _check_worker_setting() -> None:
+    """Reject a malformed MIRROR_THREADS in the commands that use the worker pool."""
+    try:
+        worker_count()
+    except ValueError as e:
+        raise _UsageError(str(e)) from None
+
+
 def read_params_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a parameter table CSV with header ``id, p1..pd``."""
     path = Path(path)
@@ -92,6 +101,7 @@ def write_params_csv(ids, params: np.ndarray, path: str | Path) -> None:
 
 
 def _cmd_distmat(args) -> int:
+    _check_worker_setting()
     p = _metric_p(args.metric)
     t0 = time.perf_counter()
     ds = load_dataset(args.input, args.format)
@@ -154,6 +164,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    if args.grid_res < 2:
+        raise _UsageError(f"--grid-res must be >= 2, got {args.grid_res}")
     ids_emb, coords = read_embedding(args.embedding)
     ids_par, params = read_params_csv(args.params)
     by_id = {i: k for k, i in enumerate(ids_par)}
@@ -218,6 +230,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_recover(args) -> int:
+    _check_worker_setting()
     p = _metric_p(args.metric)
     ds = load_dataset(args.input, args.format)
     validate_equal_sample_size(ds)
@@ -273,6 +286,7 @@ def _parse_int_list(text: str) -> tuple[int, ...]:
 
 
 def _cmd_simulate(args) -> int:
+    _check_worker_setting()
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     variant = FamilyVariant(args.experiment)

@@ -8,10 +8,13 @@ extrapolated: queries outside the convex hull return the ``None`` sentinel.
 A penalized tensor-product B-spline fit is available as a smooth
 alternative for d = 2.
 
-Geometric predicates use a static epsilon of 1e-12 relative to the
-coordinate scale; inputs are assumed well-conditioned (grids and similar).
-Among cocircular point groups, the diagonal whose lowest endpoint index is
-smaller is chosen, making triangulations reproducible across platforms.
+For d = 2, qhull (``scipy.spatial.Delaunay``) builds the triangulation.
+It and every geometric predicate run on the points translated and scaled
+uniformly into the unit box, where the predicates use a static epsilon of
+1e-12; inputs are assumed well-conditioned (grids and similar), at any
+coordinate scale.  The tie-break among equally Delaunay triangulations is
+"each cocircular cell is fanned from its lowest-index vertex", making
+triangulations reproducible across platforms and qhull versions.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import BSpline
 import scipy.linalg
+from scipy.spatial import Delaunay, QhullError
 
 from .errors import DegenerateInput, MirrorError, UnsupportedDimension
 
@@ -48,7 +52,7 @@ __all__ = [
 
 #: Barycentric slack accepted by point-location and clamping.
 BARY_TOL = 1e-12
-#: Relative epsilon for orientation / in-circumcircle predicates.
+#: Epsilon for the orientation / in-circumcircle predicates in the unit box.
 GEOM_EPS = 1e-12
 
 
@@ -79,16 +83,16 @@ class Triangulation:
         extents = points.max(axis=0) - points.min(axis=0) if len(points) else 0.0
         scale = float(np.max(extents)) if len(points) else 0.0
         # Homogeneous inverse per simplex: lambda = _bary[k] @ [x, 1].
-        k = len(simplices)
-        mats = np.empty((k, d + 1, d + 1), dtype=np.float64)
-        for idx, simplex in enumerate(simplices):
-            a = np.vstack([points[simplex].T, np.ones(d + 1)])
-            try:
-                mats[idx] = np.linalg.inv(a)
-            except np.linalg.LinAlgError:
-                raise DegenerateInput(
-                    f"simplex {idx} ({simplex.tolist()}) is degenerate"
-                ) from None
+        homogeneous = np.ones((len(simplices), d + 1, d + 1))
+        homogeneous[:, :d] = points[simplices].transpose(0, 2, 1)
+        try:
+            mats = np.linalg.inv(homogeneous)
+        except np.linalg.LinAlgError:
+            # slogdet runs the same LU and gives sign 0 on a zero pivot.
+            idx = int(np.flatnonzero(np.linalg.slogdet(homogeneous)[0] == 0)[0])
+            raise DegenerateInput(
+                f"simplex {idx} ({simplices[idx].tolist()}) is degenerate"
+            ) from None
         for arr in (points, simplices, hull, mats):
             arr.setflags(write=False)
         object.__setattr__(self, "points", points)
@@ -140,261 +144,103 @@ class MirrorSurface:
 # ---------------------------------------------------------------------------
 
 
-def _orient(points: np.ndarray, a: int, b: int, c: int) -> float:
-    """Twice the signed area of triangle (a, b, c); > 0 means counterclockwise."""
-    pa, pb, pc = points[a], points[b], points[c]
-    return float((pb[0] - pa[0]) * (pc[1] - pa[1]) - (pb[1] - pa[1]) * (pc[0] - pa[0]))
+def _orient(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
+    """Twice the signed area of each row (a, b, c); > 0 means counterclockwise."""
+    a, b, c = (points[tris[:, k]] for k in range(3))
+    u, v = b - a, c - a
+    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
 
-def _incircle(points: np.ndarray, a: int, b: int, c: int, d: int) -> float:
-    """Positive iff d lies strictly inside the circumcircle of ccw (a, b, c)."""
-    rows = points[[a, b, c]] - points[d]
-    sq = np.sum(rows * rows, axis=1)
-    m = np.column_stack([rows, sq])
-    return float(np.linalg.det(m))
+def _incircle(points: np.ndarray, tris: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Positive where d[k] lies strictly inside the circumcircle of ccw tris[k]."""
+    rows = points[tris] - points[d][:, None, :]
+    sq = np.sum(rows * rows, axis=2)
+    return np.linalg.det(np.concatenate([rows, sq[..., None]], axis=2))
 
 
-class _Mesh:
-    """Mutable triangle soup with edge adjacency, used only during construction."""
+def _drop_boundary_slivers(
+    tris: np.ndarray, nbrs: np.ndarray, area: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Peel off boundary triangles whose area is under the floor.
 
-    def __init__(self, points: np.ndarray, eps_area: float, eps_incircle: float):
-        self.points = points
-        self.eps_area = eps_area
-        self.eps_incircle = eps_incircle
-        self.triangles: list[tuple[int, int, int] | None] = []
-        self.edges: dict[tuple[int, int], list[int]] = {}
-
-    def _ccw(self, a: int, b: int, c: int) -> tuple[int, int, int]:
-        if _orient(self.points, a, b, c) < 0:
-            return (a, c, b)
-        return (a, b, c)
-
-    def add(self, a: int, b: int, c: int) -> int:
-        tri = self._ccw(a, b, c)
-        ti = len(self.triangles)
-        self.triangles.append(tri)
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            self.edges.setdefault((min(u, v), max(u, v)), []).append(ti)
-        return ti
-
-    def remove(self, ti: int) -> None:
-        tri = self.triangles[ti]
-        self.triangles[ti] = None
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            self.edges[(min(u, v), max(u, v))].remove(ti)
-
-    def live_on_edge(self, u: int, v: int) -> list[int]:
-        return self.edges.get((min(u, v), max(u, v)), [])
-
-    def third_vertex(self, ti: int, u: int, v: int) -> int:
-        return next(w for w in self.triangles[ti] if w not in (u, v))
-
-    def find_triangle(self, u: int, v: int, w: int) -> int | None:
-        want = {u, v, w}
-        for ti in self.live_on_edge(u, v):
-            if set(self.triangles[ti]) == want:
-                return ti
-        return None
-
-    # -- incremental insertion ------------------------------------------------
-
-    def insert(self, p: int) -> None:
-        ti, zero_edge = self._containing_triangle(p)
-        tri = self.triangles[ti]
-        pending: list[tuple[int, int, int]] = []
-        if zero_edge is None:
-            a, b, c = tri
-            self.remove(ti)
-            self.add(a, b, p)
-            self.add(b, c, p)
-            self.add(c, a, p)
-            pending += [(a, b, p), (b, c, p), (c, a, p)]
-        else:
-            a, b = zero_edge
-            c = self.third_vertex(ti, a, b)
-            neighbors = [tj for tj in self.live_on_edge(a, b) if tj != ti]
-            self.remove(ti)
-            self.add(p, b, c)
-            self.add(a, p, c)
-            pending += [(b, c, p), (c, a, p)]
-            if neighbors:
-                tj = neighbors[0]
-                z = self.third_vertex(tj, a, b)
-                self.remove(tj)
-                self.add(p, a, z)
-                self.add(b, p, z)
-                pending += [(a, z, p), (z, b, p)]
-        self._legalize(pending)
-
-    def _containing_triangle(self, p: int) -> tuple[int, tuple[int, int] | None]:
-        """First live triangle containing p, plus the edge p sits on (if any)."""
-        eps = self.eps_area
-        live = [(ti, tri) for ti, tri in enumerate(self.triangles) if tri is not None]
-        arr = np.array([tri for _, tri in live], dtype=np.intp)
-        pa, pb, pc = (self.points[arr[:, k]] for k in range(3))
-        pp = self.points[p]
-
-        def cross_to(o, e):
-            return (e[:, 0] - o[:, 0]) * (pp[1] - o[:, 1]) - (e[:, 1] - o[:, 1]) * (
-                pp[0] - o[:, 0]
-            )
-
-        s = np.column_stack([cross_to(pa, pb), cross_to(pb, pc), cross_to(pc, pa)])
-        candidates = np.flatnonzero(s.min(axis=1) >= -eps)
-        fallback: int | None = None
-        for row in candidates:
-            ti = live[row][0]
-            a, b, c = live[row][1]
-            near = np.flatnonzero(np.abs(s[row]) <= eps)
-            if near.size == 0:
-                return ti, None
-            if near.size == 1:
-                edge = ((a, b), (b, c), (c, a))[int(near[0])]
-                return ti, edge
-            if fallback is None:
-                fallback = ti
-        if fallback is not None:
-            raise DegenerateInput(f"point {p} coincides with an existing vertex")
-        raise MirrorError(f"point {p} not located in any triangle")
-
-    def _legalize(self, pending: list[tuple[int, int, int]]) -> None:
-        while pending:
-            u, v, p = pending.pop()
-            ti = self.find_triangle(u, v, p)
-            if ti is None:
-                continue
-            others = [tj for tj in self.live_on_edge(u, v) if tj != ti]
-            if not others:
-                continue
-            tj = others[0]
-            w = self.third_vertex(tj, u, v)
-            a, b = (u, v) if _orient(self.points, u, v, p) > 0 else (v, u)
-            if _incircle(self.points, a, b, p, w) > self.eps_incircle:
-                self.remove(ti)
-                self.remove(tj)
-                self.add(u, w, p)
-                self.add(w, v, p)
-                pending.append((u, w, p))
-                pending.append((w, v, p))
-
-    def legalize_all(self) -> None:
-        """Full Lawson pass: flip every illegal interior edge until stable.
-
-        Needed once after the initial hull fan (which is far from Delaunay);
-        incremental insertion preserves the property from then on.  Each
-        flip strictly increases the lifted-paraboloid fitness, so the loop
-        terminates.
-        """
-        guard = 4 * (len(self.triangles) + 1) ** 2
-        changed = True
-        while changed:
-            changed = False
-            for u, v in sorted(self.edges.keys()):
-                live = self.edges.get((u, v), [])
-                if len(live) != 2:
-                    continue
-                t1, t2 = live
-                w2 = self.third_vertex(t2, u, v)
-                a, b, c = self.triangles[t1]
-                if _incircle(self.points, a, b, c, w2) > self.eps_incircle:
-                    w1 = self.third_vertex(t1, u, v)
-                    self.remove(t1)
-                    self.remove(t2)
-                    self.add(u, w1, w2)
-                    self.add(v, w1, w2)
-                    changed = True
-                    guard -= 1
-                    if guard <= 0:
-                        raise MirrorError("edge flipping failed to terminate")
-
-    # -- deterministic cocircular tie-break ------------------------------------
-
-    def normalize_cocircular(self) -> None:
-        """Flip cocircular diagonals toward the lower-indexed endpoint.
-
-        Each flip strictly lowers the minimum endpoint index of the edge, so
-        the pass terminates; flips between cocircular diagonals preserve the
-        empty-circumcircle property.
-        """
-        changed = True
-        while changed:
-            changed = False
-            for u, v in sorted(self.edges.keys()):
-                live = self.edges.get((u, v), [])
-                if len(live) != 2:
-                    continue
-                t1, t2 = live
-                w1 = self.third_vertex(t1, u, v)
-                w2 = self.third_vertex(t2, u, v)
-                if min(w1, w2) >= min(u, v):
-                    continue
-                a, b, c = self.triangles[t1]
-                if abs(_incircle(self.points, a, b, c, w2)) > self.eps_incircle:
-                    continue
-                s1 = _orient(self.points, w1, w2, u)
-                s2 = _orient(self.points, w1, w2, v)
-                if not (min(s1, s2) < -self.eps_area and max(s1, s2) > self.eps_area):
-                    continue  # quad not strictly convex; flip invalid
-                self.remove(t1)
-                self.remove(t2)
-                self.add(u, w1, w2)
-                self.add(v, w1, w2)
-                changed = True
-
-    def live_triangles(self) -> list[tuple[int, int, int]]:
-        return [t for t in self.triangles if t is not None]
+    qhull keeps a point lying within the area floor inside a hull edge as
+    the apex of a zero-width boundary triangle; removing that triangle makes
+    the point a hull vertex, as it would be were it exactly on the edge.
+    """
+    alive = np.ones(len(tris), dtype=bool)
+    while True:
+        sliver = alive & (area <= GEOM_EPS) & ((nbrs < 0) | ~alive[nbrs]).any(axis=1)
+        if not sliver.any():
+            break
+        alive &= ~sliver
+    renumber = np.cumsum(alive) - 1
+    nbrs = np.where((nbrs >= 0) & alive[nbrs], renumber[nbrs], -1)
+    return tris[alive], nbrs[alive]
 
 
-def _convex_hull_strict(points: np.ndarray, eps_area: float) -> list[int]:
-    """Counterclockwise hull via monotone chain, dropping collinear vertices."""
-    order = sorted(range(len(points)), key=lambda i: (points[i, 0], points[i, 1]))
-
-    def build(seq: list[int]) -> list[int]:
-        out: list[int] = []
-        for i in seq:
-            while len(out) >= 2 and _orient(points, out[-2], out[-1], i) <= eps_area:
-                out.pop()
-            out.append(i)
-        return out
-
-    lower = build(order)
-    upper = build(order[::-1])
-    return lower[:-1] + upper[:-1]
-
-
-def _boundary_cycle(mesh: _Mesh) -> list[int]:
-    """Ordered boundary vertices (ccw), including collinear edge vertices."""
-    succ: dict[int, int] = {}
-    for tri in mesh.live_triangles():
-        for u, v in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            if len(mesh.live_on_edge(u, v)) == 1:
-                succ[u] = v
-    if not succ:
-        return []
-    start = min(succ.keys())
-    cycle = [start]
-    cur = succ[start]
-    while cur != start:
-        cycle.append(cur)
-        cur = succ[cur]
+def _cycle(succ: dict[int, int]) -> list[int]:
+    """The vertices of a successor map's cycle, from the lowest one."""
+    cycle = [min(succ)]
+    while len(cycle) < len(succ):
+        cycle.append(succ[cycle[-1]])
     return cycle
 
 
-def _canonical_simplices(triangles: list[tuple[int, int, int]]) -> np.ndarray:
-    rows = []
-    for a, b, c in triangles:
-        rot = min(((a, b, c), (b, c, a), (c, a, b)))
-        rows.append(rot)
-    rows.sort()
-    return np.array(rows, dtype=np.intp)
+def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray, nbrs: np.ndarray) -> None:
+    """Re-triangulate every cocircular Delaunay cell as a fan from its lowest index.
+
+    An interior edge is cocircular when the four points of its two
+    triangles pass the incircle test within ``GEOM_EPS`` and form a strictly
+    convex quad.  Triangles joined by such edges form one cell; where it is
+    a convex polygon with no inner vertex, its k triangles are rewritten in
+    place as the k-triangle fan.  Any triangulation of a cocircular cell is
+    Delaunay, so this only fixes the choice among them.  The static epsilon
+    passes every quad of a cluster far smaller than the unit box, so such a
+    cell may fail that shape; it keeps qhull's triangles.
+    """
+    k, j = np.nonzero(nbrs > np.arange(len(tris))[:, None])
+    n = nbrs[k, j]
+    near, tail, head = (tris[k, (j + i) % 3] for i in range(3))
+    far = tris[n, np.argmax(nbrs[n] == k[:, None], axis=1)]
+    # Flipping to the other diagonal must leave both triangles above the area floor.
+    s1, s2 = (_orient(unit, np.column_stack([near, far, w])) for w in (tail, head))
+    convex = (np.minimum(s1, s2) < -GEOM_EPS) & (np.maximum(s1, s2) > GEOM_EPS)
+    cocircular = convex & (np.abs(_incircle(unit, tris[k], far)) <= GEOM_EPS)
+    a, b = k[cocircular], n[cocircular]
+    # Label each triangle with the lowest triangle index in its cell.
+    label = np.arange(len(tris))
+    while not np.array_equal(label[a], label[b]):
+        low = np.minimum(label[a], label[b])
+        np.minimum.at(label, a, low)
+        np.minimum.at(label, b, low)
+    for cell in np.unique(label[a]):
+        members = np.flatnonzero(label == cell)
+        edges = {(u, v) for t in tris[members].tolist() for u, v in zip(t, t[1:] + t[:1])}
+        boundary = [(u, v) for u, v in edges if (v, u) not in edges]
+        cycle = _cycle(dict(boundary))
+        fan = np.array([(cycle[0], u, v) for u, v in zip(cycle[1:-1], cycle[2:])])
+        # k triangles bound by one simple (k+2)-cycle have no inner vertex.
+        simple = len(boundary) == len(set(cycle)) == len(members) + 2
+        if simple and np.all(_orient(unit, fan) > GEOM_EPS):
+            tris[members] = fan
+
+
+def _canonical_simplices(tris: np.ndarray) -> np.ndarray:
+    """Rotate each ccw row to start at its lowest index, then sort the rows."""
+    shift = (np.argmin(tris, axis=1)[:, None] + np.arange(3)) % 3
+    tris = np.take_along_axis(tris, shift, axis=1)
+    return tris[np.lexsort(tris.T[::-1])]
 
 
 def delaunay_triangulate(points: np.ndarray) -> Triangulation:
     """Triangulate m parameter points in d = 1 or 2 dimensions.
 
-    d = 1 produces consecutive segments of the sorted points.  d = 2 runs
-    incremental insertion with local edge flipping, then normalizes
-    cocircular diagonals to the deterministic tie-break.
+    d = 1 produces consecutive segments of the sorted points.  d = 2 takes
+    the Delaunay triangulation from qhull, computed like every predicate on
+    the points translated and uniformly scaled into the unit box, so the
+    result does not depend on the coordinate scale.  Each cocircular cell,
+    where several triangulations are Delaunay, is fanned from its
+    lowest-index vertex.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -422,33 +268,37 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
         hull = np.array([order[0], order[-1]], dtype=np.intp)
         return Triangulation(points=points, simplices=simplices, hull=hull)
 
-    scale = float(np.max(points.max(axis=0) - points.min(axis=0)))
-    eps_area = GEOM_EPS * scale * scale
-    hull_idx = _convex_hull_strict(points, eps_area)
-    if len(hull_idx) < 3:
+    # The power-of-two prescale is exact and keeps the differences finite.
+    unit = np.ldexp(points, -np.frexp(np.max(np.abs(points)))[1])
+    unit = (unit - unit.min(axis=0)) / np.max(unit.max(axis=0) - unit.min(axis=0))
+    try:
+        qhull = Delaunay(unit)
+    except QhullError:
+        raise DegenerateInput("all points are collinear") from None
+    if len(qhull.coplanar):
+        p, _, v = qhull.coplanar[0].tolist()
+        raise DegenerateInput(f"point {max(p, v)} coincides with point {min(p, v)}")
+    tris = qhull.simplices.astype(np.intp)
+    nbrs = qhull.neighbors.astype(np.intp)
+    # Make every triangle ccw; neighbour j stays opposite vertex j.
+    area = _orient(unit, tris)
+    cw = area < 0
+    tris[cw, 1:] = tris[cw, :0:-1]
+    nbrs[cw, 1:] = nbrs[cw, :0:-1]
+    tris, nbrs = _drop_boundary_slivers(tris, nbrs, np.abs(area))
+    if len(tris) == 0:
         raise DegenerateInput("all points are collinear")
+    # The ccw boundary edges; vertices lying on a hull edge are part of the cycle.
+    k, j = np.nonzero(nbrs < 0)
+    src, dst = tris[k, (j + 1) % 3], tris[k, (j + 2) % 3]
+    hull = _cycle(dict(zip(src.tolist(), dst.tolist())))
+    _fan_cocircular_cells(unit, tris, nbrs)
 
-    mesh = _Mesh(points, eps_area, GEOM_EPS * scale**4)
-    anchor = hull_idx[0]
-    for i in range(1, len(hull_idx) - 1):
-        mesh.add(anchor, hull_idx[i], hull_idx[i + 1])
-    mesh.legalize_all()
-    on_hull = set(hull_idx)
-    for p in range(m):
-        if p not in on_hull:
-            mesh.insert(p)
-    mesh.legalize_all()
-    mesh.normalize_cocircular()
-
-    triangles = mesh.live_triangles()
-    area_floor = 1e-12 * scale * scale
-    for tri in triangles:
-        if _orient(points, *tri) <= area_floor:
-            raise DegenerateInput(
-                f"triangle {tri} has non-positive area; input too degenerate"
-            )
-    simplices = _canonical_simplices(triangles)
-    hull = np.array(_boundary_cycle(mesh), dtype=np.intp)
+    thin = np.flatnonzero(_orient(unit, tris) <= GEOM_EPS)
+    if thin.size:
+        tri = tuple(tris[thin[0]].tolist())
+        raise DegenerateInput(f"triangle {tri} has non-positive area; input too degenerate")
+    simplices = _canonical_simplices(tris)
     return Triangulation(points=points, simplices=simplices, hull=hull)
 
 

@@ -150,6 +150,18 @@ def test_fit_collinear_params_fail(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("res", ["-3", "0", "1"])
+def test_fit_grid_res_below_two_is_usage_error(tmp_path, res):
+    emb, params, _ = identity_grid_fixture(tmp_path)
+    out = tmp_path / "surface.csv"
+    code = main(
+        ["fit", "--embedding", str(emb), "--params", str(params),
+         "--grid-res", res, "--output", str(out)]
+    )
+    assert code == 2
+    assert not out.exists()
+
+
 def test_fit_bspline_constant(tmp_path):
     axis = np.linspace(0.0, 1.0, 5)
     grid = np.array([[a, b] for a in axis for b in axis])
@@ -345,3 +357,24 @@ def test_file_pipeline_matches_in_process(tmp_path):
         x = np.array([float(r[0]), float(r[1])])
         got = np.array([float(c) for c in r[2:]])
         np.testing.assert_allclose(got, interpolate(surf, x), atol=1e-9)
+
+
+def test_non_integer_thread_count_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MIRROR_THREADS", "two")
+    code = main(
+        ["simulate", "--experiment", "mean-sd", "--n-values", "10", "--seed", "0",
+         "--output-dir", str(tmp_path / "r")]
+    )
+    assert code == 2
+    assert "MIRROR_THREADS" in capsys.readouterr().err
+
+
+def test_thread_count_ignored_where_no_pool_runs(tmp_path, monkeypatch):
+    monkeypatch.setenv("MIRROR_THREADS", "two")
+    emb, params, _ = identity_grid_fixture(tmp_path)
+    out = tmp_path / "surface.csv"
+    code = main(
+        ["fit", "--embedding", str(emb), "--params", str(params),
+         "--grid-res", "3", "--output", str(out)]
+    )
+    assert code == 0

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distmirror.errors import DegenerateInput, MirrorError, UnsupportedDimension
 from distmirror.surface import (
     BSplineConfig,
     MirrorSurface,
+    Triangulation,
     barycentric,
     delaunay_triangulate,
     evaluate_bspline,
@@ -116,6 +118,62 @@ def test_1d_sorted_segments():
     assert tri.hull.tolist() == [1, 0]
 
 
+def test_near_collinear_hull_point_kept_as_vertex():
+    # point 2 sits 1e-13 inside the bottom edge: a hull vertex, not a sliver apex
+    tri = delaunay_triangulate(np.array([[0.0, 0], [1, 0], [0.5, 1e-13], [0.5, 1]]))
+    assert tri.simplices.tolist() == [[0, 2, 3], [1, 3, 2]]
+    assert tri.hull.tolist() == [0, 2, 1, 3]
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
+def test_triangulation_scale_invariant(scale):
+    g = np.array([[i, j] for i in range(4) for j in range(4)], dtype=float)
+    ref = delaunay_triangulate(g)
+    tri = delaunay_triangulate(g * scale)
+    assert tri.simplices.tolist() == ref.simplices.tolist()
+    assert tri.hull.tolist() == ref.hull.tolist()
+
+
+def test_near_duplicate_names_point():
+    pts = np.array([[0.0, 0], [1, 0], [0.5, 0.5], [0.5, 0.5 + 1e-15], [0, 1]])
+    with pytest.raises(DegenerateInput, match="point 3"):
+        delaunay_triangulate(pts)
+
+
+def test_degenerate_simplex_named():
+    pts = np.array([[0.0, 0], [1, 0], [2, 0], [0, 1]])
+    with pytest.raises(DegenerateInput, match=r"simplex 1 \(\[0, 1, 2\]\)"):
+        Triangulation(points=pts, simplices=[[0, 1, 3], [0, 1, 2]], hull=[0, 2, 3])
+
+
+def tiny_cluster(kind, r):
+    corners = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
+    if kind == "hexagon":
+        ang = np.pi / 3 * np.arange(6)
+        cluster = np.vstack([np.column_stack([np.cos(ang), np.sin(ang)]), [[0.0, 0.0]]])
+    else:
+        cluster = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
+    return np.vstack([corners, 0.5 + r * cluster])
+
+
+@pytest.mark.parametrize("kind", ["hexagon", "subgrid"])
+@pytest.mark.parametrize("r", [1e-3, 1e-4, 1e-5])
+def test_tiny_cluster_triangulates(kind, r):
+    # Every quad of the cluster passes the unit-box incircle epsilon, so the
+    # cocircular cells chain across the whole cluster, inner vertices included.
+    pts = tiny_cluster(kind, r)
+    tri = delaunay_triangulate(pts)
+    assert sorted(set(tri.simplices.ravel().tolist())) == list(range(len(pts)))
+    u, v = (pts[tri.simplices[:, k]] - pts[tri.simplices[:, 0]] for k in (1, 2))
+    areas = 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    assert areas.min() > 0
+    assert areas.sum() == pytest.approx(1.0, rel=1e-12)
+    assert tri.hull.tolist() == [0, 1, 2, 3]
+    if kind == "hexagon":
+        # the centre lies inside the circumcircle of every hexagon-only triangle
+        assert np.sum(tri.simplices == len(pts) - 1) == 6
+
+
 def test_delaunay_property_random_sets():
     rng = np.random.default_rng(100)
     for trial in range(5):
@@ -136,6 +194,108 @@ def test_coverage_and_area():
     assert sum(areas) == pytest.approx(hull_area(pts, tri.hull), rel=1e-9)
     for x in random_hull_points(tri, rng, 1000):
         assert locate(tri, x) is not None
+
+
+def cocircular(points, t1, t2):
+    """Do the four corners of two adjacent triangles share a circumcircle?
+
+    The tolerance is relative to the extent of the point set, not to the
+    radius, which is huge for thin triangles.
+    """
+    a, b, c = points[list(t1)]
+    m = 2 * np.array([b - a, c - a])
+    center = np.linalg.solve(m, np.array([b @ b - a @ a, c @ c - a @ a]))
+    radius = np.linalg.norm(a - center)
+    (w,) = set(t2) - set(t1)
+    extent = np.max(points.max(axis=0) - points.min(axis=0))
+    return abs(np.linalg.norm(points[w] - center) - radius) <= 1e-9 * extent
+
+
+def tie_break_violations(points, simplices):
+    """Interior edges of cocircular cells that miss the cell's lowest index.
+
+    A cell is a maximal group of triangles joined across edges whose two
+    triangles are cocircular; the documented tie-break fans every cell
+    from its lowest-index vertex, so each such edge has it as an endpoint.
+    """
+    tris = [tuple(s) for s in simplices.tolist()]
+    by_edge = {}
+    for k, t in enumerate(tris):
+        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            by_edge.setdefault(frozenset(e), []).append(k)
+    links = {k: [] for k in range(len(tris))}
+    for e, ks in by_edge.items():
+        if len(ks) == 2 and cocircular(points, tris[ks[0]], tris[ks[1]]):
+            links[ks[0]].append((ks[1], e))
+            links[ks[1]].append((ks[0], e))
+    seen, bad = set(), []
+    for start in range(len(tris)):
+        if start in seen:
+            continue
+        cell, stack, inner = {start}, [start], set()
+        while stack:
+            for nb, e in links[stack.pop()]:
+                inner.add(e)
+                if nb not in cell:
+                    cell.add(nb)
+                    stack.append(nb)
+        seen |= cell
+        lowest = min(v for k in cell for v in tris[k])
+        bad += [sorted(e) for e in inner if lowest not in e]
+    return bad
+
+
+@st.composite
+def lattices(draw):
+    """Rectangular lattices, optionally jittered, with shuffled labels."""
+    kx, ky = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+    sx, sy = draw(st.sampled_from([1.0, 0.3, 2.5])), draw(st.sampled_from([1.0, 0.7]))
+    jitter = draw(st.sampled_from([0.0, 1e-13, 1e-4, 0.1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    pts = np.array([[i * sx, j * sy] for i in range(kx) for j in range(ky)])
+    pts = pts + jitter * rng.uniform(-1, 1, pts.shape) + draw(st.sampled_from([0.0, 3.0, -1e3]))
+    return pts[rng.permutation(len(pts))] * 10.0 ** draw(st.integers(-6, 6))
+
+
+@st.composite
+def polygons(draw):
+    """Regular k-gons, optionally with their centre, with shuffled labels."""
+    k = draw(st.integers(3, 24))
+    ang = 2 * np.pi * np.arange(k) / k
+    pts = np.column_stack([np.cos(ang), np.sin(ang)])
+    if draw(st.booleans()):
+        pts = np.vstack([pts, [[0.0, 0.0]]])
+    order = draw(st.permutations(range(len(pts))))
+    return pts[list(order)] * 10.0 ** draw(st.integers(-6, 6))
+
+
+point_sets = st.one_of(lattices(), polygons())
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets)
+def test_property_empty_circumcircle(pts):
+    tri = delaunay_triangulate(pts)
+    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+    assert circumcircle_margin(pts, tri.simplices) <= 1e-9 * extent
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets)
+def test_property_covers_hull_with_every_point(pts):
+    tri = delaunay_triangulate(pts)
+    assert sorted(set(tri.simplices.ravel().tolist())) == list(range(len(pts)))
+    local = pts - pts.min(axis=0)  # the shoelace sum cancels badly far from the origin
+    u, v = (local[tri.simplices[:, k]] - local[tri.simplices[:, 0]] for k in (1, 2))
+    areas = 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    assert areas.sum() == pytest.approx(hull_area(local, tri.hull), rel=1e-9)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(point_sets)
+def test_property_cocircular_cells_fan_from_lowest_index(pts):
+    tri = delaunay_triangulate(pts)
+    assert tie_break_violations(pts, tri.simplices) == []
 
 
 # ---------------------------------------------------------------------------
