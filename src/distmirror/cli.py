@@ -9,7 +9,6 @@ inputs, flags, and seed.  Exit codes: 0 success, 1 runtime or data error,
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 import time
 from pathlib import Path
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from ._parallel import worker_count
-from .core import load_dataset, validate_equal_sample_size
+from .core import load_dataset, read_table, validate_equal_sample_size, write_table
 from .embedding import (
     cmds,
     realizability_diagnostics,
@@ -71,28 +70,13 @@ def _check_worker_setting() -> None:
 
 def read_params_csv(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a parameter table CSV with header ``id, p1..pd``."""
-    path = Path(path)
-    if not path.exists():
-        raise MirrorError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if len(rows) < 2:
-        raise MirrorError(f"{path}: no parameter rows")
-    ids = tuple(r[0] for r in rows[1:])
-    try:
-        params = np.array([[float(c) for c in r[1:]] for r in rows[1:]])
-    except ValueError:
-        raise MirrorError(f"{path}: non-numeric parameter") from None
-    return ids, params
+    return read_table(path)
 
 
 def write_params_csv(ids, params: np.ndarray, path: str | Path) -> None:
     params = np.asarray(params, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"p{k + 1}" for k in range(params.shape[1])])
-        for set_id, row in zip(ids, params):
-            writer.writerow([set_id] + [repr(float(v)) for v in row])
+    header = ["id"] + [f"p{k + 1}" for k in range(params.shape[1])]
+    write_table(path, header, ([i, *row] for i, row in zip(ids, params)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +189,18 @@ def _cmd_fit(args) -> int:
         bsurf = fit_bspline(work, coords, config)
         evaluate = lambda x: evaluate_bspline(bsurf, x)  # noqa: E731
 
-    kept = 0
-    with open(args.output, "w", encoding="utf-8", newline="") as fh:
-        if scaling:
-            fh.write(
-                "# normalized axes: offset="
-                + ",".join(repr(float(v)) for v in scaling.offset)
-                + " scale="
-                + ",".join(repr(float(v)) for v in scaling.scale)
-                + "\n"
-            )
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{k + 1}" for k in range(d)] + [f"y{k + 1}" for k in range(coords.shape[1])])
-        for x in grid:
-            value = evaluate(scaling.transform(x) if scaling else x)
-            if value is None:
-                continue
-            kept += 1
-            writer.writerow(
-                [repr(float(v)) for v in x] + [repr(float(v)) for v in np.atleast_1d(value)]
-            )
-    print(f"fit: method={args.method} grid={res} rows={kept} -> {args.output}")
+    rows = []
+    for x in grid:
+        value = evaluate(scaling.transform(x) if scaling else x)
+        if value is not None:
+            rows.append([*x, *np.atleast_1d(value)])
+    note = None
+    if scaling:
+        note = ("normalized axes: offset=" + ",".join(repr(float(v)) for v in scaling.offset)
+                + " scale=" + ",".join(repr(float(v)) for v in scaling.scale))
+    header = [f"x{k + 1}" for k in range(d)] + [f"y{k + 1}" for k in range(coords.shape[1])]
+    write_table(args.output, header, rows, note)
+    print(f"fit: method={args.method} grid={res} rows={len(rows)} -> {args.output}")
     return 0
 
 
@@ -299,21 +274,11 @@ def _cmd_simulate(args) -> int:
         seeds = _parse_int_list(args.seeds) if args.seeds else tuple(range(10))
         study = run_mirror_experiment(n_values=n_values, seeds=seeds)
         for n in study.n_values:
-            path = out / f"mirror_surface_n{n}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["x1", "x2", "mirror"])
-                for x, v in zip(study.grid, study.surfaces[n]):
-                    writer.writerow([repr(float(x[0])), repr(float(x[1])), repr(float(v))])
-        curve = out / "mirror_error_curve.csv"
-        with open(curve, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n", "seed", "rmse", "max_error"])
-            for a, n in enumerate(study.n_values):
-                for b, seed in enumerate(study.seeds):
-                    writer.writerow(
-                        [n, seed, repr(float(study.errors[a, b])), repr(float(study.max_errors[a, b]))]
-                    )
+            write_table(out / f"mirror_surface_n{n}.csv", ["x1", "x2", "mirror"],
+                        ([*x, v] for x, v in zip(study.grid, study.surfaces[n])))
+        write_table(out / "mirror_error_curve.csv", ["n", "seed", "rmse", "max_error"],
+                    ([n, seed, study.errors[a, b], study.max_errors[a, b]]
+                     for a, n in enumerate(study.n_values) for b, seed in enumerate(study.seeds)))
         manifest += [
             f"m: {len(study.grid)}",
             f"n_values: {','.join(str(v) for v in study.n_values)}",
@@ -324,19 +289,11 @@ def _cmd_simulate(args) -> int:
         n_values = _parse_int_list(args.n_values) if args.n_values else (10, 100, 1000, 10000)
         seed = args.seed if args.seed is not None else 0
         study = run_recovery_experiment(n_values=n_values, seed=seed)
+        header = ["x1_true", "x2_true", "x1_hat", "x2_hat", "residual", "truth_on_boundary"]
         for n in study.n_values:
-            path = out / f"recovery_scatter_n{n}.csv"
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(
-                    ["x1_true", "x2_true", "x1_hat", "x2_hat", "residual", "truth_on_boundary"]
-                )
-                for truth, rec, on_hull in study.runs[n]:
-                    writer.writerow(
-                        [repr(float(truth[0])), repr(float(truth[1]))]
-                        + [repr(float(v)) for v in rec.x_hat]
-                        + [repr(rec.residual), str(on_hull).lower()]
-                    )
+            write_table(out / f"recovery_scatter_n{n}.csv", header,
+                        ([*truth, *rec.x_hat, rec.residual, str(on_hull).lower()]
+                         for truth, rec, on_hull in study.runs[n]))
         manifest += [
             f"m: {len(study.grid)}",
             f"n_values: {','.join(str(v) for v in study.n_values)}",

@@ -4,22 +4,34 @@ A dataset is a collection of sample sets.  Each set holds ``n`` observation
 vectors in R^q drawn from one distribution; a set is *labeled* when the
 generating parameter vector in R^d is known and *unlabeled* otherwise.
 
+Validation lives in the constructors: :class:`SampleSet` checks shape and
+finiteness, :class:`Dataset` checks the invariants across sets.  The loaders
+only parse, converting each set's values in one call, and prefix any error
+with the file and line it comes from.
+
 On-disk formats
 ---------------
 NDJSON: one record per line,
 ``{"id": str, "params": [float, ...] | absent, "samples": [[float, ...], ...]}``.
 A missing ``params`` field (not an empty list) marks the set unlabeled.
 
-CSV: header ``id, p1..pd, s1..sq``; one row per observation, rows grouped
-by id; empty parameter cells mark the set unlabeled.
+CSV: header ``id, p1..pd, s1..sq``; one row per observation; empty parameter
+cells mark the set unlabeled.  The rows of one id need not be contiguous,
+but they must all carry the same parameters.
+
+Every other CSV table (distance matrices, embeddings, parameter tables,
+reports) is read by :func:`read_table` and written by :func:`write_table`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -32,6 +44,8 @@ __all__ = [
     "Dataset",
     "load_dataset",
     "save_dataset",
+    "read_table",
+    "write_table",
     "validate_equal_sample_size",
 ]
 
@@ -67,7 +81,7 @@ class SampleSet:
             raise DatasetError(f"set {self.id!r}: samples contain non-finite values")
         object.__setattr__(self, "samples", _freeze(samples))
         if self.params is not None:
-            params = np.atleast_1d(np.asarray(self.params, dtype=np.float64))
+            params = np.asarray(self.params, dtype=np.float64)
             if params.ndim != 1 or params.size < 1:
                 raise DatasetError(
                     f"set {self.id!r}: params must be a non-empty vector"
@@ -93,9 +107,9 @@ class SampleSet:
 class Dataset:
     """Labeled and unlabeled sample sets sharing one embedding space.
 
-    Invariants checked eagerly at construction: a common sample dimension q
-    across every set, a common parameter dimension d across labeled sets,
-    and pairwise distinct labeled parameter vectors.
+    Invariants checked eagerly at construction: distinct set ids, a common
+    sample dimension q across every set, a common parameter dimension d
+    across labeled sets, and pairwise distinct labeled parameter vectors.
     """
 
     labeled: tuple[SampleSet, ...]
@@ -111,6 +125,9 @@ class Dataset:
             raise DatasetError("labeled sets must carry parameter vectors")
         if any(s.params is not None for s in self.unlabeled):
             raise DatasetError("unlabeled sets must not carry parameter vectors")
+        repeated = [i for i, k in Counter(s.id for s in sets).items() if k > 1]
+        if repeated:
+            raise DatasetError(f"set id {repeated[0]!r} is used more than once")
         q = sets[0].q
         for s in sets:
             if s.q != q:
@@ -172,126 +189,113 @@ def validate_equal_sample_size(ds: Dataset) -> int:
     return n
 
 
-def _finite_or_raise(values, where: str):
-    for v in values:
-        if not math.isfinite(v):
-            raise DatasetError(f"{where}: non-finite value {v!r}")
+@contextmanager
+def _located(where: str):
+    """Prefix a dataset error or a failed float conversion with its location."""
+    try:
+        yield
+    except DatasetError as e:
+        e.args = (f"{where}: {e}",)
+        raise
+    except (TypeError, ValueError, OverflowError) as e:
+        raise DatasetError(f"{where}: invalid numeric data ({e})") from e
 
 
-def _build_dataset(records: Iterable[tuple[str, list[float] | None, list[list[float]]]]) -> Dataset:
-    labeled: list[SampleSet] = []
-    unlabeled: list[SampleSet] = []
-    for set_id, params, rows in records:
-        s = SampleSet(id=set_id, samples=np.array(rows, dtype=np.float64),
-                      params=None if params is None else np.array(params))
-        (labeled if s.labeled else unlabeled).append(s)
-    return Dataset(labeled=tuple(labeled), unlabeled=tuple(unlabeled))
+def _dataset(path: Path, sets: list[SampleSet]) -> Dataset:
+    if not sets:
+        raise DatasetError(f"{path}: file contains no records")
+    with _located(str(path)):
+        return Dataset(labeled=tuple(s for s in sets if s.labeled),
+                       unlabeled=tuple(s for s in sets if not s.labeled))
 
 
 def _load_ndjson(path: Path) -> Dataset:
-    records = []
+    sets: list[SampleSet] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(rec, dict) or "id" not in rec or "samples" not in rec:
-                raise DatasetError(
-                    f"{path}: line {lineno}: record must contain 'id' and 'samples'"
-                )
-            samples = rec["samples"]
-            if (not isinstance(samples, list) or not samples
-                    or not all(isinstance(r, list) and r for r in samples)):
-                raise DatasetError(
-                    f"{path}: line {lineno}: 'samples' must be a non-empty list of rows"
-                )
-            width = len(samples[0])
-            if any(len(r) != width for r in samples):
-                raise DatasetError(
-                    f"{path}: line {lineno}: ragged sample rows in set {rec['id']!r}"
-                )
-            params = rec.get("params")
-            try:
-                _finite_or_raise((float(v) for r in samples for v in r),
-                                 f"{path}: line {lineno}")
-                if params is not None:
-                    _finite_or_raise((float(v) for v in params),
-                                     f"{path}: line {lineno}")
-            except (TypeError, ValueError) as e:
-                raise DatasetError(f"{path}: line {lineno}: non-numeric entry") from e
-            records.append((str(rec["id"]), params, samples))
-    if not records:
-        raise DatasetError(f"{path}: file contains no records")
-    return _build_dataset(records)
+            with _located(f"{path}: line {lineno}"):
+                try:
+                    rec = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise DatasetError(f"invalid JSON ({e.msg})") from e
+                if not isinstance(rec, dict) or "id" not in rec or "samples" not in rec:
+                    raise DatasetError("record must contain 'id' and 'samples'")
+                params = rec.get("params")
+                sets.append(SampleSet(
+                    id=str(rec["id"]),
+                    samples=np.array(rec["samples"], dtype=np.float64),
+                    params=None if params is None else np.array(params, dtype=np.float64),
+                ))
+    return _dataset(path, sets)
 
 
-def _load_csv(path: Path) -> Dataset:
+def _csv_params(cells: str | tuple[str, ...]) -> tuple[float, ...] | None:
+    """The parameter cells of one CSV row: all empty (unlabeled) or all numbers."""
+    cells = (cells,) if isinstance(cells, str) else cells
+    empty = [not c.strip() for c in cells]
+    if all(empty):
+        return None
+    if any(empty):
+        raise DatasetError("partially empty parameter cells")
+    return tuple(np.array(cells, dtype=np.float64).tolist())
+
+
+def _samples(rows: list) -> np.ndarray:
+    """Convert the sample cells of a set's rows (strings, or tuples of them)."""
+    return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+
+
+def _load_csv(path: Path, locate: bool = False) -> Dataset:
+    """Group the rows by id, then convert each set once.
+
+    When a conversion fails, the file is read again with ``locate`` set, which
+    builds a set from every row alone so the error names the row's line.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if not header or header[0] != "id":
+        header = [h.strip() for h in next(reader, [])]
+        if header[:1] != ["id"]:
             raise DatasetError(f"{path}: line 1: header must start with 'id'")
         p_cols = [i for i, h in enumerate(header) if h.startswith("p") and h[1:].isdigit()]
         s_cols = [i for i, h in enumerate(header) if h.startswith("s") and h[1:].isdigit()]
         if not s_cols:
             raise DatasetError(f"{path}: line 1: no sample columns s1..sq found")
+        params_of = itemgetter(*p_cols) if p_cols else (lambda row: "")
+        samples_of = itemgetter(*s_cols)
 
-        order: list[str] = []
-        rows_by_id: dict[str, list[list[float]]] = {}
-        params_by_id: dict[str, list[float] | None] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
+        # id -> (raw parameter cells of its first row, their values, sample cells)
+        groups: dict[str, tuple] = {}
+        for row in reader:
             if len(row) != len(header):
-                raise DatasetError(
-                    f"{path}: line {lineno}: expected {len(header)} cells, got {len(row)}"
-                )
-            set_id = row[0]
-            raw_params = [row[i].strip() for i in p_cols]
-            if all(c == "" for c in raw_params):
-                params = None
-            elif any(c == "" for c in raw_params):
-                raise DatasetError(
-                    f"{path}: line {lineno}: partially empty parameter cells"
-                )
-            else:
-                try:
-                    params = [float(c) for c in raw_params]
-                except ValueError:
-                    raise DatasetError(
-                        f"{path}: line {lineno}: non-numeric parameter cell"
-                    ) from None
-                _finite_or_raise(params, f"{path}: line {lineno}")
-            try:
-                sample = [float(row[i]) for i in s_cols]
-            except ValueError:
-                raise DatasetError(f"{path}: line {lineno}: non-numeric sample cell") from None
-            _finite_or_raise(sample, f"{path}: line {lineno}")
+                if any(c.strip() for c in row):
+                    raise DatasetError(f"{path}: line {reader.line_num}: "
+                                       f"expected {len(header)} cells, got {len(row)}")
+                continue
+            raw = params_of(row)
+            group = groups.get(row[0])
+            if group is None or raw != group[0]:
+                with _located(f"{path}: line {reader.line_num}"):
+                    params = _csv_params(raw)
+                    if group is None:
+                        group = groups[row[0]] = (raw, params, [])
+                    elif params != group[1]:
+                        raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
+            group[2].append(samples_of(row))
+            if locate:
+                with _located(f"{path}: line {reader.line_num}"):
+                    SampleSet(id=row[0], samples=_samples(group[2][-1:]), params=group[1])
 
-            if set_id not in rows_by_id:
-                order.append(set_id)
-                rows_by_id[set_id] = []
-                params_by_id[set_id] = params
-            else:
-                prev = params_by_id[set_id]
-                same = (prev is None and params is None) or (
-                    prev is not None and params is not None and prev == params
-                )
-                if not same:
-                    raise DatasetError(
-                        f"{path}: line {lineno}: set {set_id!r} changes parameters mid-file"
-                    )
-            rows_by_id[set_id].append(sample)
-    if not order:
-        raise DatasetError(f"{path}: file contains no records")
-    return _build_dataset((i, params_by_id[i], rows_by_id[i]) for i in order)
+    sets = []
+    for set_id, (_, params, rows) in groups.items():
+        try:
+            sets.append(SampleSet(id=set_id, samples=_samples(rows), params=params))
+        except (DatasetError, ValueError):
+            if locate:
+                raise
+            return _load_csv(path, locate=True)
+    return _dataset(path, sets)
 
 
 def load_dataset(path: str | Path, format: str = "ndjson") -> Dataset:
@@ -310,6 +314,70 @@ def load_dataset(path: str | Path, format: str = "ndjson") -> Dataset:
     raise ValueError(f"unknown format {format!r} (expected 'ndjson' or 'csv')")
 
 
+def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, ...], np.ndarray]:
+    """Read a CSV table of finite floats with one id per row or per column.
+
+    By default each row is ``id, v1..vk`` under a header naming the columns,
+    and lines starting with ``#`` are comments.  With ``header_ids`` the
+    header lists the ids, one per column, every row holds only numbers, and
+    ``#`` is not special, since an id may start with it.  Blank lines are
+    skipped.  Returns the ids and the (rows, k) value matrix; ids must be
+    distinct, and every error names the file and the line.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DatasetError(f"no such file: {path}")
+    header, rows, lines = None, [], {}  # lines: id -> the line it is on
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not any(c.strip() for c in row) or (not header_ids and row[0].startswith("#")):
+                continue
+            with _located(f"{path}: line {reader.line_num}"):
+                if header is None:
+                    header = row
+                    ids = [c.strip() for c in row] if header_ids else []
+                elif len(row) != len(header):
+                    raise DatasetError(f"expected {len(header)} cells, got {len(row)}")
+                else:
+                    ids = [] if header_ids else [row[0]]
+                    rows.append(np.array(row if header_ids else row[1:], dtype=np.float64))
+                    if not np.all(np.isfinite(rows[-1])):
+                        raise DatasetError("non-finite value")
+                for i in ids:
+                    if i in lines:
+                        raise DatasetError(f"id {i!r} repeats line {lines[i]}")
+                    lines[i] = reader.line_num
+    if not rows:
+        raise DatasetError(f"{path}: no table rows")
+    return tuple(lines), np.array(rows)
+
+
+def _csv_cell(cell) -> str:
+    """One CSV cell: a float by ``repr``, text quoted where a reader needs it.
+
+    ``repr`` is the shortest text that reads back to the same double.  Unlike
+    csv.writer, which quotes only the characters of its own line terminator
+    ("\\n"), this also quotes a lone "\\r", which a reader takes for a line break.
+    """
+    if isinstance(cell, (float, np.floating)):
+        return repr(float(cell))
+    text = str(cell)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def write_table(path: str | Path, header: Iterable, rows: Iterable[Iterable],
+                note: str | None = None) -> None:
+    """Write a CSV table: an optional ``# note`` line, the header, then the rows."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        if note:
+            fh.write(f"# {note}\n")
+        for row in chain([header], rows):
+            fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
 def save_dataset(ds: Dataset, path: str | Path, format: str = "ndjson") -> None:
     """Serialize a dataset so that reloading reproduces it field-for-field."""
     path = Path(path)
@@ -325,17 +393,8 @@ def save_dataset(ds: Dataset, path: str | Path, format: str = "ndjson") -> None:
         return
     if format == "csv":
         d = max((s.params.size for s in sets if s.params is not None), default=0)
-        q = sets[0].q
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                ["id"] + [f"p{k + 1}" for k in range(d)] + [f"s{k + 1}" for k in range(q)]
-            )
-            for s in sets:
-                pcells = (
-                    [repr(float(v)) for v in s.params] if s.params is not None else [""] * d
-                )
-                for row in s.samples:
-                    writer.writerow([s.id] + pcells + [repr(float(v)) for v in row])
+        header = ["id"] + [f"p{k + 1}" for k in range(d)] + [f"s{k + 1}" for k in range(ds.q)]
+        write_table(path, header, ([s.id, *(s.params if s.labeled else [""] * d), *row]
+                                   for s in sets for row in s.samples))
         return
     raise ValueError(f"unknown format {format!r} (expected 'ndjson' or 'csv')")

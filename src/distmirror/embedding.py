@@ -10,12 +10,12 @@ spectrum, which also drives scree-style dimension selection.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .core import read_table, write_table
 from .errors import MirrorError, NoPositiveSpectrum
 from .transport import DistanceMatrix
 
@@ -193,35 +193,15 @@ def procrustes_align(estimate: np.ndarray, reference: np.ndarray) -> ProcrustesA
 
 def write_embedding(emb: MirrorEmbedding, path: str | Path, header_note: str | None = None) -> None:
     """Write embedding CSV ``id, y1..yc``; an optional note rides as a comment."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_note:
-            fh.write(f"# {header_note}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id"] + [f"y{j + 1}" for j in range(emb.c)])
-        for i, set_id in enumerate(emb.ids):
-            writer.writerow([set_id] + [repr(float(v)) for v in emb.coords[i]])
+    header = ["id"] + [f"y{j + 1}" for j in range(emb.c)]
+    write_table(path, header, ([i, *row] for i, row in zip(emb.ids, emb.coords)), header_note)
 
 
 def read_embedding(path: str | Path) -> tuple[tuple[str, ...], np.ndarray]:
     """Read an embedding CSV back into (ids, coords)."""
-    path = Path(path)
-    if not path.exists():
-        raise MirrorError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r and not r[0].startswith("#")]
-    if len(rows) < 2:
-        raise MirrorError(f"{path}: no embedding rows")
-    ids = tuple(r[0] for r in rows[1:])
-    try:
-        coords = np.array([[float(c) for c in r[1:]] for r in rows[1:]], dtype=np.float64)
-    except ValueError:
-        raise MirrorError(f"{path}: non-numeric coordinate") from None
-    return ids, coords
+    return read_table(path)
 
 
 def write_spectrum(spectrum: np.ndarray, path: str | Path) -> None:
     """Write the eigenvalue spectrum as a single-column CSV for scree plots."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("eigenvalue\n")
-        for v in np.asarray(spectrum, dtype=np.float64):
-            fh.write(repr(float(v)) + "\n")
+    write_table(path, ["eigenvalue"], ([v] for v in np.asarray(spectrum, dtype=np.float64)))

@@ -10,7 +10,7 @@ class MirrorError(Exception):
 
 
 class DatasetError(MirrorError):
-    """A sample file failed to parse or violated a dataset invariant."""
+    """An input file failed to parse, or a dataset invariant was violated."""
 
 
 class DuplicateParameters(DatasetError):

@@ -12,7 +12,6 @@ feasible solution wins.  No grid search is involved.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -21,10 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import Dataset, SampleSet
+from .core import Dataset, SampleSet, write_table
 from .embedding import MirrorEmbedding, cmds
 from .errors import MirrorError
-from .surface import MirrorSurface, delaunay_triangulate, hull_boundary_distance, locate
+from .surface import MirrorSurface, delaunay_triangulate, locate, near_hull_boundary
 from .transport import DistanceMatrix, distance_matrix
 
 __all__ = [
@@ -165,13 +164,11 @@ def recover_parameter(
     sid = locate(tri, x_hat)
     if sid is None:  # roundoff pushed x_hat a hair outside; it is a hull point
         sid = best_sid
-    scale = tri._scale if tri._scale > 0 else 1.0
-    on_boundary = hull_boundary_distance(tri, x_hat) <= BOUNDARY_TOL * scale
     return RecoveryResult(
         x_hat=x_hat,
         residual=residual,
         simplex=int(sid),
-        on_boundary=bool(on_boundary),
+        on_boundary=near_hull_boundary(tri, x_hat, BOUNDARY_TOL),
         mirror_point=target.copy(),
     )
 
@@ -259,21 +256,10 @@ def write_recovery_report(
     if not results:
         raise MirrorError("no recovery results to write")
     d = len(results[0][1].x_hat)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["id"]
-            + [f"x_true_{k + 1}" for k in range(d)]
-            + [f"x_hat_{k + 1}" for k in range(d)]
-            + ["residual", "on_boundary"]
-        )
-        for set_id, (truth, rec) in zip(ids, results):
-            tcells = (
-                [repr(float(v)) for v in truth] if truth is not None else [""] * d
-            )
-            writer.writerow(
-                [set_id]
-                + tcells
-                + [repr(float(v)) for v in rec.x_hat]
-                + [repr(rec.residual), str(rec.on_boundary).lower()]
-            )
+    header = (["id"] + [f"x_true_{k + 1}" for k in range(d)]
+              + [f"x_hat_{k + 1}" for k in range(d)] + ["residual", "on_boundary"])
+    write_table(path, header, (
+        [set_id, *([""] * d if truth is None else truth), *rec.x_hat,
+         rec.residual, str(rec.on_boundary).lower()]
+        for set_id, (truth, rec) in zip(ids, results)
+    ))

@@ -30,7 +30,7 @@ from .core import Dataset, SampleSet
 from .embedding import MirrorEmbedding, cmds, procrustes_align
 from .errors import MirrorError
 from .recovery import RecoveryResult, leave_one_out
-from .surface import delaunay_triangulate, hull_boundary_distance, locate
+from .surface import delaunay_triangulate, locate, near_hull_boundary
 from .transport import DistanceMatrix, distance_matrix
 
 __all__ = [
@@ -322,8 +322,7 @@ def _truth_on_reduced_hull(grid: np.ndarray, i: int) -> bool:
     tri = delaunay_triangulate(rest)
     if locate(tri, grid[i]) is None:
         return True
-    scale = float(np.max(rest.max(axis=0) - rest.min(axis=0)))
-    return hull_boundary_distance(tri, grid[i]) <= 1e-9 * scale
+    return near_hull_boundary(tri, grid[i], 1e-9)
 
 
 def run_recovery_experiment(

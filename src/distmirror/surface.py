@@ -19,8 +19,8 @@ triangulations reproducible across platforms and qhull versions.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,7 @@ from scipy.interpolate import BSpline
 import scipy.linalg
 from scipy.spatial import Delaunay, QhullError
 
+from .core import write_table
 from .errors import DegenerateInput, MirrorError, UnsupportedDimension
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
     "lipschitz_constant",
     "jacobian_condition_numbers",
     "hull_boundary_distance",
+    "near_hull_boundary",
     "fit_bspline",
     "evaluate_bspline",
     "write_triangulation",
@@ -69,7 +71,6 @@ class Triangulation:
     simplices: np.ndarray
     hull: np.ndarray
     _bary: np.ndarray = field(init=False, repr=False, compare=False)
-    _scale: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         points = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -80,8 +81,6 @@ class Triangulation:
         d = points.shape[1]
         if simplices.ndim != 2 or simplices.shape[1] != d + 1:
             raise MirrorError("simplices must be a (K, d+1) index matrix")
-        extents = points.max(axis=0) - points.min(axis=0) if len(points) else 0.0
-        scale = float(np.max(extents)) if len(points) else 0.0
         # Homogeneous inverse per simplex: lambda = _bary[k] @ [x, 1].
         homogeneous = np.ones((len(simplices), d + 1, d + 1))
         homogeneous[:, :d] = points[simplices].transpose(0, 2, 1)
@@ -99,7 +98,6 @@ class Triangulation:
         object.__setattr__(self, "simplices", simplices)
         object.__setattr__(self, "hull", hull)
         object.__setattr__(self, "_bary", mats)
-        object.__setattr__(self, "_scale", scale)
 
     @property
     def m(self) -> int:
@@ -142,6 +140,11 @@ class MirrorSurface:
 # ---------------------------------------------------------------------------
 # geometric predicates (d = 2)
 # ---------------------------------------------------------------------------
+
+
+def _prescale_exponent(points: np.ndarray) -> int:
+    """Exponent e with every |coordinate| < 2**e; dividing by 2**e is exact."""
+    return int(np.frexp(np.max(np.abs(points), initial=0.0))[1])
 
 
 def _orient(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -269,7 +272,7 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
         return Triangulation(points=points, simplices=simplices, hull=hull)
 
     # The power-of-two prescale is exact and keeps the differences finite.
-    unit = np.ldexp(points, -np.frexp(np.max(np.abs(points)))[1])
+    unit = np.ldexp(points, -_prescale_exponent(points))
     unit = (unit - unit.min(axis=0)) / np.max(unit.max(axis=0) - unit.min(axis=0))
     try:
         qhull = Delaunay(unit)
@@ -396,12 +399,18 @@ def jacobian_condition_numbers(surface: MirrorSurface) -> np.ndarray:
 
 
 def hull_boundary_distance(tri: Triangulation, x: np.ndarray) -> float:
-    """Euclidean distance from x to the hull boundary."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    pts = tri.points
+    """Euclidean distance from x to the hull boundary.
+
+    Computed on the points and x divided by the power of two of
+    :func:`_prescale_exponent`, so it neither overflows nor underflows for
+    coordinates near the limits of float64.
+    """
+    e = _prescale_exponent(tri.points)
+    x = np.ldexp(np.atleast_1d(np.asarray(x, dtype=np.float64)), -e)
+    pts = np.ldexp(tri.points, -e)
     if tri.d == 1:
         lo, hi = pts[tri.hull[0], 0], pts[tri.hull[1], 0]
-        return float(min(abs(x[0] - lo), abs(x[0] - hi)))
+        return float(np.ldexp(min(abs(x[0] - lo), abs(x[0] - hi)), e))
     cycle = tri.hull
     best = np.inf
     for k in range(len(cycle)):
@@ -411,7 +420,18 @@ def hull_boundary_distance(tri: Triangulation, x: np.ndarray) -> float:
         denom = float(ab @ ab)
         t = 0.0 if denom == 0 else float(np.clip((x - a) @ ab / denom, 0.0, 1.0))
         best = min(best, float(np.linalg.norm(x - (a + t * ab))))
-    return best
+    return float(np.ldexp(best, e))
+
+
+def near_hull_boundary(tri: Triangulation, x: np.ndarray, rel_tol: float) -> bool:
+    """Is x within ``rel_tol`` times the points' largest extent of the hull boundary?
+
+    Compared in prescaled units, where neither side can overflow.
+    """
+    e = _prescale_exponent(tri.points)
+    unit = np.ldexp(tri.points, -e)
+    extent = np.max(unit.max(axis=0) - unit.min(axis=0))
+    return bool(np.ldexp(hull_boundary_distance(tri, x), -e) <= rel_tol * extent)
 
 
 # ---------------------------------------------------------------------------
@@ -573,11 +593,7 @@ def evaluate_bspline(surf: BSplineSurface, x: np.ndarray) -> np.ndarray | None:
 def write_triangulation(tri: Triangulation, path: str | Path) -> None:
     """Export vertices then simplex index tuples as one CSV."""
     width = tri.d + 1
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["section", "index"] + [f"c{k + 1}" for k in range(width)])
-        for i, p in enumerate(tri.points):
-            cells = [repr(float(c)) for c in p] + [""] * (width - tri.d)
-            writer.writerow(["point", i] + cells)
-        for k, s in enumerate(tri.simplices):
-            writer.writerow(["simplex", k] + [int(v) for v in s])
+    write_table(path, ["section", "index"] + [f"c{k + 1}" for k in range(width)], chain(
+        (["point", i, *p, ""] for i, p in enumerate(tri.points)),
+        (["simplex", k, *s] for k, s in enumerate(tri.simplices.tolist())),
+    ))

@@ -13,7 +13,6 @@ deliberately absent; all downstream tolerances assume exact costs.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -23,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from ._parallel import map_deterministic
-from .core import SampleSet
+from .core import SampleSet, read_table, write_table
 from .errors import MirrorError, UnequalSampleSizes
 
 __all__ = [
@@ -182,34 +181,16 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
 
 def write_distance_matrix(dm: DistanceMatrix, path: str | Path) -> None:
     """Write a distance matrix CSV: an id row, then m numeric rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(dm.ids)
-        for row in dm.values:
-            writer.writerow([repr(float(v)) for v in row])
+    write_table(path, dm.ids, dm.values)
 
 
 def read_distance_matrix(path: str | Path) -> DistanceMatrix:
     """Read a distance matrix CSV, symmetrizing tiny asymmetries by averaging."""
-    path = Path(path)
-    if not path.exists():
-        raise MirrorError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(c.strip() for c in row)]
-    if not rows:
-        raise MirrorError(f"{path}: empty distance matrix file")
-    ids = tuple(c.strip() for c in rows[0])
+    ids, values = read_table(path, header_ids=True)
     m = len(ids)
-    if len(rows) != m + 1:
-        raise MirrorError(f"{path}: expected {m} value rows, found {len(rows) - 1}")
-    try:
-        values = np.array([[float(c) for c in row] for row in rows[1:]], dtype=np.float64)
-    except ValueError:
-        raise MirrorError(f"{path}: non-numeric matrix entry") from None
-    if values.shape != (m, m):
-        raise MirrorError(f"{path}: matrix shape {values.shape} does not match ids")
-    asym = float(np.max(np.abs(values - values.T))) if m else 0.0
+    if len(values) != m:
+        raise MirrorError(f"{path}: expected {m} value rows, found {len(values)}")
+    asym = float(np.max(np.abs(values - values.T)))
     if asym > SYMMETRY_TOL:
         raise MirrorError(
             f"{path}: matrix asymmetric beyond tolerance ({asym:.3e} > {SYMMETRY_TOL:.0e})"

@@ -1,8 +1,13 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from distmirror.cli import main, read_params_csv
 from distmirror.core import (
     Dataset,
     SampleSet,
@@ -10,7 +15,9 @@ from distmirror.core import (
     save_dataset,
     validate_equal_sample_size,
 )
-from distmirror.errors import DatasetError, DuplicateParameters, UnequalSampleSizes
+from distmirror.embedding import read_embedding
+from distmirror.errors import DatasetError, DuplicateParameters, MirrorError, UnequalSampleSizes
+from distmirror.transport import read_distance_matrix
 
 
 def write_ndjson(path, records):
@@ -55,6 +62,19 @@ def test_duplicate_parameters_rejected(tmp_path):
         ],
     )
     with pytest.raises(DuplicateParameters):
+        load_dataset(path)
+
+
+def test_duplicate_set_ids_rejected(tmp_path):
+    path = tmp_path / "d.ndjson"
+    write_ndjson(
+        path,
+        [
+            {"id": "a", "params": [0.0], "samples": [[0.0]]},
+            {"id": "a", "samples": [[1.0]]},
+        ],
+    )
+    with pytest.raises(DatasetError, match="'a' is used more than once"):
         load_dataset(path)
 
 
@@ -104,6 +124,15 @@ def test_csv_grouped_rows(tmp_path):
     assert len(ds.unlabeled) == 1
     np.testing.assert_array_equal(ds.labeled[0].params, [0.1, 0.5])
     np.testing.assert_array_equal(ds.unlabeled[0].samples, [[9.0, 8.0]])
+
+
+def test_csv_rows_of_one_id_need_not_be_contiguous(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("id,p1,s1\na,0.1,1.0\nb,0.2,5.0\na,0.10,2.0\nb, 0.2,6.0\n")
+    ds = load_dataset(path, "csv")
+    assert [s.id for s in ds.labeled] == ["a", "b"]
+    np.testing.assert_array_equal(ds.labeled[0].samples, [[1.0], [2.0]])
+    np.testing.assert_array_equal(ds.labeled[1].samples, [[5.0], [6.0]])
 
 
 def test_csv_params_change_mid_file_rejected(tmp_path):
@@ -178,3 +207,130 @@ def test_sampleset_arrays_immutable():
         s.samples[0, 0] = 5.0
     with pytest.raises(ValueError):
         s.params[0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs: every one ends in a MirrorError naming the file and line
+# ---------------------------------------------------------------------------
+
+ND_OK = '{"id": "a", "params": [0], "samples": [[1]]}\n'
+CSV_OK = "id,p1,s1\na,0,1\n"
+EMBEDDING_OK = "id,y1\na,0.0\nb,1.0\n"
+PARAMS_OK = "id,p1\na,0.0\nb,1.0\n"
+
+BAD_INPUTS = [
+    # (reader, file text, line the error names)
+    pytest.param("ndjson", ND_OK + '{"id": "b", "samples": [[1, 2], [3]]}\n', 2, id="ndjson-ragged"),
+    pytest.param("ndjson", ND_OK + '\n{"id": "b", "samples": [["x"]]}\n', 3, id="ndjson-non-numeric"),
+    pytest.param("ndjson", ND_OK + '{"id": "b", "samples": [[NaN]]}\n', 2, id="ndjson-nan"),
+    pytest.param("ndjson", ND_OK + '{"id": "b", "params": [1e999], "samples": [[1]]}\n', 2,
+                 id="ndjson-inf"),
+    pytest.param("ndjson", ND_OK + '{"id": "b", "samples": [[null]]}\n', 2, id="ndjson-null"),
+    pytest.param("ndjson", ND_OK + '{"id": "b", "samples": [[[1]]]}\n', 2, id="ndjson-nested"),
+    pytest.param("ndjson", ND_OK + '{"id": "b", "params": [], "samples": [[1]]}\n', 2,
+                 id="ndjson-empty-params"),
+    pytest.param("ndjson", ND_OK + '{"id": "b", "params": 5, "samples": [[1]]}\n', 2,
+                 id="ndjson-scalar-params"),
+    pytest.param("csv", CSV_OK + "a,0\n", 3, id="csv-ragged"),
+    pytest.param("csv", CSV_OK + "b,1,2\na,0,x\n", 4, id="csv-non-numeric"),
+    pytest.param("csv", CSV_OK + "b,x,2\n", 3, id="csv-non-numeric-param"),
+    pytest.param("csv", CSV_OK + "\nb,1,2\nb,1,nan\n", 5, id="csv-nan"),
+    pytest.param("csv", CSV_OK + "b,inf,2\nb,inf,3\n", 3, id="csv-inf-param"),
+    pytest.param("csv", "id,p1,p2,s1\na,0,0,1\nb,1,,2\n", 3, id="csv-partly-empty-params"),
+    pytest.param("csv", CSV_OK + "a,0.5,2\n", 3, id="csv-params-change"),
+    pytest.param("distmat", "a,b\n0,1\n1\n", 3, id="distmat-ragged"),
+    pytest.param("distmat", "a,b\n0,1\n1,x\n", 3, id="distmat-non-numeric"),
+    pytest.param("distmat", "a,b\n0,1\nnan,0\n", 3, id="distmat-nan"),
+    pytest.param("distmat", "a,a\n0,1\n1,0\n", 1, id="distmat-duplicate-id"),
+    pytest.param("embedding", EMBEDDING_OK + "c\n", 4, id="embedding-ragged"),
+    pytest.param("embedding", "# note\n" + EMBEDDING_OK + "c,x\n", 5, id="embedding-non-numeric"),
+    pytest.param("embedding", EMBEDDING_OK + "c,-inf\n", 4, id="embedding-inf"),
+    pytest.param("embedding", EMBEDDING_OK + "a,2.0\n", 4, id="embedding-duplicate-id"),
+    pytest.param("params", PARAMS_OK + "c,1,2\n", 4, id="params-ragged"),
+    pytest.param("params", PARAMS_OK + "c,one\n", 4, id="params-non-numeric"),
+    pytest.param("params", PARAMS_OK + "c,nan\n", 4, id="params-nan"),
+    pytest.param("params", PARAMS_OK + "b,2.0\n", 4, id="params-duplicate-id"),
+]
+
+READERS = {
+    "ndjson": lambda path: load_dataset(path, "ndjson"),
+    "csv": lambda path: load_dataset(path, "csv"),
+    "distmat": read_distance_matrix,
+    "embedding": read_embedding,
+    "params": read_params_csv,
+}
+
+
+def cli_argv(reader, path, tmp_path):
+    out = str(tmp_path / "out.csv")
+    if reader in ("ndjson", "csv"):
+        return ["distmat", "--input", path, "--format", reader, "--output", out]
+    if reader == "distmat":
+        return ["embed", "--input", path, "--dim", "1", "--output", out]
+    embedding, params = tmp_path / "emb.csv", tmp_path / "params.csv"
+    embedding.write_text(EMBEDDING_OK)
+    params.write_text(PARAMS_OK)
+    if reader == "embedding":
+        return ["fit", "--embedding", path, "--params", str(params), "--output", out]
+    return ["fit", "--embedding", str(embedding), "--params", path, "--output", out]
+
+
+@pytest.mark.parametrize("reader, text, line", BAD_INPUTS)
+def test_bad_input_names_file_and_line(tmp_path, capsys, reader, text, line):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    where = f"bad.txt: line {line}:"
+    with pytest.raises(MirrorError, match=where):
+        READERS[reader](path)
+    assert main(cli_argv(reader, str(path), tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# save/load round trips
+# ---------------------------------------------------------------------------
+
+floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 0.1, 1 / 3, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def datasets(draw):
+    """Mixed labeled and unlabeled sets of any finite floats, with any ids."""
+    q, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
+    labeled, unlabeled, used = [], [], set()
+    for set_id in ids:
+        samples = draw(arrays(np.float64, (draw(st.integers(1, 3)), q), elements=floats))
+        params = draw(st.none() | arrays(np.float64, d, elements=floats))
+        if params is None or tuple(params + 0.0) in used:  # + 0.0 folds -0.0 into 0.0
+            unlabeled.append(SampleSet(id=set_id, samples=samples))
+        else:
+            used.add(tuple(params + 0.0))
+            labeled.append(SampleSet(id=set_id, samples=samples, params=params))
+    return Dataset(labeled=tuple(labeled), unlabeled=tuple(unlabeled))
+
+
+def bits(a):
+    return None if a is None else a.view(np.uint64).tolist()
+
+
+def fields(ds):
+    return [(s.id, bits(s.samples), bits(s.params)) for s in ds.all_sets]
+
+
+@given(datasets())
+@example(Dataset(labeled=(), unlabeled=(SampleSet(id="\r", samples=np.zeros((1, 1))),)))
+def test_property_save_load_round_trip_is_bit_exact(ds):
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = {}
+        for fmt in ("ndjson", "csv"):
+            path = Path(tmp) / f"d.{fmt}"
+            save_dataset(ds, path, fmt)
+            loaded[fmt] = load_dataset(path, fmt)
+            assert fields(loaded[fmt]) == fields(ds)
+            assert [s.labeled for s in loaded[fmt].all_sets] == [s.labeled for s in ds.all_sets]
+    assert fields(loaded["ndjson"]) == fields(loaded["csv"])

@@ -5,7 +5,12 @@ from distmirror.core import Dataset, SampleSet
 from distmirror.embedding import MirrorEmbedding, cmds, procrustes_align
 from distmirror.errors import MirrorError
 from distmirror.recovery import joint_embed, leave_one_out, recover_parameter
-from distmirror.surface import MirrorSurface, delaunay_triangulate, interpolate
+from distmirror.surface import (
+    MirrorSurface,
+    delaunay_triangulate,
+    hull_boundary_distance,
+    interpolate,
+)
 from distmirror.transport import distance_matrix
 
 
@@ -121,6 +126,27 @@ def test_identity_mirror_outside_projects_to_hull():
         np.testing.assert_allclose(rec.x_hat, expect, atol=1e-9)
         assert rec.residual == pytest.approx(expect_d, abs=1e-9)
         assert rec.on_boundary
+
+
+UNIT_SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+WIDE_TRIANGLE = [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "shape, scale",
+    [(UNIT_SQUARE, 1e-200), (UNIT_SQUARE, 1.0), (UNIT_SQUARE, 1e160), (UNIT_SQUARE, 1e300),
+     (WIDE_TRIANGLE, 1e308)],
+)
+def test_boundary_flags_and_distances_do_not_depend_on_scale(shape, scale):
+    unit = np.array(shape)
+    params = unit * scale
+    tri = delaunay_triangulate(params)
+    # (0.25, 0.25) lies 0.25 from the bottom edge of both shapes, farther from the rest.
+    dist = hull_boundary_distance(tri, np.array([0.25, 0.25]) * scale)
+    assert dist / scale == pytest.approx(0.25, rel=1e-12)
+    # Mirror values stay at unit scale, so only the parameters are scaled.
+    assert recover_parameter(identity_embedding(unit, [0.25, -1.0]), params).on_boundary
+    assert not recover_parameter(identity_embedding(unit, [0.25, 0.5]), params).on_boundary
 
 
 def test_residual_bounded_by_vertices():

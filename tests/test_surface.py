@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from distmirror.errors import DegenerateInput, MirrorError, UnsupportedDimension
 from distmirror.surface import (
@@ -272,7 +272,6 @@ def polygons(draw):
 point_sets = st.one_of(lattices(), polygons())
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
 @given(point_sets)
 def test_property_empty_circumcircle(pts):
     tri = delaunay_triangulate(pts)
@@ -280,7 +279,6 @@ def test_property_empty_circumcircle(pts):
     assert circumcircle_margin(pts, tri.simplices) <= 1e-9 * extent
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
 @given(point_sets)
 def test_property_covers_hull_with_every_point(pts):
     tri = delaunay_triangulate(pts)
@@ -291,7 +289,6 @@ def test_property_covers_hull_with_every_point(pts):
     assert areas.sum() == pytest.approx(hull_area(local, tri.hull), rel=1e-9)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
 @given(point_sets)
 def test_property_cocircular_cells_fan_from_lowest_index(pts):
     tri = delaunay_triangulate(pts)

@@ -174,7 +174,9 @@ def test_distance_matrix_thread_count_invariance(monkeypatch):
 
 def test_distance_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(37)
-    sets = [make(rng.standard_normal((4, 2)), f"s{i}") for i in range(4)]
+    # Ids that need quoting, including a lone carriage return.
+    ids = ["s0", "a,b", 'say "hi"', "line\rbreak"]
+    sets = [make(rng.standard_normal((4, 2)), i) for i in ids]
     dm = distance_matrix(sets, 1)
     path = tmp_path / "dm.csv"
     write_distance_matrix(dm, path)
