@@ -1,15 +1,21 @@
 """Worker-count policy for the embarrassingly parallel stages.
 
 ``MIRROR_THREADS`` caps the number of workers; when unset, one worker per
-available core is used.  Results never depend on the worker count: every
-parallel site computes independent items and writes to disjoint slots.
+core this process may run on is used.  Results never depend on the worker
+count: every parallel site computes independent items and writes to disjoint
+slots.
+
+The pool serves the assignment pairs (q > 1) of ``transport.distance_matrix``,
+``recovery.leave_one_out`` and ``sim.generate``.  The q = 1 pairs run serially:
+on 2 cores the mean-sd study's four matrices took 0.26-0.43 s serial against
+0.69-1.48 s in the pool (15 runs each).
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -18,6 +24,8 @@ R = TypeVar("R")
 def worker_count() -> int:
     env = os.environ.get("MIRROR_THREADS")
     if env is None:
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         return max(1, int(env))

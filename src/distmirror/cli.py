@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,14 +53,6 @@ class _UsageError(Exception):
     """Raised for option combinations argparse cannot express."""
 
 
-def _metric_p(metric: str) -> float:
-    if metric not in _METRIC_ORDER:
-        raise _UsageError(
-            f"metric {metric!r} cannot be computed from samples; use w1 or w2"
-        )
-    return _METRIC_ORDER[metric]
-
-
 def _check_worker_setting() -> None:
     """Reject a malformed MIRROR_THREADS in the commands that use the worker pool."""
     try:
@@ -86,7 +79,7 @@ def write_params_csv(ids, params: np.ndarray, path: str | Path) -> None:
 
 def _cmd_distmat(args) -> int:
     _check_worker_setting()
-    p = _metric_p(args.metric)
+    p = _METRIC_ORDER[args.metric]
     t0 = time.perf_counter()
     ds = load_dataset(args.input, args.format)
     n = validate_equal_sample_size(ds)
@@ -206,51 +199,38 @@ def _cmd_fit(args) -> int:
 
 def _cmd_recover(args) -> int:
     _check_worker_setting()
-    p = _metric_p(args.metric)
+    p = _METRIC_ORDER[args.metric]
     ds = load_dataset(args.input, args.format)
     validate_equal_sample_size(ds)
     if not ds.labeled:
         raise MirrorError("recovery requires labeled sets")
-    d = ds.d
-    params = ds.params_matrix()
-    scaling = fit_axis_scaling(params) if args.normalize_params else None
-    work = scaling.transform(params) if scaling else params
+    # --normalize-params builds the surface on normalized axes; truths stay raw.
+    scaling = fit_axis_scaling(ds.params_matrix()) if args.normalize_params else None
+    work = ds if scaling is None else replace(ds, labeled=tuple(
+        replace(s, params=scaling.transform(s.params)) for s in ds.labeled))
 
     if args.dim is None:
-        c, note = d, f"dim={d} (default d)"
+        c, note = ds.d, f"dim={ds.d} (default d)"
     else:
         spectrum = realizability_diagnostics(distance_matrix(list(ds.labeled), p)).spectrum
         c, auto = _resolve_dim(args.dim, spectrum)
         note = f"dim={c} (auto)" if auto else f"dim={c}"
 
-    results: list[tuple[np.ndarray | None, object]] = []
-    ids: list[str] = []
     if args.leave_one_out:
-        loo = leave_one_out(ds, p, c, params=work if scaling else None)
-        for i, (_, rec) in enumerate(loo):
-            if scaling:
-                rec = _unscale_result(rec, scaling)
-            results.append((ds.labeled[i].params, rec))
-        ids = [s.id for s in ds.labeled]
+        targets, truths = ds.labeled, [s.params for s in ds.labeled]
+        recs = [rec for _, rec in leave_one_out(work, p, c)]
     else:
         if not ds.unlabeled:
             raise _UsageError("no unlabeled sets in input; nothing to recover")
-        for u in ds.unlabeled:
-            psi = joint_embed(list(ds.labeled), u, p, c)
-            rec = recover_parameter(psi, work)
-            if scaling:
-                rec = _unscale_result(rec, scaling)
-            results.append((None, rec))
-            ids.append(u.id)
-    write_recovery_report(results, ids, args.output)
-    print(f"recover: {note} sets={len(results)} -> {args.output}")
+        targets, truths = ds.unlabeled, [None] * len(ds.unlabeled)
+        params = work.params_matrix()
+        recs = [recover_parameter(joint_embed(list(ds.labeled), u, p, c), params)
+                for u in ds.unlabeled]
+    if scaling:
+        recs = [replace(rec, x_hat=scaling.inverse(rec.x_hat)) for rec in recs]
+    write_recovery_report(list(zip(truths, recs)), [s.id for s in targets], args.output)
+    print(f"recover: {note} sets={len(recs)} -> {args.output}")
     return 0
-
-
-def _unscale_result(rec, scaling):
-    from dataclasses import replace
-
-    return replace(rec, x_hat=scaling.inverse(rec.x_hat))
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -326,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("distmat", help="pairwise distance matrix from samples")
     add_io(p, "dataset file (ndjson or csv)")
     p.add_argument("--format", choices=["ndjson", "csv"], default="ndjson")
-    p.add_argument("--metric", choices=["w1", "w2", "external"], default="w1")
+    p.add_argument("--metric", choices=list(_METRIC_ORDER), default="w1")
     p.set_defaults(handler=_cmd_distmat)
 
     p = sub.add_parser("embed", help="classical MDS embedding of a distance matrix")
@@ -356,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recover", help="recover parameters of unlabeled sets")
     add_io(p, "dataset file with labeled (+ unlabeled) sets")
     p.add_argument("--format", choices=["ndjson", "csv"], default="ndjson")
-    p.add_argument("--metric", choices=["w1", "w2", "external"], default="w1")
+    p.add_argument("--metric", choices=list(_METRIC_ORDER), default="w1")
     p.add_argument("--dim", default=None, help="mirror dimension, integer or 'auto' (default: d)")
     p.add_argument("--leave-one-out", action="store_true",
                    help="hold out each labeled set instead of recovering unlabeled ones")

@@ -37,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DatasetError, DuplicateParameters, UnequalSampleSizes
+from .errors import DatasetError, DuplicateParameters, MirrorError, UnequalSampleSizes
 
 __all__ = [
     "SampleSet",
@@ -191,14 +191,30 @@ def validate_equal_sample_size(ds: Dataset) -> int:
 
 @contextmanager
 def _located(where: str):
-    """Prefix a dataset error or a failed float conversion with its location."""
+    """Prefix a MirrorError with its location; a failed decode or conversion becomes one."""
     try:
         yield
-    except DatasetError as e:
+    except MirrorError as e:
         e.args = (f"{where}: {e}",)
         raise
+    except UnicodeDecodeError as e:
+        raise DatasetError(f"{where}: not valid UTF-8 ({e.reason})") from e
     except (TypeError, ValueError, OverflowError) as e:
         raise DatasetError(f"{where}: invalid numeric data ({e})") from e
+
+
+@contextmanager
+def _open_text(path: Path, newline: str | None = None):
+    """Open a UTF-8 text file; bytes that are not UTF-8 raise a located error."""
+    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            # The decoder reads ahead in chunks, so find the line from the bytes.
+            for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
+                with _located(f"{path}: line {lineno}"):
+                    raw.decode("utf-8")
+            raise
 
 
 def _dataset(path: Path, sets: list[SampleSet]) -> Dataset:
@@ -211,7 +227,7 @@ def _dataset(path: Path, sets: list[SampleSet]) -> Dataset:
 
 def _load_ndjson(path: Path) -> Dataset:
     sets: list[SampleSet] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -253,7 +269,7 @@ def _load_csv(path: Path, locate: bool = False) -> Dataset:
     When a conversion fails, the file is read again with ``locate`` set, which
     builds a set from every row alone so the error names the row's line.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         header = [h.strip() for h in next(reader, [])]
         if header[:1] != ["id"]:
@@ -328,7 +344,7 @@ def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, .
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
     header, rows, lines = None, [], {}  # lines: id -> the line it is on
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not any(c.strip() for c in row) or (not header_ids and row[0].startswith("#")):

@@ -126,10 +126,8 @@ def cmds(delta: DistanceMatrix, c: int) -> MirrorEmbedding:
     evals, evecs = _sorted_eig(double_center(delta))
     scale = np.sqrt(np.maximum(evals[:c], 0.0))
     coords = evecs[:, :c] * scale
-    for j in range(c):
-        col = coords[:, j]
-        if col[np.argmax(np.abs(col))] < 0:
-            coords[:, j] = -col
+    flip = coords[np.argmax(np.abs(coords), axis=0), np.arange(c)] < 0
+    coords[:, flip] = -coords[:, flip]
     return MirrorEmbedding(ids=delta.ids, coords=coords, spectrum=evals, c=c)
 
 

@@ -23,7 +23,8 @@ from ._parallel import map_deterministic
 from .core import Dataset, SampleSet, write_table
 from .embedding import MirrorEmbedding, cmds
 from .errors import MirrorError
-from .surface import MirrorSurface, delaunay_triangulate, locate, near_hull_boundary
+from .surface import (MirrorSurface, delaunay_triangulate, jacobian_condition_numbers, locate,
+                      near_hull_boundary)
 from .transport import DistanceMatrix, distance_matrix
 
 __all__ = [
@@ -149,21 +150,17 @@ def recover_parameter(
     vvals = surface.values[tri.simplices]  # (K, d+1, c)
     vpts = tri.points[tri.simplices]  # (K, d+1, d)
     faces = [f for r in range(1, d + 2) for f in combinations(range(d + 1), r)]
-    best: tuple[float, int, tuple[float, ...]] | None = None
-    sids = np.arange(tri.n_simplices)
-    for face in faces:
-        feasible, x, value = _face_candidates(vvals, vpts, target, face)
-        for row in np.flatnonzero(feasible):
-            key = (float(value[row]), int(sids[row]), tuple(float(v) for v in x[row]))
-            if best is None or key < best:
-                best = key
-    assert best is not None  # singleton faces are always feasible
-    val, best_sid, xt = best
-    x_hat = np.array(xt)
-    residual = float(np.sqrt(val))
+    candidates = [_face_candidates(vvals, vpts, target, f) for f in faces]
+    feasible, x, value = (np.concatenate(parts) for parts in zip(*candidates))
+    sids = np.tile(np.arange(tri.n_simplices), len(faces))[feasible]
+    x, value = x[feasible], value[feasible]
+    # lexsort's last key is the primary one: value, then simplex, then x_1..x_d.
+    best = np.lexsort((*x.T[::-1], sids, value))[0]
+    x_hat = x[best].copy()
+    residual = float(np.sqrt(value[best]))
     sid = locate(tri, x_hat)
     if sid is None:  # roundoff pushed x_hat a hair outside; it is a hull point
-        sid = best_sid
+        sid = sids[best]
     return RecoveryResult(
         x_hat=x_hat,
         residual=residual,
@@ -180,8 +177,6 @@ def recovery_condition_diagnostics(psi: MirrorEmbedding, params: np.ndarray) -> 
     from data; this reports how close each simplex's linear map comes to
     singular (values near 1 are well-conditioned, inf is flat).
     """
-    from .surface import jacobian_condition_numbers
-
     params = np.ascontiguousarray(params, dtype=np.float64)
     m = params.shape[0]
     if psi.coords.shape[0] not in (m, m + 1):
@@ -204,7 +199,6 @@ def leave_one_out(
     ds: Dataset,
     p: float = 1,
     c: int | None = None,
-    params: np.ndarray | None = None,
 ) -> list[tuple[np.ndarray, RecoveryResult]]:
     """Hold out each labeled set in turn and recover its parameter.
 
@@ -212,10 +206,6 @@ def leave_one_out(
     order.  Hold-outs whose truth sits on (or outside) the reduced hull are
     reported like any other; callers can separate them via the distance of
     the truth to the reduced hull.
-
-    ``params`` optionally replaces the dataset's parameter matrix for the
-    surface geometry (normalized axes, for example); truths and estimates
-    are then expressed in those coordinates.
 
     The pairwise distances are computed once and shared across iterations;
     each iteration sees exactly the matrix a fresh joint embedding of the
@@ -230,12 +220,7 @@ def leave_one_out(
             f"leave-one-out needs m >= d+3 = {d + 3} labeled sets, got {m}"
         )
     dm = distance_matrix(ds.labeled, p)
-    if params is None:
-        params = ds.params_matrix()
-    else:
-        params = np.ascontiguousarray(params, dtype=np.float64)
-        if params.shape != (m, d):
-            raise MirrorError(f"params override must have shape ({m}, {d})")
+    params = ds.params_matrix()
 
     def run(i: int) -> tuple[np.ndarray, RecoveryResult]:
         sub = _reordered_submatrix(dm, i)

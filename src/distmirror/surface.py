@@ -337,12 +337,9 @@ def barycentric(tri: Triangulation, simplex: int, x: np.ndarray) -> np.ndarray:
     if not 0 <= simplex < tri.n_simplices:
         raise MirrorError(f"simplex index {simplex} out of range")
     xh = _homogeneous(tri, x)
-    verts = tri.simplices[simplex]
-    for j, v in enumerate(verts):
-        if np.array_equal(tri.points[v], xh[:-1]):
-            lam = np.zeros(tri.d + 1)
-            lam[j] = 1.0
-            return lam
+    vertex = np.flatnonzero((tri.points[tri.simplices[simplex]] == xh[:-1]).all(axis=1))
+    if vertex.size:
+        return np.eye(tri.d + 1)[vertex[0]]
     lam = tri._bary[simplex] @ xh
     if lam.min() < -BARY_TOL:
         raise MirrorError(
@@ -369,11 +366,8 @@ def interpolate(surface: MirrorSurface, x: np.ndarray) -> np.ndarray | None:
 def simplex_gradients(surface: MirrorSurface) -> np.ndarray:
     """Per-simplex Jacobian of the interpolant, shape (K, c, d)."""
     tri = surface.tri
-    grads = np.empty((tri.n_simplices, surface.c, tri.d))
-    for k, simplex in enumerate(tri.simplices):
-        # d lambda / d x is the first d columns of the homogeneous inverse.
-        grads[k] = surface.values[simplex].T @ tri._bary[k][:, : tri.d]
-    return grads
+    # d lambda / d x is the first d columns of the homogeneous inverse.
+    return np.swapaxes(surface.values[tri.simplices], 1, 2) @ tri._bary[:, :, : tri.d]
 
 
 def lipschitz_constant(surface: MirrorSurface) -> float:
@@ -385,17 +379,13 @@ def lipschitz_constant(surface: MirrorSurface) -> float:
     grads = simplex_gradients(surface)
     if grads.size == 0:
         return 0.0
-    return float(max(np.linalg.norm(g, ord=2) for g in grads))
+    return float(np.linalg.norm(grads, ord=2, axis=(1, 2)).max())
 
 
 def jacobian_condition_numbers(surface: MirrorSurface) -> np.ndarray:
     """Condition number of each simplex's Jacobian (inf where singular)."""
-    grads = simplex_gradients(surface)
-    out = np.empty(len(grads))
-    for k, g in enumerate(grads):
-        s = np.linalg.svd(g, compute_uv=False)
-        out[k] = np.inf if s[-1] == 0 else float(s[0] / s[-1])
-    return out
+    s = np.linalg.svd(simplex_gradients(surface), compute_uv=False)
+    return np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] != 0)
 
 
 def hull_boundary_distance(tri: Triangulation, x: np.ndarray) -> float:
@@ -411,16 +401,13 @@ def hull_boundary_distance(tri: Triangulation, x: np.ndarray) -> float:
     if tri.d == 1:
         lo, hi = pts[tri.hull[0], 0], pts[tri.hull[1], 0]
         return float(np.ldexp(min(abs(x[0] - lo), abs(x[0] - hi)), e))
-    cycle = tri.hull
-    best = np.inf
-    for k in range(len(cycle)):
-        a = pts[cycle[k]]
-        b = pts[cycle[(k + 1) % len(cycle)]]
-        ab = b - a
-        denom = float(ab @ ab)
-        t = 0.0 if denom == 0 else float(np.clip((x - a) @ ab / denom, 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(x - (a + t * ab))))
-    return float(np.ldexp(best, e))
+    a = pts[tri.hull]  # edge k runs from hull vertex k to vertex k + 1
+    ab = np.roll(a, -1, axis=0) - a
+    denom = np.einsum("kj,kj->k", ab, ab)
+    t = np.divide(np.einsum("kj,kj->k", x - a, ab), denom,
+                  out=np.zeros(len(a)), where=denom != 0)
+    nearest = a + np.clip(t, 0.0, 1.0)[:, None] * ab
+    return float(np.ldexp(np.linalg.norm(x - nearest, axis=1).min(), e))
 
 
 def near_hull_boundary(tri: Triangulation, x: np.ndarray, rel_tol: float) -> bool:

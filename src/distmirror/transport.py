@@ -22,7 +22,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from ._parallel import map_deterministic
-from .core import SampleSet, read_table, write_table
+from .core import SampleSet, _located, read_table, write_table
 from .errors import MirrorError, UnequalSampleSizes
 
 __all__ = [
@@ -146,8 +146,9 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
     """Pairwise exact Wasserstein p-distances for a list of sample sets.
 
     Each unordered pair is computed once and mirrored, so the result is
-    exactly symmetric.  Pairs are evaluated in parallel when allowed; the
-    result is identical for any worker count.
+    exactly symmetric.  For q = 1 each set is sorted once and the pairs run in
+    the calling thread; only assignment pairs (q > 1) run in the worker pool.
+    The result is identical for any worker count.
     """
     sets = list(sets)
     if not sets:
@@ -155,25 +156,17 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
     for s in sets[1:]:
         _check_pair(sets[0], s)
     m = len(sets)
-    values = np.zeros((m, m), dtype=np.float64)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-
-    if m > 1 and sets[0].q == 1:
+    rows, cols = np.triu_indices(m, 1)
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    if sets[0].q == 1:
         sorted_1d = [np.sort(s.samples[:, 0]) for s in sets]
-
-        def pair_cost(ij: tuple[int, int]) -> float:
-            i, j = ij
-            return _sorted_pair_cost(sorted_1d[i], sorted_1d[j], p)
-
+        costs = [_sorted_pair_cost(sorted_1d[i], sorted_1d[j], p) for i, j in pairs]
     else:
-
-        def pair_cost(ij: tuple[int, int]) -> float:
-            i, j = ij
-            return wasserstein_exact(sets[i], sets[j], p).cost
-
-    for (i, j), cost in zip(pairs, map_deterministic(pair_cost, pairs)):
-        values[i, j] = cost
-        values[j, i] = cost
+        costs = map_deterministic(
+            lambda ij: wasserstein_exact(sets[ij[0]], sets[ij[1]], p).cost, pairs
+        )
+    values = np.zeros((m, m), dtype=np.float64)
+    values[rows, cols] = values[cols, rows] = costs
     return DistanceMatrix(
         ids=tuple(s.id for s in sets), values=values, metric=f"w{p:g}"
     )
@@ -200,4 +193,5 @@ def read_distance_matrix(path: str | Path) -> DistanceMatrix:
         raise MirrorError(f"{path}: nonzero diagonal entry ({diag:.3e})")
     values = (values + values.T) / 2.0
     np.fill_diagonal(values, 0.0)
-    return DistanceMatrix(ids=ids, values=values, metric="external")
+    with _located(str(path)):
+        return DistanceMatrix(ids=ids, values=values, metric="external")

@@ -55,10 +55,10 @@ def test_distmat_missing_input(tmp_path, capsys):
 
 def test_distmat_external_metric_is_usage_error(tmp_path):
     data = singleton_fixture(tmp_path)
-    code = main(
-        ["distmat", "--input", str(data), "--metric", "external", "--output", str(tmp_path / "o.csv")]
-    )
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["distmat", "--input", str(data), "--metric", "external",
+              "--output", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
 
 
 def collinear_matrix(tmp_path):

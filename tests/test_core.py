@@ -219,7 +219,7 @@ EMBEDDING_OK = "id,y1\na,0.0\nb,1.0\n"
 PARAMS_OK = "id,p1\na,0.0\nb,1.0\n"
 
 BAD_INPUTS = [
-    # (reader, file text, line the error names)
+    # (reader, file text or bytes, line the error names or None for the file alone)
     pytest.param("ndjson", ND_OK + '{"id": "b", "samples": [[1, 2], [3]]}\n', 2, id="ndjson-ragged"),
     pytest.param("ndjson", ND_OK + '\n{"id": "b", "samples": [["x"]]}\n', 3, id="ndjson-non-numeric"),
     pytest.param("ndjson", ND_OK + '{"id": "b", "samples": [[NaN]]}\n', 2, id="ndjson-nan"),
@@ -250,6 +250,13 @@ BAD_INPUTS = [
     pytest.param("params", PARAMS_OK + "c,one\n", 4, id="params-non-numeric"),
     pytest.param("params", PARAMS_OK + "c,nan\n", 4, id="params-nan"),
     pytest.param("params", PARAMS_OK + "b,2.0\n", 4, id="params-duplicate-id"),
+    pytest.param("distmat", "a,b\n0,-1\n-1,0\n", None, id="distmat-negative"),
+    pytest.param("ndjson", ND_OK.encode() + b'{"id": "b\xff", "samples": [[1]]}\n', 2,
+                 id="ndjson-not-utf8"),
+    pytest.param("csv", CSV_OK.encode() + b"b,1,2\r\nb,1,\xff\n", 4, id="csv-not-utf8"),
+    pytest.param("distmat", b"a,b\n0,1\n1,0\xff\n", 3, id="distmat-not-utf8"),
+    pytest.param("embedding", b"\xff" + EMBEDDING_OK.encode(), 1, id="embedding-not-utf8"),
+    pytest.param("params", PARAMS_OK.encode() + b"\n\nc,1\xfe\n", 6, id="params-not-utf8"),
 ]
 
 READERS = {
@@ -278,8 +285,8 @@ def cli_argv(reader, path, tmp_path):
 @pytest.mark.parametrize("reader, text, line", BAD_INPUTS)
 def test_bad_input_names_file_and_line(tmp_path, capsys, reader, text, line):
     path = tmp_path / "bad.txt"
-    path.write_text(text)
-    where = f"bad.txt: line {line}:"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    where = f"bad.txt: line {line}:" if line else "bad.txt:"
     with pytest.raises(MirrorError, match=where):
         READERS[reader](path)
     assert main(cli_argv(reader, str(path), tmp_path)) == 1

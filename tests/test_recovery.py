@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from distmirror.core import Dataset, SampleSet
 from distmirror.embedding import MirrorEmbedding, cmds, procrustes_align
@@ -165,27 +167,39 @@ def test_residual_bounded_by_vertices():
     assert rec.residual <= vertex_best + 1e-12
 
 
-def test_global_minimum_against_random_probes():
-    rng = np.random.default_rng(54)
-    grid = unit_grid(4)
-    values = rng.standard_normal((16, 2))
-    target = 0.3 * rng.standard_normal(2)
-    psi = MirrorEmbedding(
-        ids=tuple(f"s{i}" for i in range(17)),
-        coords=np.vstack([values, target[None, :]]),
-        spectrum=np.zeros(17),
-        c=2,
-    )
-    rec = recover_parameter(psi, grid)
+@st.composite
+def recovery_problems(draw):
+    """A jittered lattice, random vertex values in R^c and a random target."""
+    k, c = draw(st.integers(2, 5)), draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    jitter = draw(st.sampled_from([0.0, 1e-9, 0.05, 0.2])) / k
+    grid = unit_grid(k) + jitter * rng.uniform(-1, 1, (k * k, 2))
+    values = rng.standard_normal((k * k, c))
+    target = draw(st.sampled_from([0.1, 1.0, 3.0])) * rng.standard_normal(c)
+    return grid, values, target
+
+
+def embedding_of(values, target):
+    coords = np.vstack([values, target[None, :]])
+    m = len(coords)
+    return MirrorEmbedding(ids=tuple(f"s{i}" for i in range(m)), coords=coords,
+                           spectrum=np.zeros(m), c=coords.shape[1])
+
+
+@given(recovery_problems())
+def test_global_minimum_against_random_probes(problem):
+    # Oracle: the residual at a dense lattice of barycentric probes in every simplex.
+    grid, values, target = problem
+    rec = recover_parameter(embedding_of(values, target), grid)
     tri = delaunay_triangulate(grid)
-    surf = MirrorSurface(tri, values)
-    hull_pts = grid[tri.hull]
-    for _ in range(10_000):
-        w = rng.random(len(hull_pts))
-        w /= w.sum()
-        x = w @ hull_pts
-        v = interpolate(surf, x)
-        assert rec.residual <= np.linalg.norm(v - target) + 1e-9
+    res = 12
+    weights = np.array([(i, j, res - i - j) for i in range(res + 1)
+                        for j in range(res + 1 - i)]) / res
+    probes = np.einsum("pv,kvc->kpc", weights, values[tri.simplices])
+    assert rec.residual <= np.linalg.norm(probes - target, axis=2).min() + 1e-9
+    at_x_hat = interpolate(MirrorSurface(tri, values), rec.x_hat)
+    assert at_x_hat is not None
+    assert rec.residual == pytest.approx(np.linalg.norm(at_x_hat - target), abs=1e-9)
 
 
 def test_isometry_equivariance():
@@ -220,6 +234,21 @@ def test_tie_break_deterministic():
     np.testing.assert_array_equal(rec1.x_hat, rec2.x_hat)
     assert rec1.residual == 0.0
     assert rec1.simplex == 0
+
+
+def test_tie_break_prefers_lowest_simplex_then_smallest_x():
+    # Points 0 = (1, 1), 3 = (0.5, 1) and 8 = (0, 0) all match the target
+    # exactly.  Simplex 0 is (0, 3, 4), so the lowest simplex rules out point
+    # 8, the lexicographically smallest of the three, and x then picks point 3.
+    axis = np.linspace(0.0, 1.0, 3)
+    grid = np.array([[a, b] for a in axis for b in axis])[::-1]
+    values = np.ones((9, 1))
+    values[[0, 3, 8]] = 0.0
+    rec = recover_parameter(embedding_of(values, np.zeros(1)), grid)
+    assert delaunay_triangulate(grid).simplices[0].tolist() == [0, 3, 4]
+    np.testing.assert_array_equal(rec.x_hat, [0.5, 1.0])
+    assert rec.residual == 0.0
+    assert rec.simplex == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import itertools
+import os
 
 import numpy as np
 import pytest
 
+import distmirror._parallel
+from distmirror._parallel import worker_count
 from distmirror.core import SampleSet
 from distmirror.errors import MirrorError, UnequalSampleSizes
 from distmirror.transport import (
@@ -164,12 +167,37 @@ def test_metric_axioms_on_sampled_triples():
 
 def test_distance_matrix_thread_count_invariance(monkeypatch):
     rng = np.random.default_rng(31)
-    sets = [make(rng.standard_normal((30, 1)), f"s{i}") for i in range(8)]
-    monkeypatch.setenv("MIRROR_THREADS", "1")
-    one = distance_matrix(sets, 2).values
+    for q in (1, 3):
+        sets = [make(rng.standard_normal((30, q)), f"s{i}") for i in range(8)]
+        monkeypatch.setenv("MIRROR_THREADS", "1")
+        one = distance_matrix(sets, 2).values
+        monkeypatch.setenv("MIRROR_THREADS", "4")
+        four = distance_matrix(sets, 2).values
+        assert one.tobytes() == four.tobytes()
+
+
+def test_distance_matrix_q1_pairs_open_no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a thread pool was opened")
+
+    monkeypatch.setattr(distmirror._parallel, "ThreadPoolExecutor", no_pool)
     monkeypatch.setenv("MIRROR_THREADS", "4")
-    four = distance_matrix(sets, 2).values
-    assert np.array_equal(one, four)
+    rng = np.random.default_rng(32)
+    distance_matrix([make(rng.standard_normal((30, 1)), f"s{i}") for i in range(8)], 2)
+    # Assignment pairs still go to the pool, so the patch is in force.
+    with pytest.raises(AssertionError, match="thread pool"):
+        distance_matrix([make(rng.standard_normal((5, 3)), f"s{i}") for i in range(3)], 2)
+
+
+@pytest.mark.parametrize("affinity, cpus, expected", [({0}, 8, 1), (None, 3, 3), (None, None, 1)])
+def test_worker_count_reads_cpu_affinity(monkeypatch, affinity, cpus, expected):
+    monkeypatch.delenv("MIRROR_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+    assert worker_count() == expected
 
 
 def test_distance_matrix_csv_round_trip(tmp_path):
