@@ -29,7 +29,7 @@ from ._parallel import map_deterministic
 from .core import Dataset, SampleSet
 from .embedding import MirrorEmbedding, cmds, procrustes_align
 from .errors import MirrorError
-from .recovery import RecoveryResult, leave_one_out
+from .recovery import BOUNDARY_TOL, RecoveryResult, leave_one_out
 from .surface import delaunay_triangulate, locate, near_hull_boundary
 from .transport import DistanceMatrix, distance_matrix
 
@@ -134,13 +134,11 @@ def gaussian_moments(variant: FamilyVariant, x: np.ndarray) -> tuple[float, floa
 def true_wasserstein(variant: FamilyVariant, x: np.ndarray, x2: np.ndarray) -> float:
     """Closed-form population distance between two family members.
 
-    Equal-variance Gaussians: W1 = |mu - mu'|.  General univariate
-    Gaussians: W2 = sqrt((mu - mu')^2 + (sigma - sigma')^2).
+    Univariate Gaussians: W2 = sqrt((mu - mu')^2 + (sigma - sigma')^2).
+    With equal variances this is exactly |mu - mu'|, which is also W1.
     """
     mu_a, sd_a = gaussian_moments(variant, x)
     mu_b, sd_b = gaussian_moments(variant, x2)
-    if variant is FamilyVariant.MEAN_ONLY:
-        return abs(mu_a - mu_b)
     return float(np.hypot(mu_a - mu_b, sd_a - sd_b))
 
 
@@ -148,11 +146,8 @@ def true_distance_matrix(variant: FamilyVariant, grid: np.ndarray) -> DistanceMa
     """Population distance matrix over a grid, from the closed forms."""
     grid = np.asarray(grid, dtype=np.float64)
     m = grid.shape[0]
-    values = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i + 1, m):
-            w = true_wasserstein(variant, grid[i], grid[j])
-            values[i, j] = values[j, i] = w
+    mu, sd = np.array([gaussian_moments(variant, x) for x in grid]).reshape(m, 2).T
+    values = np.hypot(mu[:, None] - mu, sd[:, None] - sd)
     metric = "w1" if variant is FamilyVariant.MEAN_ONLY else "w2"
     return DistanceMatrix(
         ids=tuple(_set_id(i) for i in range(m)), values=values, metric=metric
@@ -322,7 +317,7 @@ def _truth_on_reduced_hull(grid: np.ndarray, i: int) -> bool:
     tri = delaunay_triangulate(rest)
     if locate(tri, grid[i]) is None:
         return True
-    return near_hull_boundary(tri, grid[i], 1e-9)
+    return near_hull_boundary(tri, grid[i], BOUNDARY_TOL)
 
 
 def run_recovery_experiment(

@@ -189,17 +189,25 @@ def _cycle(succ: dict[int, int]) -> list[int]:
     return cycle
 
 
-def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray, nbrs: np.ndarray) -> None:
+def _boundary_edges(tris: np.ndarray, nbrs: np.ndarray, label: np.ndarray) -> tuple:
+    """(label, source, target) of each ccw side whose neighbour is missing or labelled apart."""
+    k, j = np.nonzero((nbrs < 0) | (label[nbrs] != label[:, None]))
+    return label[k], tris[k, (j + 1) % 3], tris[k, (j + 2) % 3]
+
+
+def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Re-triangulate every cocircular Delaunay cell as a fan from its lowest index.
 
     An interior edge is cocircular when the four points of its two
     triangles pass the incircle test within ``GEOM_EPS`` and form a strictly
-    convex quad.  Triangles joined by such edges form one cell; where it is
-    a convex polygon with no inner vertex, its k triangles are rewritten in
-    place as the k-triangle fan.  Any triangulation of a cocircular cell is
-    Delaunay, so this only fixes the choice among them.  The static epsilon
-    passes every quad of a cluster far smaller than the unit box, so such a
-    cell may fail that shape; it keeps qhull's triangles.
+    convex quad.  Triangles joined by such edges form one cell, and a
+    triangle with no such edge is a cell of one.  Where a cell is a convex
+    polygon with no inner vertex, its k triangles become the k-triangle fan;
+    the result lists the kept triangles first, in input order, then the
+    fans.  Any triangulation of a cocircular cell is Delaunay, so this only
+    fixes the choice among them.  The static epsilon passes every quad of a
+    cluster far smaller than the unit box, so such a cell may fail that
+    shape; it keeps qhull's triangles.
     """
     k, j = np.nonzero(nbrs > np.arange(len(tris))[:, None])
     n = nbrs[k, j]
@@ -216,21 +224,26 @@ def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray, nbrs: np.ndarray) 
         low = np.minimum(label[a], label[b])
         np.minimum.at(label, a, low)
         np.minimum.at(label, b, low)
-    for cell in np.unique(label[a]):
-        members = np.flatnonzero(label == cell)
-        edges = {(u, v) for t in tris[members].tolist() for u, v in zip(t, t[1:] + t[:1])}
-        boundary = [(u, v) for u, v in edges if (v, u) not in edges]
-        cycle = _cycle(dict(boundary))
-        fan = np.array([(cycle[0], u, v) for u, v in zip(cycle[1:-1], cycle[2:])])
-        # k triangles bound by one simple (k+2)-cycle have no inner vertex.
-        simple = len(boundary) == len(set(cycle)) == len(members) + 2
-        if simple and np.all(_orient(unit, fan) > GEOM_EPS):
-            tris[members] = fan
+    cell, src, dst = _boundary_edges(tris, nbrs, label)
+    # Every boundary vertex is a source, so the lowest source is the fan's hub.
+    hub = np.full(len(tris), len(unit))
+    np.minimum.at(hub, cell, src)
+    spoke = (src != hub[cell]) & (dst != hub[cell])
+    fan, fan_cell = np.column_stack([hub[cell], src, dst])[spoke], cell[spoke]
+    # k triangles bound by k+2 edges from k+2 distinct sources form one
+    # simple cycle with no inner vertex (Euler's formula).
+    size = np.bincount(label, minlength=len(tris)) + 2
+    sources = np.unique(cell * len(unit) + src) // len(unit)
+    fanned = (np.bincount(cell, minlength=len(tris)) == size) & (
+        np.bincount(sources, minlength=len(tris)) == size)
+    fanned[fan_cell[_orient(unit, fan) <= GEOM_EPS]] = False
+    return np.concatenate([tris[~fanned[label]], fan[fanned[fan_cell]]])
 
 
 def _canonical_simplices(tris: np.ndarray) -> np.ndarray:
-    """Rotate each ccw row to start at its lowest index, then sort the rows."""
-    shift = (np.argmin(tris, axis=1)[:, None] + np.arange(3)) % 3
+    """Rotate each row to start at its lowest index, then sort the rows."""
+    width = tris.shape[1]
+    shift = (np.argmin(tris, axis=1)[:, None] + np.arange(width)) % width
     tris = np.take_along_axis(tris, shift, axis=1)
     return tris[np.lexsort(tris.T[::-1])]
 
@@ -265,9 +278,7 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
 
     if d == 1:
         order = np.argsort(points[:, 0], kind="stable")
-        simplices = np.column_stack([order[:-1], order[1:]])
-        simplices = np.sort(simplices, axis=1)
-        simplices = simplices[np.lexsort((simplices[:, 1], simplices[:, 0]))]
+        simplices = _canonical_simplices(np.column_stack([order[:-1], order[1:]]))
         hull = np.array([order[0], order[-1]], dtype=np.intp)
         return Triangulation(points=points, simplices=simplices, hull=hull)
 
@@ -292,10 +303,9 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
     if len(tris) == 0:
         raise DegenerateInput("all points are collinear")
     # The ccw boundary edges; vertices lying on a hull edge are part of the cycle.
-    k, j = np.nonzero(nbrs < 0)
-    src, dst = tris[k, (j + 1) % 3], tris[k, (j + 2) % 3]
+    _, src, dst = _boundary_edges(tris, nbrs, np.zeros(len(tris), dtype=np.intp))
     hull = _cycle(dict(zip(src.tolist(), dst.tolist())))
-    _fan_cocircular_cells(unit, tris, nbrs)
+    tris = _fan_cocircular_cells(unit, tris, nbrs)
 
     thin = np.flatnonzero(_orient(unit, tris) <= GEOM_EPS)
     if thin.size:
@@ -496,8 +506,6 @@ def _basis_rows(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
 
 
 def _second_difference_penalty(n: int) -> np.ndarray:
-    if n < 3:
-        return np.zeros((n, n))
     d2 = np.diff(np.eye(n), n=2, axis=0)
     return d2.T @ d2
 
@@ -515,15 +523,8 @@ def fit_bspline(
     must have full rank, otherwise an error suggests raising the penalty.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if values.ndim == 1:
-        values = values[:, None]
     if points.ndim != 2 or points.shape[1] != 2:
         raise UnsupportedDimension("spline fitting requires d=2 parameter points")
-    if values.shape[0] != points.shape[0]:
-        raise MirrorError("values row count must match point count")
-    if not np.all(np.isfinite(values)):
-        raise MirrorError("surface values contain non-finite entries")
     if config.degree < 1 or config.interior_knots < 0 or config.penalty < 0:
         raise MirrorError(f"invalid spline config: {config}")
     need = (config.degree + 1) ** 2
@@ -533,6 +534,7 @@ def fit_bspline(
         )
 
     domain = delaunay_triangulate(points)
+    values = MirrorSurface(domain, values).values
     knots_x = _knot_vector(points[:, 0].min(), points[:, 0].max(),
                            config.degree, config.interior_knots)
     knots_y = _knot_vector(points[:, 1].min(), points[:, 1].max(),

@@ -184,6 +184,32 @@ def test_fit_bspline_constant(tmp_path):
     np.testing.assert_allclose(values, 4.25, atol=1e-7)
 
 
+def test_fit_normalize_params_reproduces_affine_embedding(tmp_path):
+    # Axes spanning 1 and 1000: the surface is built on normalized axes and
+    # queried through the same scaling, so an affine map is reproduced exactly.
+    grid = np.array([[a, b] for a in np.linspace(0.0, 1.0, 4) for b in np.linspace(0.0, 1000.0, 5)])
+    coords = grid @ np.array([[2.0, -1.0], [0.003, 0.001]]) + np.array([1.0, 0.5])
+    ids = tuple(f"g{i}" for i in range(len(grid)))
+    emb = tmp_path / "emb.csv"
+    with open(emb, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "y1", "y2"])
+        for set_id, row in zip(ids, coords):
+            writer.writerow([set_id, *map(repr, row.tolist())])
+    params = tmp_path / "params.csv"
+    write_params_csv(ids, grid, params)
+    out = tmp_path / "surface.csv"
+    assert main(
+        ["fit", "--embedding", str(emb), "--params", str(params), "--normalize-params",
+         "--grid-res", "7", "--output", str(out)]
+    ) == 0
+    assert out.read_text().splitlines()[0] == "# normalized axes: offset=0.0,0.0 scale=1.0,1000.0"
+    rows = np.array([[float(v) for v in r] for r in read_csv_rows(out)[1:]])
+    assert rows.shape == (49, 4)
+    expected = rows[:, :2] @ np.array([[2.0, -1.0], [0.003, 0.001]]) + np.array([1.0, 0.5])
+    np.testing.assert_allclose(rows[:, 2:], expected, rtol=0, atol=1e-12)
+
+
 def test_params_csv_round_trip(tmp_path):
     ids = ("a", "b")
     params = np.array([[0.1, 0.2], [0.3, 0.4]])

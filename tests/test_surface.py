@@ -174,6 +174,15 @@ def test_tiny_cluster_triangulates(kind, r):
         assert np.sum(tri.simplices == len(pts) - 1) == 6
 
 
+@pytest.mark.parametrize("kind, thin", [("hexagon", (8, 9, 10)), ("subgrid", (8, 9, 6))])
+def test_tiny_cluster_below_area_floor_names_first_kept_triangle(kind, thin):
+    # At r = 1e-6 some cells keep qhull's triangles, and one of them is under
+    # the area floor; the error names the first such triangle in qhull's order.
+    with pytest.raises(DegenerateInput, match=rf"^triangle \({', '.join(map(str, thin))}\) "
+                       "has non-positive area"):
+        delaunay_triangulate(tiny_cluster(kind, 1e-6))
+
+
 def test_delaunay_property_random_sets():
     rng = np.random.default_rng(100)
     for trial in range(5):
@@ -521,3 +530,12 @@ def test_bspline_outside_rule_matches_interpolate():
 def test_bspline_needs_enough_points():
     with pytest.raises(MirrorError, match="at least"):
         fit_bspline(grid_points(3), np.ones((9, 1)), BSplineConfig(degree=3))
+
+
+@pytest.mark.parametrize("vals, message", [
+    (np.ones((24, 1)), r"value rows \(24\) must match point count \(25\)"),
+    (np.r_[np.ones(24), np.nan], "non-finite"),
+])
+def test_bspline_values_checked_like_mirror_surface(vals, message):
+    with pytest.raises(MirrorError, match=message):
+        fit_bspline(grid_points(5), vals, BSplineConfig(degree=2))

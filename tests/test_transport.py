@@ -3,6 +3,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import distmirror._parallel
 from distmirror._parallel import worker_count
@@ -78,15 +79,15 @@ def test_unequal_sizes_rejected():
 
 
 @pytest.mark.parametrize("p", [1, 2])
-def test_matches_brute_force(p):
-    rng = np.random.default_rng(11 + p)
-    for _ in range(25):
-        n = rng.integers(1, 6)
-        q = rng.integers(2, 4)
-        a = make(rng.standard_normal((n, q)), "a")
-        b = make(rng.standard_normal((n, q)), "b")
-        plan = wasserstein_exact(a, b, p)
-        assert plan.cost == pytest.approx(brute_force_cost(a, b, p), abs=1e-12)
+@given(q=st.integers(1, 3), n=st.integers(1, 6), data=st.data())
+def test_matches_brute_force(p, q, n, data):
+    # Samples on a small integer grid, so tied costs and tied samples occur.
+    # The q = 1 entries of distance_matrix take their own sorted path.
+    coords = st.lists(st.integers(-2, 2), min_size=n * q, max_size=n * q)
+    a, b = (make(np.reshape(data.draw(coords), (n, q)), name) for name in "ab")
+    expected = brute_force_cost(a, b, p)
+    assert wasserstein_exact(a, b, p).cost == pytest.approx(expected, abs=1e-12)
+    assert distance_matrix([a, b], p).values[0, 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_plan_permutation_attains_cost():
