@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -154,34 +155,24 @@ def _cmd_fit(args) -> int:
     scaling = fit_axis_scaling(params) if args.normalize_params else None
     work = scaling.transform(params) if scaling else params
 
-    lo = params.min(axis=0)
-    hi = params.max(axis=0)
-    res = args.grid_res
-    d = params.shape[1]
-    if d == 1:
-        grid = np.linspace(lo[0], hi[0], res)[:, None]
-    elif d == 2:
-        ax0 = np.linspace(lo[0], hi[0], res)
-        ax1 = np.linspace(lo[1], hi[1], res)
-        grid = np.array([[a, b] for a in ax0 for b in ax1])
-    else:
-        raise MirrorError(f"surface fitting supports d in {{1, 2}}, got d={d}")
-
+    # The fitters reject unsupported dimensions, so they run before the grid is built.
     if args.method == "delaunay":
         tri = delaunay_triangulate(work)
-        surf = MirrorSurface(tri, coords)
-        evaluate = lambda x: interpolate(surf, x)  # noqa: E731
-        if args.triangulation:
-            write_triangulation(tri, args.triangulation)
+        evaluate = partial(interpolate, MirrorSurface(tri, coords))
     else:
-        if d != 2:
-            raise MirrorError("bspline fitting requires d=2")
         config = BSplineConfig(
             degree=args.degree, interior_knots=args.knots, penalty=args.penalty
         )
         bsurf = fit_bspline(work, coords, config)
-        evaluate = lambda x: evaluate_bspline(bsurf, x)  # noqa: E731
+        tri = bsurf.domain
+        evaluate = partial(evaluate_bspline, bsurf)
+    if args.triangulation:
+        write_triangulation(replace(tri, points=params), args.triangulation)
 
+    d = params.shape[1]
+    axes = [np.linspace(lo, hi, args.grid_res)
+            for lo, hi in zip(params.min(axis=0), params.max(axis=0))]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     rows = []
     for x in grid:
         value = evaluate(scaling.transform(x) if scaling else x)
@@ -193,7 +184,7 @@ def _cmd_fit(args) -> int:
                 + " scale=" + ",".join(repr(float(v)) for v in scaling.scale))
     header = [f"x{k + 1}" for k in range(d)] + [f"y{k + 1}" for k in range(coords.shape[1])]
     write_table(args.output, header, rows, note)
-    print(f"fit: method={args.method} grid={res} rows={len(rows)} -> {args.output}")
+    print(f"fit: method={args.method} grid={args.grid_res} rows={len(rows)} -> {args.output}")
     return 0
 
 
@@ -218,13 +209,13 @@ def _cmd_recover(args) -> int:
 
     if args.leave_one_out:
         targets, truths = ds.labeled, [s.params for s in ds.labeled]
-        recs = [rec for _, rec in leave_one_out(work, p, c)]
+        recs = [rec for _, rec in leave_one_out(work, p, c=c)]
     else:
         if not ds.unlabeled:
             raise _UsageError("no unlabeled sets in input; nothing to recover")
         targets, truths = ds.unlabeled, [None] * len(ds.unlabeled)
         params = work.params_matrix()
-        recs = [recover_parameter(joint_embed(list(ds.labeled), u, p, c), params)
+        recs = [recover_parameter(joint_embed(list(ds.labeled), u, p, c=c), params)
                 for u in ds.unlabeled]
     if scaling:
         recs = [replace(rec, x_hat=scaling.inverse(rec.x_hat)) for rec in recs]
@@ -233,26 +224,35 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _int_list(text: str) -> tuple[int, ...]:
+    """argparse type of a non-empty comma-separated integer list."""
     try:
-        return tuple(int(v) for v in text.split(",") if v.strip())
+        values = tuple(int(v) for v in text.split(",") if v.strip())
     except ValueError:
-        raise _UsageError(f"expected a comma-separated integer list, got {text!r}") from None
+        values = ()
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
+    return values
 
 
 def _cmd_simulate(args) -> int:
     _check_worker_setting()
+    variant = FamilyVariant(args.experiment)
+    mean_only = variant is FamilyVariant.MEAN_ONLY
+    ignored = "seed" if mean_only else "seeds"
+    if getattr(args, ignored) is not None:
+        raise _UsageError(f"--{ignored} does not apply to the {variant.value} study")
+    # Options left out take the study's own defaults.
+    options = {k: getattr(args, k) for k in ("n_values", "seeds", "seed")
+               if getattr(args, k) is not None}
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    variant = FamilyVariant(args.experiment)
     manifest = [
         f"distmirror {__version__}",
         f"experiment: {variant.value}",
     ]
-    if variant is FamilyVariant.MEAN_ONLY:
-        n_values = _parse_int_list(args.n_values) if args.n_values else (10, 50, 100, 500)
-        seeds = _parse_int_list(args.seeds) if args.seeds else tuple(range(10))
-        study = run_mirror_experiment(n_values=n_values, seeds=seeds)
+    if mean_only:
+        study = run_mirror_experiment(**options)
         for n in study.n_values:
             write_table(out / f"mirror_surface_n{n}.csv", ["x1", "x2", "mirror"],
                         ([*x, v] for x, v in zip(study.grid, study.surfaces[n])))
@@ -266,9 +266,7 @@ def _cmd_simulate(args) -> int:
             "outputs: mirror_surface_n<n>.csv, mirror_error_curve.csv",
         ]
     else:
-        n_values = _parse_int_list(args.n_values) if args.n_values else (10, 100, 1000, 10000)
-        seed = args.seed if args.seed is not None else 0
-        study = run_recovery_experiment(n_values=n_values, seed=seed)
+        study = run_recovery_experiment(**options)
         header = ["x1_true", "x2_true", "x1_hat", "x2_hat", "residual", "truth_on_boundary"]
         for n in study.n_values:
             write_table(out / f"recovery_scatter_n{n}.csv", header,
@@ -343,12 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--normalize-params", action="store_true")
     p.set_defaults(handler=_cmd_recover)
 
-    p = sub.add_parser("simulate", help="run a Gaussian family study")
+    p = sub.add_parser("simulate", help="run a Gaussian family study", description=(
+        "Run a Gaussian family study. Omitted values take the study's defaults."))
     p.add_argument("--experiment", choices=[v.value for v in FamilyVariant], required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--n-values", help="comma-separated sample sizes")
-    p.add_argument("--seeds", help="comma-separated seeds (mean-only study)")
-    p.add_argument("--seed", type=int, help="seed (mean-sd study)")
+    p.add_argument("--n-values", type=_int_list, help="comma-separated sample sizes")
+    p.add_argument("--seeds", type=_int_list, help="comma-separated seeds; mean-only study only")
+    p.add_argument("--seed", type=int, help="seed; mean-sd study only")
     p.set_defaults(handler=_cmd_simulate)
 
     return parser

@@ -238,9 +238,11 @@ def _load_ndjson(path: Path) -> Dataset:
                     raise DatasetError(f"invalid JSON ({e.msg})") from e
                 if not isinstance(rec, dict) or "id" not in rec or "samples" not in rec:
                     raise DatasetError("record must contain 'id' and 'samples'")
+                if not isinstance(rec["id"], str):
+                    raise DatasetError("'id' must be a string")
                 params = rec.get("params")
                 sets.append(SampleSet(
-                    id=str(rec["id"]),
+                    id=rec["id"],
                     samples=np.array(rec["samples"], dtype=np.float64),
                     params=None if params is None else np.array(params, dtype=np.float64),
                 ))

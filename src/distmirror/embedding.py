@@ -107,8 +107,8 @@ def _sorted_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         evals, evecs = np.linalg.eigh(b)
     except np.linalg.LinAlgError as e:
         raise MirrorError(f"eigendecomposition failed: {e}") from e
-    order = np.argsort(evals, kind="stable")[::-1]
-    return evals[order], evecs[:, order]
+    # eigh returns the eigenvalues in ascending order.
+    return evals[::-1], evecs[:, ::-1]
 
 
 def cmds(delta: DistanceMatrix, c: int) -> MirrorEmbedding:

@@ -36,10 +36,6 @@ __all__ = [
     "write_recovery_report",
 ]
 
-#: Relative tolerance for deciding that a recovered point sits on the hull.
-BOUNDARY_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class RecoveryResult:
     """Recovered parameter with diagnostics.
@@ -61,7 +57,8 @@ def joint_embed(
     labeled: Sequence[SampleSet],
     unlabeled: SampleSet,
     p: float = 1,
-    c: int = 1,
+    *,
+    c: int,
 ) -> MirrorEmbedding:
     """Embed m labeled sets plus one unlabeled set together into R^c.
 
@@ -165,7 +162,7 @@ def recover_parameter(
         x_hat=x_hat,
         residual=residual,
         simplex=int(sid),
-        on_boundary=near_hull_boundary(tri, x_hat, BOUNDARY_TOL),
+        on_boundary=near_hull_boundary(tri, x_hat),
         mirror_point=target.copy(),
     )
 
@@ -198,7 +195,8 @@ def _reordered_submatrix(dm: DistanceMatrix, held_out: int) -> DistanceMatrix:
 def leave_one_out(
     ds: Dataset,
     p: float = 1,
-    c: int | None = None,
+    *,
+    c: int,
 ) -> list[tuple[np.ndarray, RecoveryResult]]:
     """Hold out each labeled set in turn and recover its parameter.
 
@@ -213,8 +211,6 @@ def leave_one_out(
     """
     m = ds.m
     d = ds.d
-    if c is None:
-        c = d  # mirror dimension defaults to the parameter dimension
     if m < d + 3:
         raise MirrorError(
             f"leave-one-out needs m >= d+3 = {d + 3} labeled sets, got {m}"

@@ -29,7 +29,7 @@ from ._parallel import map_deterministic
 from .core import Dataset, SampleSet
 from .embedding import MirrorEmbedding, cmds, procrustes_align
 from .errors import MirrorError
-from .recovery import BOUNDARY_TOL, RecoveryResult, leave_one_out
+from .recovery import RecoveryResult, leave_one_out
 from .surface import delaunay_triangulate, locate, near_hull_boundary
 from .transport import DistanceMatrix, distance_matrix
 
@@ -315,9 +315,7 @@ def _truth_on_reduced_hull(grid: np.ndarray, i: int) -> bool:
     """
     rest = np.delete(grid, i, axis=0)
     tri = delaunay_triangulate(rest)
-    if locate(tri, grid[i]) is None:
-        return True
-    return near_hull_boundary(tri, grid[i], BOUNDARY_TOL)
+    return locate(tri, grid[i]) is None or near_hull_boundary(tri, grid[i])
 
 
 def run_recovery_experiment(

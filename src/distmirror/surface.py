@@ -15,6 +15,10 @@ uniformly into the unit box, where the predicates use a static epsilon of
 coordinate scale.  The tie-break among equally Delaunay triangulations is
 "each cocircular cell is fanned from its lowest-index vertex", making
 triangulations reproducible across platforms and qhull versions.
+
+A point is on the hull boundary when it lies within ``BOUNDARY_TOL`` times
+the points' largest extent of it, compared in prescaled units (all divided
+by one power of two), where neither side can overflow.
 """
 
 from __future__ import annotations
@@ -56,6 +60,8 @@ __all__ = [
 BARY_TOL = 1e-12
 #: Epsilon for the orientation / in-circumcircle predicates in the unit box.
 GEOM_EPS = 1e-12
+#: Distance to the hull boundary, relative to the largest extent, that counts as on it.
+BOUNDARY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -398,37 +404,34 @@ def jacobian_condition_numbers(surface: MirrorSurface) -> np.ndarray:
     return np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] != 0)
 
 
-def hull_boundary_distance(tri: Triangulation, x: np.ndarray) -> float:
-    """Euclidean distance from x to the hull boundary.
-
-    Computed on the points and x divided by the power of two of
-    :func:`_prescale_exponent`, so it neither overflows nor underflows for
-    coordinates near the limits of float64.
-    """
+def _prescaled_boundary_distance(tri: Triangulation, x: np.ndarray) -> tuple[float, int, float]:
+    """(distance from x to the hull boundary, e, largest extent), all divided by
+    2**e of :func:`_prescale_exponent` so that nothing overflows or underflows."""
     e = _prescale_exponent(tri.points)
     x = np.ldexp(np.atleast_1d(np.asarray(x, dtype=np.float64)), -e)
     pts = np.ldexp(tri.points, -e)
+    extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
     if tri.d == 1:
-        lo, hi = pts[tri.hull[0], 0], pts[tri.hull[1], 0]
-        return float(np.ldexp(min(abs(x[0] - lo), abs(x[0] - hi)), e))
+        return float(np.abs(x[0] - pts[tri.hull, 0]).min()), e, extent
     a = pts[tri.hull]  # edge k runs from hull vertex k to vertex k + 1
     ab = np.roll(a, -1, axis=0) - a
     denom = np.einsum("kj,kj->k", ab, ab)
     t = np.divide(np.einsum("kj,kj->k", x - a, ab), denom,
                   out=np.zeros(len(a)), where=denom != 0)
     nearest = a + np.clip(t, 0.0, 1.0)[:, None] * ab
-    return float(np.ldexp(np.linalg.norm(x - nearest, axis=1).min(), e))
+    return float(np.linalg.norm(x - nearest, axis=1).min()), e, extent
 
 
-def near_hull_boundary(tri: Triangulation, x: np.ndarray, rel_tol: float) -> bool:
-    """Is x within ``rel_tol`` times the points' largest extent of the hull boundary?
+def hull_boundary_distance(tri: Triangulation, x: np.ndarray) -> float:
+    """Euclidean distance from x to the hull boundary."""
+    dist, e, _ = _prescaled_boundary_distance(tri, x)
+    return float(np.ldexp(dist, e))
 
-    Compared in prescaled units, where neither side can overflow.
-    """
-    e = _prescale_exponent(tri.points)
-    unit = np.ldexp(tri.points, -e)
-    extent = np.max(unit.max(axis=0) - unit.min(axis=0))
-    return bool(np.ldexp(hull_boundary_distance(tri, x), -e) <= rel_tol * extent)
+
+def near_hull_boundary(tri: Triangulation, x: np.ndarray) -> bool:
+    """Is x within ``BOUNDARY_TOL`` times the points' largest extent of the hull boundary?"""
+    dist, _, extent = _prescaled_boundary_distance(tri, x)
+    return bool(dist <= BOUNDARY_TOL * extent)
 
 
 # ---------------------------------------------------------------------------

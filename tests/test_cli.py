@@ -8,6 +8,7 @@ from distmirror.cli import main, read_params_csv, write_params_csv
 from distmirror.core import load_dataset
 from distmirror.embedding import read_embedding
 from distmirror.sim import FamilyVariant, GaussianFamilySpec, generate
+from distmirror.surface import delaunay_triangulate, fit_axis_scaling
 from distmirror.core import save_dataset
 from distmirror.transport import read_distance_matrix
 
@@ -210,6 +211,59 @@ def test_fit_normalize_params_reproduces_affine_embedding(tmp_path):
     np.testing.assert_allclose(rows[:, 2:], expected, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("flag", ["--method=bspline", "--normalize-params"])
+def test_fit_triangulation_export_in_params_units(tmp_path, flag):
+    # The exported vertices are the raw parameters, whichever surface is fitted.
+    grid = np.array([[a, b] for a in np.linspace(0.0, 1.0, 5) for b in np.linspace(0.0, 1000.0, 4)])
+    ids = tuple(f"g{i}" for i in range(len(grid)))
+    emb = tmp_path / "emb.csv"
+    with open(emb, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "y1"])
+        for set_id, row in zip(ids, grid):
+            writer.writerow([set_id, repr(float(row[0] + row[1] / 1000.0))])
+    params = tmp_path / "params.csv"
+    write_params_csv(ids, grid, params)
+    tri_out = tmp_path / "tri.csv"
+    assert main(
+        ["fit", "--embedding", str(emb), "--params", str(params), flag, "--grid-res", "3",
+         "--output", str(tmp_path / "surface.csv"), "--triangulation", str(tri_out)]
+    ) == 0
+    rows = read_csv_rows(tri_out)
+    assert rows[0] == ["section", "index", "c1", "c2", "c3"]
+    points = np.array([[float(v) for v in r[2:4]] for r in rows[1:] if r[0] == "point"])
+    simplices = np.array([[int(v) for v in r[2:]] for r in rows[1:] if r[0] == "simplex"])
+    np.testing.assert_array_equal(points, grid)
+    work = fit_axis_scaling(grid).transform(grid) if flag == "--normalize-params" else grid
+    np.testing.assert_array_equal(simplices, delaunay_triangulate(work).simplices)
+
+
+@pytest.mark.parametrize(
+    "columns, method, message",
+    [(3, "delaunay", "triangulation supports d in {1, 2}, got d=3"),
+     (1, "bspline", "spline fitting requires d=2 parameter points")],
+)
+def test_fit_unsupported_dimension_reports_fitter_error(tmp_path, capsys, columns, method,
+                                                       message):
+    grid = np.random.default_rng(5).random((20, columns))
+    ids = tuple(f"g{i}" for i in range(len(grid)))
+    emb = tmp_path / "emb.csv"
+    with open(emb, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["id", "y1"])
+        for set_id, row in zip(ids, grid):
+            writer.writerow([set_id, repr(float(row.sum()))])
+    params = tmp_path / "params.csv"
+    write_params_csv(ids, grid, params)
+    out = tmp_path / "surface.csv"
+    assert main(
+        ["fit", "--embedding", str(emb), "--params", str(params), "--method", method,
+         "--output", str(out)]
+    ) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_params_csv_round_trip(tmp_path):
     ids = ("a", "b")
     params = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -342,6 +396,27 @@ def test_simulate_mean_sd_outputs(tmp_path):
     rows = read_csv_rows(out / "recovery_scatter_n10.csv")
     assert rows[0] == ["x1_true", "x2_true", "x1_hat", "x2_hat", "residual", "truth_on_boundary"]
     assert len(rows) == 101
+
+
+@pytest.mark.parametrize(
+    "experiment, flag", [("mean-sd", "--seeds=3,4"), ("mean-only", "--seed=7")]
+)
+def test_simulate_flag_of_other_study_is_usage_error(tmp_path, capsys, experiment, flag):
+    out = tmp_path / "r"
+    assert main(["simulate", "--experiment", experiment, flag, "--output-dir", str(out)]) == 2
+    assert f"usage error: {flag.split('=')[0]} does not apply" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["--n-values", ","], ["--seeds", ",", "--n-values", "10"]],
+                         ids=["empty-n-values", "empty-seeds"])
+def test_simulate_empty_list_is_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--experiment", "mean-only", *argv, "--output-dir", str(out)])
+    assert exc.value.code == 2
+    assert "expected a comma-separated integer list, got ','" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_file_pipeline_matches_in_process(tmp_path):

@@ -231,6 +231,8 @@ BAD_INPUTS = [
                  id="ndjson-empty-params"),
     pytest.param("ndjson", ND_OK + '{"id": "b", "params": 5, "samples": [[1]]}\n', 2,
                  id="ndjson-scalar-params"),
+    pytest.param("ndjson", ND_OK + '{"id": null, "samples": [[1]]}\n', 2, id="ndjson-null-id"),
+    pytest.param("ndjson", ND_OK + '{"id": 7, "samples": [[1]]}\n', 2, id="ndjson-number-id"),
     pytest.param("csv", CSV_OK + "a,0\n", 3, id="csv-ragged"),
     pytest.param("csv", CSV_OK + "b,1,2\na,0,x\n", 4, id="csv-non-numeric"),
     pytest.param("csv", CSV_OK + "b,x,2\n", 3, id="csv-non-numeric-param"),

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from distmirror.errors import DegenerateInput, MirrorError, UnsupportedDimension
 from distmirror.surface import (
+    BOUNDARY_TOL,
     BSplineConfig,
     MirrorSurface,
     Triangulation,
@@ -17,6 +18,7 @@ from distmirror.surface import (
     jacobian_condition_numbers,
     lipschitz_constant,
     locate,
+    near_hull_boundary,
     simplex_gradients,
 )
 
@@ -453,6 +455,22 @@ def test_hull_boundary_distance():
     tri = delaunay_triangulate(np.array([[0.0, 0], [2, 0], [2, 2], [0, 2]]))
     assert hull_boundary_distance(tri, np.array([1.0, 1.0])) == pytest.approx(1.0)
     assert hull_boundary_distance(tri, np.array([0.0, 1.0])) == pytest.approx(0.0)
+
+
+@pytest.mark.parametrize(
+    "shape, scale",
+    [([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], s) for s in (1e-200, 1.0, 1e300)]
+    + [([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], 1e308)],
+    ids=["1e-200", "1", "1e300", "pm1e308"],
+)
+@pytest.mark.parametrize("factor, near", [(0.5, True), (2.0, False)])
+def test_near_hull_boundary_is_relative_to_extent(shape, scale, factor, near):
+    unit = np.array(shape)
+    extent = np.max(unit.max(axis=0) - unit.min(axis=0))
+    tri = delaunay_triangulate(unit * scale)
+    # Above the middle of the bottom edge, far from the other two edges.
+    x = np.array([unit[:2, 0].mean(), factor * BOUNDARY_TOL * extent]) * scale
+    assert near_hull_boundary(tri, x) is near
 
 
 def test_axis_scaling_round_trip():
