@@ -245,6 +245,8 @@ def _cmd_simulate(args) -> int:
     # Options left out take the study's own defaults.
     options = {k: getattr(args, k) for k in ("n_values", "seeds", "seed")
                if getattr(args, k) is not None}
+    # The study checks its options and runs before any output exists.
+    study = (run_mirror_experiment if mean_only else run_recovery_experiment)(**options)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = [
@@ -252,7 +254,6 @@ def _cmd_simulate(args) -> int:
         f"experiment: {variant.value}",
     ]
     if mean_only:
-        study = run_mirror_experiment(**options)
         for n in study.n_values:
             write_table(out / f"mirror_surface_n{n}.csv", ["x1", "x2", "mirror"],
                         ([*x, v] for x, v in zip(study.grid, study.surfaces[n])))
@@ -266,7 +267,6 @@ def _cmd_simulate(args) -> int:
             "outputs: mirror_surface_n<n>.csv, mirror_error_curve.csv",
         ]
     else:
-        study = run_recovery_experiment(**options)
         header = ["x1_true", "x2_true", "x1_hat", "x2_hat", "residual", "truth_on_boundary"]
         for n in study.n_values:
             write_table(out / f"recovery_scatter_n{n}.csv", header,

@@ -143,13 +143,15 @@ class Dataset:
                         f"inconsistent parameter dimension: set {s.id!r} has "
                         f"d={s.params.size}, expected d={d}"
                     )
-            for i, a in enumerate(self.labeled):
-                for b in self.labeled[i + 1 :]:
-                    if np.array_equal(a.params, b.params):
-                        raise DuplicateParameters(
-                            f"sets {a.id!r} and {b.id!r} share parameters "
-                            f"{a.params.tolist()}"
-                        )
+            _, group, counts = np.unique(self.params_matrix(), axis=0,
+                                         return_inverse=True, return_counts=True)
+            shared = np.flatnonzero(counts[group] > 1)
+            if shared.size:
+                first_two = np.flatnonzero(group == group[shared[0]])[:2]
+                a, b = (self.labeled[k] for k in first_two)
+                raise DuplicateParameters(
+                    f"sets {a.id!r} and {b.id!r} share parameters {a.params.tolist()}"
+                )
 
     @property
     def m(self) -> int:

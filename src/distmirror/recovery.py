@@ -23,7 +23,7 @@ from ._parallel import map_deterministic
 from .core import Dataset, SampleSet, write_table
 from .embedding import MirrorEmbedding, cmds
 from .errors import MirrorError
-from .surface import (MirrorSurface, delaunay_triangulate, jacobian_condition_numbers, locate,
+from .surface import (MirrorSurface, delaunay_triangulate, jacobian_condition_numbers,
                       near_hull_boundary)
 from .transport import DistanceMatrix, distance_matrix
 
@@ -41,16 +41,13 @@ class RecoveryResult:
     """Recovered parameter with diagnostics.
 
     ``residual`` is the mirror-space distance between the fitted surface at
-    ``x_hat`` and the unlabeled set's embedded position ``mirror_point``;
-    ``simplex`` is the containing simplex (lowest index on shared faces);
-    ``on_boundary`` flags recoveries pinned to the hull boundary.
+    ``x_hat`` and the unlabeled set's embedded position; ``on_boundary``
+    flags recoveries pinned to the hull boundary.
     """
 
     x_hat: np.ndarray
     residual: float
-    simplex: int
     on_boundary: bool
-    mirror_point: np.ndarray
 
 
 def joint_embed(
@@ -154,16 +151,10 @@ def recover_parameter(
     # lexsort's last key is the primary one: value, then simplex, then x_1..x_d.
     best = np.lexsort((*x.T[::-1], sids, value))[0]
     x_hat = x[best].copy()
-    residual = float(np.sqrt(value[best]))
-    sid = locate(tri, x_hat)
-    if sid is None:  # roundoff pushed x_hat a hair outside; it is a hull point
-        sid = sids[best]
     return RecoveryResult(
         x_hat=x_hat,
-        residual=residual,
-        simplex=int(sid),
+        residual=float(np.sqrt(value[best])),
         on_boundary=near_hull_boundary(tri, x_hat),
-        mirror_point=target.copy(),
     )
 
 
@@ -187,9 +178,7 @@ def _reordered_submatrix(dm: DistanceMatrix, held_out: int) -> DistanceMatrix:
     m = dm.m
     order = [j for j in range(m) if j != held_out] + [held_out]
     values = dm.values[np.ix_(order, order)]
-    return DistanceMatrix(
-        ids=tuple(dm.ids[j] for j in order), values=values, metric=dm.metric
-    )
+    return DistanceMatrix(ids=tuple(dm.ids[j] for j in order), values=values)
 
 
 def leave_one_out(

@@ -18,6 +18,7 @@ regardless of generation order or platform.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -122,13 +123,14 @@ def mean_sd_mirror(x: np.ndarray) -> np.ndarray:
     return 2.0 * (0.1 + x) ** 2
 
 
-def gaussian_moments(variant: FamilyVariant, x: np.ndarray) -> tuple[float, float]:
-    """(mean, standard deviation) of the family member at parameter x."""
+def gaussian_moments(variant: FamilyVariant, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mean, standard deviation) of the family members at one point x or an (m, 2) grid."""
     x = np.asarray(x, dtype=np.float64)
     if variant is FamilyVariant.MEAN_ONLY:
-        return float(mean_only_mirror(x)), 1.0
-    mu, sigma = mean_sd_mirror(x)
-    return float(mu), float(sigma)
+        mu = mean_only_mirror(x)
+        return mu, np.ones_like(mu)
+    moments = mean_sd_mirror(x)
+    return moments[..., 0], moments[..., 1]
 
 
 def true_wasserstein(variant: FamilyVariant, x: np.ndarray, x2: np.ndarray) -> float:
@@ -144,14 +146,9 @@ def true_wasserstein(variant: FamilyVariant, x: np.ndarray, x2: np.ndarray) -> f
 
 def true_distance_matrix(variant: FamilyVariant, grid: np.ndarray) -> DistanceMatrix:
     """Population distance matrix over a grid, from the closed forms."""
-    grid = np.asarray(grid, dtype=np.float64)
-    m = grid.shape[0]
-    mu, sd = np.array([gaussian_moments(variant, x) for x in grid]).reshape(m, 2).T
+    mu, sd = gaussian_moments(variant, grid)
     values = np.hypot(mu[:, None] - mu, sd[:, None] - sd)
-    metric = "w1" if variant is FamilyVariant.MEAN_ONLY else "w2"
-    return DistanceMatrix(
-        ids=tuple(_set_id(i) for i in range(m)), values=values, metric=metric
-    )
+    return DistanceMatrix(ids=tuple(_set_id(i) for i in range(len(mu))), values=values)
 
 
 def _set_id(i: int) -> str:
@@ -174,12 +171,12 @@ def _substream_normal(seed: int, index: int, n: int) -> np.ndarray:
 
 def generate(spec: GaussianFamilySpec) -> Dataset:
     """Draw the labeled dataset for a family spec (q = 1, one set per grid point)."""
+    mu, sigma = gaussian_moments(spec.variant, spec.grid)
 
     def make(i: int) -> SampleSet:
-        mu, sigma = gaussian_moments(spec.variant, spec.grid[i])
         z = _substream_normal(spec.seed, i, spec.n)
         return SampleSet(
-            id=_set_id(i), samples=(mu + sigma * z)[:, None], params=spec.grid[i]
+            id=_set_id(i), samples=(mu[i] + sigma[i] * z)[:, None], params=spec.grid[i]
         )
 
     return Dataset(labeled=tuple(map_deterministic(make, list(range(spec.m)))))
@@ -222,6 +219,13 @@ def aligned_mirror_error(estimate: MirrorEmbedding, truth: np.ndarray) -> Aligne
     )
 
 
+def _check_distinct(name: str, values: Sequence[int]) -> None:
+    """Reject a study list that names a value twice; its rows would repeat."""
+    repeated = [v for v, k in Counter(values).items() if k > 1]
+    if repeated:
+        raise MirrorError(f"{name} {repeated[0]} is given more than once")
+
+
 @dataclass(frozen=True)
 class MirrorStudyResult:
     """Error-curve rows plus one aligned surface per sample size."""
@@ -247,25 +251,24 @@ def run_mirror_experiment(
     Pipeline per run: generate -> exact W1 distance matrix -> 1-d embedding
     -> isometry-aligned error against the known mirror on the grid.
     """
-    spec0 = GaussianFamilySpec(variant=FamilyVariant.MEAN_ONLY, grid=grid)
-    grid = spec0.grid
+    grid = GaussianFamilySpec(variant=FamilyVariant.MEAN_ONLY, grid=grid).grid
+    _check_distinct("sample size", n_values)
+    _check_distinct("seed", seeds)
+    specs = [[GaussianFamilySpec(variant=FamilyVariant.MEAN_ONLY, grid=grid, n=n, seed=seed)
+              for seed in seeds] for n in n_values]
     truth = mean_only_mirror(grid)[:, None]
     errors = np.zeros((len(n_values), len(seeds)))
     max_errors = np.zeros_like(errors)
     surfaces: dict[int, np.ndarray] = {}
-    for a, n in enumerate(n_values):
-        for b, seed in enumerate(seeds):
-            ds = generate(
-                GaussianFamilySpec(
-                    variant=FamilyVariant.MEAN_ONLY, grid=grid, n=n, seed=seed
-                )
-            )
+    for a, row in enumerate(specs):
+        for b, spec in enumerate(row):
+            ds = generate(spec)
             emb = cmds(distance_matrix(ds.labeled, p=1), c=1)
             err = aligned_mirror_error(emb, truth)
             errors[a, b] = err.rmse
             max_errors[a, b] = err.max_error
             if b == 0:
-                surfaces[int(n)] = err.aligned[:, 0].copy()
+                surfaces[int(spec.n)] = err.aligned[:, 0].copy()
     return MirrorStudyResult(
         grid=grid,
         n_values=tuple(int(n) for n in n_values),
@@ -329,16 +332,15 @@ def run_recovery_experiment(
     2-d mirror -> per-point recovery errors, with hull-boundary truths
     flagged rather than dropped.
     """
-    spec0 = GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=grid)
-    grid = spec0.grid
+    grid = GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=grid).grid
+    _check_distinct("sample size", n_values)
+    specs = [GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=grid, n=n, seed=seed)
+             for n in n_values]
     hull_flags = [_truth_on_reduced_hull(grid, i) for i in range(len(grid))]
     runs: dict[int, list[tuple[np.ndarray, RecoveryResult, bool]]] = {}
-    for n in n_values:
-        ds = generate(
-            GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=grid, n=n, seed=seed)
-        )
-        results = leave_one_out(ds, p=2, c=2)
-        runs[int(n)] = [
+    for spec in specs:
+        results = leave_one_out(generate(spec), p=2, c=2)
+        runs[int(spec.n)] = [
             (truth, rec, hull_flags[i]) for i, (truth, rec) in enumerate(results)
         ]
     return RecoveryStudyResult(

@@ -469,11 +469,15 @@ def fit_axis_scaling(points: np.ndarray) -> AxisScaling:
 
 @dataclass(frozen=True)
 class BSplineConfig:
-    """Settings for the smooth surface fit: degree, knots per axis, penalty."""
+    """Smooth surface fit settings: degree >= 1, knots per axis >= 0, finite penalty >= 0."""
 
     degree: int = 3
     interior_knots: int = 8
     penalty: float = 1e-2
+
+    def __post_init__(self):
+        if not (self.degree >= 1 and self.interior_knots >= 0 and 0 <= self.penalty < np.inf):
+            raise MirrorError(f"invalid spline config: {self}")
 
 
 @dataclass(frozen=True)
@@ -483,8 +487,7 @@ class BSplineSurface:
     degree: int
     knots: tuple[np.ndarray, np.ndarray]
     coefficients: np.ndarray
-    penalty: float
-    domain: Triangulation = field(repr=False, compare=False, default=None)
+    domain: Triangulation = field(repr=False, compare=False)
 
 
 def _knot_vector(lo: float, hi: float, degree: int, interior: int) -> np.ndarray:
@@ -528,8 +531,6 @@ def fit_bspline(
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != 2:
         raise UnsupportedDimension("spline fitting requires d=2 parameter points")
-    if config.degree < 1 or config.interior_knots < 0 or config.penalty < 0:
-        raise MirrorError(f"invalid spline config: {config}")
     need = (config.degree + 1) ** 2
     if points.shape[0] < need:
         raise MirrorError(
@@ -567,7 +568,6 @@ def fit_bspline(
         degree=config.degree,
         knots=(knots_x, knots_y),
         coefficients=coef.reshape(nx, ny, values.shape[1]),
-        penalty=config.penalty,
         domain=domain,
     )
 

@@ -58,7 +58,6 @@ class DistanceMatrix:
 
     ids: tuple[str, ...]
     values: np.ndarray
-    metric: str
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
@@ -167,9 +166,7 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
         )
     values = np.zeros((m, m), dtype=np.float64)
     values[rows, cols] = values[cols, rows] = costs
-    return DistanceMatrix(
-        ids=tuple(s.id for s in sets), values=values, metric=f"w{p:g}"
-    )
+    return DistanceMatrix(ids=tuple(s.id for s in sets), values=values)
 
 
 def write_distance_matrix(dm: DistanceMatrix, path: str | Path) -> None:
@@ -194,4 +191,4 @@ def read_distance_matrix(path: str | Path) -> DistanceMatrix:
     values = (values + values.T) / 2.0
     np.fill_diagonal(values, 0.0)
     with _located(str(path)):
-        return DistanceMatrix(ids=ids, values=values, metric="external")
+        return DistanceMatrix(ids=ids, values=values)

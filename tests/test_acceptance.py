@@ -77,7 +77,7 @@ def test_criterion_1_exact_metric_roundtrip():
         sym = (want + want.T) / 2
         np.fill_diagonal(sym, 0.0)
         dm = DistanceMatrix(
-            ids=tuple(f"p{i}" for i in range(81)), values=sym, metric="external"
+            ids=tuple(f"p{i}" for i in range(81)), values=sym
         )
         emb = cmds(dm, 2)
         report = aligned_mirror_error(emb, grid)

@@ -238,6 +238,19 @@ def test_fit_triangulation_export_in_params_units(tmp_path, flag):
     np.testing.assert_array_equal(simplices, delaunay_triangulate(work).simplices)
 
 
+@pytest.mark.parametrize("penalty", ["nan", "inf"])
+def test_fit_bspline_non_finite_penalty_is_error(tmp_path, capsys, penalty):
+    emb, params, _ = identity_grid_fixture(tmp_path, k=5)
+    out = tmp_path / "surface.csv"
+    assert main(
+        ["fit", "--embedding", str(emb), "--params", str(params), "--method", "bspline",
+         "--penalty", penalty, "--output", str(out)]
+    ) == 1
+    assert f"error: invalid spline config: BSplineConfig(degree=3, interior_knots=8, " \
+        f"penalty={penalty})" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "columns, method, message",
     [(3, "delaunay", "triangulation supports d in {1, 2}, got d=3"),
@@ -416,6 +429,18 @@ def test_simulate_empty_list_is_usage_error(tmp_path, capsys, argv):
         main(["simulate", "--experiment", "mean-only", *argv, "--output-dir", str(out)])
     assert exc.value.code == 2
     assert "expected a comma-separated integer list, got ','" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, argv, message", [
+    ("mean-only", ["--n-values", "10,10", "--seeds", "0"], "sample size 10 is given more than"),
+    ("mean-only", ["--n-values", "10", "--seeds", "0,0"], "seed 0 is given more than once"),
+    ("mean-sd", ["--n-values", "0"], "n must be at least 1"),
+], ids=["repeated-n", "repeated-seed", "zero-n"])
+def test_simulate_bad_study_values_leave_no_output(tmp_path, capsys, experiment, argv, message):
+    out = tmp_path / "r"
+    assert main(["simulate", "--experiment", experiment, *argv, "--output-dir", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 

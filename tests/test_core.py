@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -63,6 +64,20 @@ def test_duplicate_parameters_rejected(tmp_path):
     )
     with pytest.raises(DuplicateParameters):
         load_dataset(path)
+
+
+@pytest.mark.parametrize("params, pair", [
+    ([[2, 0], [1, 1], [3, 0], [1, 1], [2, 0], [1, 1]], (0, 4)),
+    ([[0, 1], [1, 1], [2, 2], [1, 1], [1, 1]], (1, 3)),
+    ([[5, 5], [-0.0, 1], [0.0, 1]], (1, 2)),
+], ids=["earlier-pair-first", "three-way-repeat", "signed-zero"])
+def test_duplicate_parameters_name_first_pair(params, pair):
+    # The first pair in (i, j) order is named, with the first set's parameters.
+    sets = [SampleSet(id=f"s{i}", samples=[[0.0]], params=p) for i, p in enumerate(params)]
+    i, j = pair
+    message = f"sets 's{i}' and 's{j}' share parameters {[float(v) for v in params[i]]}"
+    with pytest.raises(DuplicateParameters, match=re.escape(message)):
+        Dataset(labeled=sets)
 
 
 def test_duplicate_set_ids_rejected(tmp_path):

@@ -15,7 +15,7 @@ from distmirror.transport import DistanceMatrix
 def dm_from(values, ids=None):
     values = np.asarray(values, dtype=float)
     ids = ids or tuple(f"s{i}" for i in range(len(values)))
-    return DistanceMatrix(ids=ids, values=values, metric="external")
+    return DistanceMatrix(ids=ids, values=values)
 
 
 def euclidean_dm(points):

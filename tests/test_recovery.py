@@ -233,7 +233,6 @@ def test_tie_break_deterministic():
     rec2 = recover_parameter(psi, grid)
     np.testing.assert_array_equal(rec1.x_hat, rec2.x_hat)
     assert rec1.residual == 0.0
-    assert rec1.simplex == 0
 
 
 def test_tie_break_prefers_lowest_simplex_then_smallest_x():
@@ -248,7 +247,6 @@ def test_tie_break_prefers_lowest_simplex_then_smallest_x():
     assert delaunay_triangulate(grid).simplices[0].tolist() == [0, 3, 4]
     np.testing.assert_array_equal(rec.x_hat, [0.5, 1.0])
     assert rec.residual == 0.0
-    assert rec.simplex == 0
 
 
 # ---------------------------------------------------------------------------

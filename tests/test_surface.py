@@ -550,6 +550,15 @@ def test_bspline_needs_enough_points():
         fit_bspline(grid_points(3), np.ones((9, 1)), BSplineConfig(degree=3))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"penalty": float("nan")}, {"penalty": float("inf")}, {"penalty": -1.0},
+    {"degree": 0}, {"interior_knots": -1},
+], ids=["nan-penalty", "inf-penalty", "negative-penalty", "zero-degree", "negative-knots"])
+def test_bspline_config_checked_at_construction(kwargs):
+    with pytest.raises(MirrorError, match="invalid spline config"):
+        BSplineConfig(**kwargs)
+
+
 @pytest.mark.parametrize("vals, message", [
     (np.ones((24, 1)), r"value rows \(24\) must match point count \(25\)"),
     (np.r_[np.ones(24), np.nan], "non-finite"),

@@ -141,7 +141,6 @@ def test_distance_matrix_three_singletons():
     sets = [make([[0.0]], "a"), make([[1.0]], "b"), make([[3.0]], "c")]
     dm = distance_matrix(sets, 1)
     np.testing.assert_allclose(dm.values, [[0, 1, 3], [1, 0, 2], [3, 2, 0]])
-    assert dm.metric == "w1"
 
 
 def test_distance_matrix_recomputation_oracle():
@@ -212,7 +211,6 @@ def test_distance_matrix_csv_round_trip(tmp_path):
     back = read_distance_matrix(path)
     assert back.ids == dm.ids
     np.testing.assert_array_equal(back.values, dm.values)
-    assert back.metric == "external"
 
 
 def test_reader_symmetrizes_small_asymmetry(tmp_path):
@@ -232,6 +230,6 @@ def test_reader_rejects_large_asymmetry(tmp_path):
 
 def test_distance_matrix_invariants_enforced():
     with pytest.raises(MirrorError):
-        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, 1.0], [2.0, 0.0]]), metric="w1")
+        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, 1.0], [2.0, 0.0]]))
     with pytest.raises(MirrorError):
-        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, -1.0], [-1.0, 0.0]]), metric="w1")
+        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, -1.0], [-1.0, 0.0]]))
