@@ -144,6 +144,11 @@ def _cmd_diagnose(args) -> int:
 def _cmd_fit(args) -> int:
     if args.grid_res < 2:
         raise _UsageError(f"--grid-res must be >= 2, got {args.grid_res}")
+    # Spline options left out take BSplineConfig's defaults.
+    spline = {k: v for k, v in (("degree", args.degree), ("interior_knots", args.knots),
+                                ("penalty", args.penalty)) if v is not None}
+    if spline and args.method != "bspline":
+        raise _UsageError("--degree, --knots and --penalty apply only to --method bspline")
     ids_emb, coords = read_embedding(args.embedding)
     ids_par, params = read_params_csv(args.params)
     by_id = {i: k for k, i in enumerate(ids_par)}
@@ -160,10 +165,7 @@ def _cmd_fit(args) -> int:
         tri = delaunay_triangulate(work)
         evaluate = partial(interpolate, MirrorSurface(tri, coords))
     else:
-        config = BSplineConfig(
-            degree=args.degree, interior_knots=args.knots, penalty=args.penalty
-        )
-        bsurf = fit_bspline(work, coords, config)
+        bsurf = fit_bspline(work, coords, BSplineConfig(**spline))
         tri = bsurf.domain
         evaluate = partial(evaluate_bspline, bsurf)
     if args.triangulation:
@@ -326,9 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="surface evaluation CSV")
     p.add_argument("--triangulation", help="optional triangulation export CSV")
     p.add_argument("--normalize-params", action="store_true")
-    p.add_argument("--degree", type=int, default=3, help="bspline degree")
-    p.add_argument("--knots", type=int, default=8, help="bspline interior knots per axis")
-    p.add_argument("--penalty", type=float, default=1e-2, help="bspline penalty")
+    p.add_argument("--degree", type=int, help="spline degree; --method bspline only")
+    p.add_argument("--knots", type=int,
+                   help="spline interior knots per axis; --method bspline only")
+    p.add_argument("--penalty", type=float, help="spline penalty; --method bspline only")
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("recover", help="recover parameters of unlabeled sets")

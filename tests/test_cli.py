@@ -252,6 +252,23 @@ def test_fit_bspline_non_finite_penalty_is_error(tmp_path, capsys, penalty):
 
 
 @pytest.mark.parametrize(
+    "options",
+    [["--degree", "-5", "--penalty", "nan"], ["--knots", "4"], ["--penalty", "0.5"]],
+    ids=["degree-penalty", "knots", "penalty"],
+)
+@pytest.mark.parametrize("method", [[], ["--method", "delaunay"]], ids=["default", "delaunay"])
+def test_fit_spline_option_with_delaunay_is_usage_error(tmp_path, capsys, options, method):
+    emb, params, _ = identity_grid_fixture(tmp_path)
+    out = tmp_path / "surface.csv"
+    assert main(
+        ["fit", "--embedding", str(emb), "--params", str(params), *method, *options,
+         "--output", str(out)]
+    ) == 2
+    assert "apply only to --method bspline" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "columns, method, message",
     [(3, "delaunay", "triangulation supports d in {1, 2}, got d=3"),
      (1, "bspline", "spline fitting requires d=2 parameter points")],
@@ -485,8 +502,9 @@ def test_file_pipeline_matches_in_process(tmp_path):
         np.testing.assert_allclose(got, interpolate(surf, x), atol=1e-9)
 
 
-def test_non_integer_thread_count_is_usage_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MIRROR_THREADS", "two")
+@pytest.mark.parametrize("threads", ["two", "0", "-3"])
+def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("MIRROR_THREADS", threads)
     code = main(
         ["simulate", "--experiment", "mean-sd", "--n-values", "10", "--seed", "0",
          "--output-dir", str(tmp_path / "r")]

@@ -1,12 +1,19 @@
+import itertools
+import os
+from contextlib import contextmanager
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distmirror._parallel
 from distmirror.core import Dataset, SampleSet
 from distmirror.embedding import MirrorEmbedding, cmds, procrustes_align
 from distmirror.errors import MirrorError
 from distmirror.recovery import joint_embed, leave_one_out, recover_parameter
+from distmirror.sim import FamilyVariant, GaussianFamilySpec, generate
 from distmirror.surface import (
     MirrorSurface,
     delaunay_triangulate,
@@ -290,17 +297,43 @@ def test_leave_one_out_requires_enough_sets():
         leave_one_out(ds, p=1, c=2)
 
 
-def test_leave_one_out_thread_invariance(monkeypatch):
-    rng = np.random.default_rng(58)
-    grid = unit_grid(3)
-    ds = Dataset(labeled=tuple(gaussian_sets(rng, grid, n=10)))
-    monkeypatch.setenv("MIRROR_THREADS", "1")
-    one = leave_one_out(ds, p=2, c=2)
-    monkeypatch.setenv("MIRROR_THREADS", "4")
-    four = leave_one_out(ds, p=2, c=2)
-    for (t1, r1), (t4, r4) in zip(one, four):
-        np.testing.assert_array_equal(r1.x_hat, r4.x_hat)
-        assert r1.residual == r4.residual
+@contextmanager
+def blas_threads(count):
+    """Set numpy's OpenBLAS thread count through ``_parallel``'s handle, then restore it."""
+    lib = distmirror._parallel._OPENBLAS
+    if lib is None:  # numpy without the bundled OpenBLAS: its count cannot be set
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(count)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
+@st.composite
+def jittered_grids(draw):
+    """A k x k grid of [0, 1]^2 with each point moved by under a third of the spacing."""
+    k = draw(st.integers(3, 6))
+    seed = draw(st.integers(0, 2**16))
+    offsets = np.random.default_rng(seed).uniform(-1.0, 1.0, (k * k, 2)) / (3 * (k - 1))
+    grid = np.clip(unit_grid(k) + draw(st.floats(0.0, 1.0)) * offsets, 0.0, 1.0)
+    return grid, seed
+
+
+@settings(max_examples=10)
+@given(jittered_grids())
+def test_leave_one_out_thread_invariance(problem):
+    # Identical bytes for every pool size and every BLAS thread count.
+    grid, seed = problem
+    ds = generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=grid, n=10, seed=seed))
+    runs = []
+    for threads, blas in itertools.product(("1", "2", "4"), (1, 2)):
+        with blas_threads(blas), mock.patch.dict(os.environ, {"MIRROR_THREADS": threads}):
+            runs.append([(rec.x_hat.tobytes(), rec.residual)
+                         for _, rec in leave_one_out(ds, p=2, c=2)])
+    assert all(run == runs[0] for run in runs[1:])
 
 
 def test_condition_diagnostics_shape_and_scale():
@@ -316,8 +349,6 @@ def test_condition_diagnostics_shape_and_scale():
 
 
 def test_small_scale_error_shrinks_with_n():
-    from distmirror.sim import FamilyVariant, GaussianFamilySpec, generate
-
     grid = unit_grid(5)
     errors = {}
     for n in (10, 500):

@@ -1,5 +1,8 @@
+import glob
 import itertools
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -198,6 +201,36 @@ def test_worker_count_reads_cpu_affinity(monkeypatch, affinity, cpus, expected):
     else:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
     assert worker_count() == expected
+
+
+# Run in a fresh process: set numpy's OpenBLAS to 2 threads, optionally hide the
+# library from distmirror's lookup, import distmirror, print the count in force.
+BLAS_PROBE = """
+import ctypes, glob, os, pathlib, sys
+import numpy
+libs = os.path.join(os.path.dirname(os.path.dirname(numpy.__file__)), "numpy.libs")
+lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))[0])
+lib.scipy_openblas_set_num_threads64_(2)
+if sys.argv[1] == "hidden":
+    pathlib.Path.glob = lambda self, pattern: iter(())
+import distmirror
+print(lib.scipy_openblas_get_num_threads64_())
+"""
+
+
+@pytest.mark.parametrize("case, expected", [("default", 1), ("named", 2), ("hidden", 2)])
+def test_import_caps_numpy_blas_threads(case, expected):
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    if not glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
+        pytest.skip("numpy has no bundled OpenBLAS")
+    src = os.path.dirname(os.path.dirname(distmirror._parallel.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    out = subprocess.run([sys.executable, "-c", BLAS_PROBE, case], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**base, "PYTHONPATH": src,
+                              **({"OPENBLAS_NUM_THREADS": "2"} if case == "named" else {})})
+    assert int(out.stdout) == expected
 
 
 def test_distance_matrix_csv_round_trip(tmp_path):
