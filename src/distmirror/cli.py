@@ -94,32 +94,14 @@ def _cmd_distmat(args) -> int:
     return 0
 
 
-def _resolve_dim(dim: str, spectrum: np.ndarray) -> tuple[int, bool]:
-    if dim == "auto":
-        return select_dimension(spectrum), True
-    try:
-        value = int(dim)
-    except ValueError:
-        raise _UsageError(f"--dim must be an integer or 'auto', got {dim!r}") from None
-    if value < 1:
-        raise _UsageError("--dim must be >= 1")
-    return value, False
-
-
-def _spectrum_path(args, default_stem: Path) -> Path:
-    if args.spectrum:
-        return Path(args.spectrum)
-    return default_stem.with_suffix(".spectrum.csv")
-
-
 def _cmd_embed(args) -> int:
     dm = read_distance_matrix(args.input)
-    report = realizability_diagnostics(dm)
-    c, auto = _resolve_dim(args.dim, report.spectrum)
+    auto = args.dim == "auto"
+    c = select_dimension(realizability_diagnostics(dm).spectrum) if auto else args.dim
     emb = cmds(dm, c)
     note = f"dim={c} (auto)" if auto else f"dim={c}"
     write_embedding(emb, args.output, header_note=note)
-    write_spectrum(report.spectrum, _spectrum_path(args, Path(args.output)))
+    write_spectrum(emb.spectrum, args.spectrum or Path(args.output).with_suffix(".spectrum.csv"))
     print(f"embed: m={emb.m} {note} -> {args.output}")
     return 0
 
@@ -197,33 +179,49 @@ def _cmd_recover(args) -> int:
     validate_equal_sample_size(ds)
     if not ds.labeled:
         raise MirrorError("recovery requires labeled sets")
+    if not (args.leave_one_out or ds.unlabeled):
+        raise _UsageError("no unlabeled sets in input; nothing to recover")
     # --normalize-params builds the surface on normalized axes; truths stay raw.
-    scaling = fit_axis_scaling(ds.params_matrix()) if args.normalize_params else None
-    work = ds if scaling is None else replace(ds, labeled=tuple(
-        replace(s, params=scaling.transform(s.params)) for s in ds.labeled))
+    params = ds.params_matrix()
+    scaling = fit_axis_scaling(params) if args.normalize_params else None
+    work = scaling.transform(params) if scaling else params
 
+    # Only --dim auto and --leave-one-out read the labeled sets' own distances.
+    labeled_dm = (distance_matrix(list(ds.labeled), p)
+                  if args.dim == "auto" or args.leave_one_out else None)
     if args.dim is None:
         c, note = ds.d, f"dim={ds.d} (default d)"
+    elif args.dim == "auto":
+        c = select_dimension(realizability_diagnostics(labeled_dm).spectrum)
+        note = f"dim={c} (auto)"
     else:
-        spectrum = realizability_diagnostics(distance_matrix(list(ds.labeled), p)).spectrum
-        c, auto = _resolve_dim(args.dim, spectrum)
-        note = f"dim={c} (auto)" if auto else f"dim={c}"
+        c, note = args.dim, f"dim={args.dim}"
 
     if args.leave_one_out:
         targets, truths = ds.labeled, [s.params for s in ds.labeled]
-        recs = [rec for _, rec in leave_one_out(work, p, c=c)]
+        recs = leave_one_out(labeled_dm, work, c=c)
     else:
-        if not ds.unlabeled:
-            raise _UsageError("no unlabeled sets in input; nothing to recover")
         targets, truths = ds.unlabeled, [None] * len(ds.unlabeled)
-        params = work.params_matrix()
-        recs = [recover_parameter(joint_embed(list(ds.labeled), u, p, c=c), params)
+        recs = [recover_parameter(joint_embed(list(ds.labeled), u, p, c=c), work)
                 for u in ds.unlabeled]
     if scaling:
         recs = [replace(rec, x_hat=scaling.inverse(rec.x_hat)) for rec in recs]
     write_recovery_report(list(zip(truths, recs)), [s.id for s in targets], args.output)
     print(f"recover: {note} sets={len(recs)} -> {args.output}")
     return 0
+
+
+def _dim(text: str) -> int | str:
+    """argparse type of a mirror dimension: a positive integer or 'auto'."""
+    if text == "auto":
+        return text
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer or 'auto', got {text!r}")
+    return value
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -311,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="classical MDS embedding of a distance matrix")
     add_io(p, "distance matrix CSV")
-    p.add_argument("--dim", default="auto", help="embedding dimension or 'auto'")
+    p.add_argument("--dim", type=_dim, default="auto",
+                   help="positive integer, or 'auto' for the largest scree gap (default)")
     p.add_argument("--spectrum", help="spectrum CSV path (default: <output>.spectrum.csv)")
     p.set_defaults(handler=_cmd_embed)
 
@@ -338,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(p, "dataset file with labeled (+ unlabeled) sets")
     p.add_argument("--format", choices=["ndjson", "csv"], default="ndjson")
     p.add_argument("--metric", choices=list(_METRIC_ORDER), default="w1")
-    p.add_argument("--dim", default=None, help="mirror dimension, integer or 'auto' (default: d)")
+    p.add_argument("--dim", type=_dim, help="positive integer, or 'auto' for the largest scree "
+                   "gap of the labeled sets (default: the parameter dimension d)")
     p.add_argument("--leave-one-out", action="store_true",
                    help="hold out each labeled set instead of recovering unlabeled ones")
     p.add_argument("--normalize-params", action="store_true")

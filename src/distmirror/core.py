@@ -339,10 +339,10 @@ def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, .
 
     By default each row is ``id, v1..vk`` under a header naming the columns,
     and lines starting with ``#`` are comments.  With ``header_ids`` the
-    header lists the ids, one per column, every row holds only numbers, and
-    ``#`` is not special, since an id may start with it.  Blank lines are
-    skipped.  Returns the ids and the (rows, k) value matrix; ids must be
-    distinct, and every error names the file and the line.
+    header lists the ids as written, one per column, every row holds only
+    numbers, and ``#`` is not special, since an id may start with it.  Blank
+    lines are skipped.  Returns the ids and the (rows, k) value matrix; ids
+    must be distinct, and every error names the file and the line.
     """
     path = Path(path)
     if not path.exists():
@@ -356,7 +356,7 @@ def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, .
             with _located(f"{path}: line {reader.line_num}"):
                 if header is None:
                     header = row
-                    ids = [c.strip() for c in row] if header_ids else []
+                    ids = row if header_ids else []
                 elif len(row) != len(header):
                     raise DatasetError(f"expected {len(header)} cells, got {len(row)}")
                 else:

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import Dataset, SampleSet, write_table
+from .core import SampleSet, write_table
 from .embedding import MirrorEmbedding, cmds
 from .errors import MirrorError
 from .surface import (MirrorSurface, delaunay_triangulate, jacobian_condition_numbers,
@@ -182,36 +182,31 @@ def _reordered_submatrix(dm: DistanceMatrix, held_out: int) -> DistanceMatrix:
 
 
 def leave_one_out(
-    ds: Dataset,
-    p: float = 1,
+    dm: DistanceMatrix,
+    params: np.ndarray,
     *,
     c: int,
-) -> list[tuple[np.ndarray, RecoveryResult]]:
+) -> list[RecoveryResult]:
     """Hold out each labeled set in turn and recover its parameter.
 
-    Returns one (true parameter, recovery) pair per labeled set, in dataset
+    ``dm`` holds the distances among the m labeled sets and ``params`` their
+    (m, d) parameters, in the same order; the caller builds ``dm`` once and
+    nothing here computes a distance.  Returns one recovery per set, in that
     order.  Hold-outs whose truth sits on (or outside) the reduced hull are
     reported like any other; callers can separate them via the distance of
-    the truth to the reduced hull.
-
-    The pairwise distances are computed once and shared across iterations;
-    each iteration sees exactly the matrix a fresh joint embedding of the
-    remaining sets plus the held-out set would produce.
+    the truth to the reduced hull.  Each iteration sees exactly the matrix a
+    fresh joint embedding of the remaining sets plus the held-out set would.
     """
-    m = ds.m
-    d = ds.d
+    params = np.ascontiguousarray(params, dtype=np.float64)
+    if params.ndim != 2 or len(params) != dm.m:
+        raise MirrorError(f"params must be an ({dm.m}, d) matrix, got shape {params.shape}")
+    m, d = params.shape
     if m < d + 3:
-        raise MirrorError(
-            f"leave-one-out needs m >= d+3 = {d + 3} labeled sets, got {m}"
-        )
-    dm = distance_matrix(ds.labeled, p)
-    params = ds.params_matrix()
+        raise MirrorError(f"leave-one-out needs m >= d+3 = {d + 3} labeled sets, got {m}")
 
-    def run(i: int) -> tuple[np.ndarray, RecoveryResult]:
-        sub = _reordered_submatrix(dm, i)
-        psi = cmds(sub, c)
-        rest = np.delete(params, i, axis=0)
-        return params[i], recover_parameter(psi, rest)
+    def run(i: int) -> RecoveryResult:
+        psi = cmds(_reordered_submatrix(dm, i), c)
+        return recover_parameter(psi, np.delete(params, i, axis=0))
 
     return map_deterministic(run, list(range(m)))
 

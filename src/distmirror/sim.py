@@ -339,10 +339,8 @@ def run_recovery_experiment(
     hull_flags = [_truth_on_reduced_hull(grid, i) for i in range(len(grid))]
     runs: dict[int, list[tuple[np.ndarray, RecoveryResult, bool]]] = {}
     for spec in specs:
-        results = leave_one_out(generate(spec), p=2, c=2)
-        runs[int(spec.n)] = [
-            (truth, rec, hull_flags[i]) for i, (truth, rec) in enumerate(results)
-        ]
+        recs = leave_one_out(distance_matrix(generate(spec).labeled, p=2), grid, c=2)
+        runs[int(spec.n)] = list(zip(grid, recs, hull_flags))
     return RecoveryStudyResult(
         grid=grid,
         n_values=tuple(int(n) for n in n_values),

@@ -92,10 +92,15 @@ def _check_pair(a: SampleSet, b: SampleSet) -> None:
         raise UnequalSampleSizes([a.id, b.id], [a.n, b.n])
 
 
+def _check_order(p: float) -> None:
+    """Reject a transport order outside [1, inf), NaN included."""
+    if not 1 <= p < np.inf:
+        raise ValueError(f"order p must satisfy 1 <= p < inf, got {p}")
+
+
 def cost_matrix(a: SampleSet, b: SampleSet, p: float) -> np.ndarray:
     """Dense matrix of per-pair costs ||a_i - b_j||^p (Euclidean norm)."""
-    if p < 1:
-        raise ValueError(f"order p must be >= 1, got {p}")
+    _check_order(p)
     _check_pair(a, b)
     if p == 2:
         return cdist(a.samples, b.samples, "sqeuclidean")
@@ -120,8 +125,7 @@ def wasserstein_exact(a: SampleSet, b: SampleSet, p: float = 1) -> TransportPlan
     solve on the cost matrix.  Costs for p = 2 are minimized on squared
     distances and rooted once at the end.
     """
-    if p < 1:
-        raise ValueError(f"order p must be >= 1, got {p}")
+    _check_order(p)
     _check_pair(a, b)
     n = a.n
     if a.q == 1:
@@ -149,6 +153,7 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
     the calling thread; only assignment pairs (q > 1) run in the worker pool.
     The result is identical for any worker count.
     """
+    _check_order(p)
     sets = list(sets)
     if not sets:
         raise MirrorError("distance_matrix requires at least one sample set")

@@ -4,6 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import distmirror.cli
+import distmirror.recovery
+import distmirror.transport
 from distmirror.cli import main, read_params_csv, write_params_csv
 from distmirror.core import load_dataset
 from distmirror.embedding import read_embedding
@@ -92,6 +95,27 @@ def test_embed_asymmetric_input_fails(tmp_path):
     path = tmp_path / "dm.csv"
     path.write_text("a,b\n0.0,2.0\n1.0,0.0\n")
     assert main(["embed", "--input", str(path), "--dim", "1", "--output", str(tmp_path / "e.csv")]) == 1
+
+
+def test_embed_integer_dim_writes_the_diagnosed_spectrum(tmp_path, monkeypatch):
+    # An integer --dim needs no scree, so one eigendecomposition serves both files.
+    dm = collinear_matrix(tmp_path)
+    assert main(["diagnose", "--input", str(dm), "--output", str(tmp_path / "scree.csv")]) == 0
+    monkeypatch.setattr(distmirror.cli, "realizability_diagnostics", None)
+    out = tmp_path / "emb.csv"
+    assert main(["embed", "--input", str(dm), "--dim", "2", "--output", str(out)]) == 0
+    assert (tmp_path / "emb.spectrum.csv").read_bytes() == (tmp_path / "scree.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["embed", "recover"])
+@pytest.mark.parametrize("dim", ["0", "-1", "x"])
+def test_bad_dim_is_usage_error_before_reading(tmp_path, capsys, command, dim):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--input", str(tmp_path / "gone.csv"), "--dim", dim,
+              "--output", str(tmp_path / "o.csv")])
+    assert exc.value.code == 2
+    assert f"argument --dim: expected a positive integer or 'auto', got '{dim}'" in (
+        capsys.readouterr().err)
 
 
 def test_diagnose_prints_summary(tmp_path, capsys):
@@ -351,6 +375,61 @@ def test_recover_leave_one_out_fills_truth(tmp_path):
     assert len(rows) == 10
     truth = np.array([[float(r[1]), float(r[2])] for r in rows[1:]])
     np.testing.assert_allclose(truth, grid, atol=0)
+
+
+def dim_fixture(tmp_path):
+    """Noisy mean-sd sets on a 4 x 4 grid plus three unlabeled sets."""
+    axis = np.linspace(0.0, 1.0, 4)
+    grid = np.array([[a, b] for a in axis for b in axis])
+    labeled = generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=grid, n=30, seed=1))
+    other = generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=grid, n=30, seed=2))
+    records = [{"id": s.id, "params": s.params.tolist(), "samples": s.samples.tolist()}
+               for s in labeled.labeled]
+    records += [{"id": f"u{i}", "samples": other.labeled[i].samples.tolist()}
+                for i in (1, 5, 10)]
+    path = tmp_path / "data.ndjson"
+    write_ndjson(path, records)
+    return path, tuple(s.id for s in labeled.labeled)
+
+
+@pytest.mark.parametrize("mode", [["--leave-one-out"], []], ids=["loo", "unlabeled"])
+@pytest.mark.parametrize("normalize", [["--normalize-params"], []], ids=["normalized", "raw"])
+def test_recover_auto_dim_equals_the_dim_it_chose(tmp_path, capsys, mode, normalize):
+    data, _ = dim_fixture(tmp_path)
+    base = ["recover", "--input", str(data), "--metric", "w2", *mode, *normalize]
+    auto, fixed = tmp_path / "auto.csv", tmp_path / "fixed.csv"
+    assert main(base + ["--dim", "auto", "--output", str(auto)]) == 0
+    note = capsys.readouterr().out.split()[1]
+    assert note.startswith("dim=")
+    assert main(base + ["--dim", note.removeprefix("dim="), "--output", str(fixed)]) == 0
+    assert capsys.readouterr().out.split()[1:3] == [note, "sets=16" if mode else "sets=3"]
+    assert auto.read_bytes() == fixed.read_bytes()
+
+
+@pytest.mark.parametrize("mode, dim, expected", [
+    (["--leave-one-out"], [], 1),
+    (["--leave-one-out"], ["--dim", "2"], 1),
+    (["--leave-one-out"], ["--dim", "auto"], 1),
+    ([], [], 0),
+    ([], ["--dim", "2"], 0),
+    ([], ["--dim", "auto"], 1),
+], ids=["loo", "loo-dim2", "loo-auto", "unlabeled", "unlabeled-dim2", "unlabeled-auto"])
+def test_recover_builds_the_labeled_matrix_only_when_read(tmp_path, monkeypatch, mode, dim,
+                                                          expected):
+    # Only --dim auto and --leave-one-out read the labeled sets' own distances,
+    # and they share one matrix.
+    data, labeled_ids = dim_fixture(tmp_path)
+    original, calls = distmirror.transport.distance_matrix, []
+
+    def counted(sets, p=1):
+        calls.append(tuple(s.id for s in sets) == labeled_ids)
+        return original(sets, p)
+
+    monkeypatch.setattr(distmirror.cli, "distance_matrix", counted)
+    monkeypatch.setattr(distmirror.recovery, "distance_matrix", counted)
+    assert main(["recover", "--input", str(data), "--metric", "w2", *mode, *dim,
+                 "--output", str(tmp_path / "r.csv")]) == 0
+    assert sum(calls) == expected
 
 
 def test_recover_small_grid_interior_error_bound(tmp_path):

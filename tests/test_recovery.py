@@ -265,14 +265,13 @@ def test_leave_one_out_matches_naive_pipeline():
     rng = np.random.default_rng(56)
     grid = unit_grid(3)
     ds = Dataset(labeled=tuple(gaussian_sets(rng, grid, n=15)))
-    fast = leave_one_out(ds, p=2, c=2)
+    fast = leave_one_out(distance_matrix(ds.labeled, p=2), ds.params_matrix(), c=2)
     for i in (0, 4, 8):
         rest = [s for j, s in enumerate(ds.labeled) if j != i]
         held = SampleSet(id="u", samples=ds.labeled[i].samples)
         psi = joint_embed(rest, held, p=2, c=2)
         naive = recover_parameter(psi, np.delete(ds.params_matrix(), i, axis=0))
-        truth, rec = fast[i]
-        np.testing.assert_array_equal(truth, grid[i])
+        rec = fast[i]
         np.testing.assert_allclose(rec.x_hat, naive.x_hat, atol=1e-12)
         assert rec.residual == pytest.approx(naive.residual, abs=1e-12)
 
@@ -285,16 +284,25 @@ def test_leave_one_out_identity_mirror_interior_exact():
         SampleSet(id=f"g{i}", samples=np.tile(grid[i], (5, 1)), params=grid[i])
         for i in range(len(grid))
     )
-    results = leave_one_out(Dataset(labeled=sets), p=2, c=2)
-    truth, rec = results[4]  # the single interior point of the 3x3 grid
-    np.testing.assert_allclose(rec.x_hat, truth, atol=1e-8)
+    results = leave_one_out(distance_matrix(sets, p=2), grid, c=2)
+    # the single interior point of the 3x3 grid
+    np.testing.assert_allclose(results[4].x_hat, grid[4], atol=1e-8)
 
 
 def test_leave_one_out_requires_enough_sets():
     rng = np.random.default_rng(57)
     ds = Dataset(labeled=tuple(gaussian_sets(rng, [[0.0, 0], [1, 0], [0, 1]])))
     with pytest.raises(MirrorError, match="d\\+3"):
-        leave_one_out(ds, p=1, c=2)
+        leave_one_out(distance_matrix(ds.labeled, p=1), ds.params_matrix(), c=2)
+
+
+def test_leave_one_out_rejects_params_of_other_sets():
+    rng = np.random.default_rng(58)
+    grid = unit_grid(3)
+    dm = distance_matrix(gaussian_sets(rng, grid), p=1)
+    for params in (grid[:-1], grid[:, 0], np.vstack([grid, grid[:1]])):
+        with pytest.raises(MirrorError, match="params must be an \\(9, d\\) matrix"):
+            leave_one_out(dm, params, c=2)
 
 
 @contextmanager
@@ -331,8 +339,9 @@ def test_leave_one_out_thread_invariance(problem):
     runs = []
     for threads, blas in itertools.product(("1", "2", "4"), (1, 2)):
         with blas_threads(blas), mock.patch.dict(os.environ, {"MIRROR_THREADS": threads}):
-            runs.append([(rec.x_hat.tobytes(), rec.residual)
-                         for _, rec in leave_one_out(ds, p=2, c=2)])
+            # The matrix is built here so the property covers transport as well.
+            recs = leave_one_out(distance_matrix(ds.labeled, p=2), grid, c=2)
+            runs.append([(rec.x_hat.tobytes(), rec.residual) for rec in recs])
     assert all(run == runs[0] for run in runs[1:])
 
 
@@ -355,8 +364,8 @@ def test_small_scale_error_shrinks_with_n():
         ds = generate(
             GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=grid, n=n, seed=3)
         )
-        results = leave_one_out(ds, p=2, c=2)
+        results = leave_one_out(distance_matrix(ds.labeled, p=2), grid, c=2)
         errors[n] = np.median(
-            [np.linalg.norm(t - r.x_hat) for t, r in results]
+            [np.linalg.norm(t - r.x_hat) for t, r in zip(grid, results)]
         )
     assert errors[500] < errors[10]

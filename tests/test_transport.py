@@ -38,6 +38,19 @@ def brute_force_cost(a, b, p):
     return best
 
 
+@pytest.mark.parametrize("p", [0.5, np.nan, np.inf])
+@pytest.mark.parametrize("entry", [
+    lambda a, b, p: cost_matrix(a, b, p),
+    lambda a, b, p: wasserstein_exact(a, b, p),
+    lambda a, b, p: distance_matrix([a, b], p),
+], ids=["cost_matrix", "wasserstein_exact", "distance_matrix"])
+def test_order_outside_one_to_infinity_is_rejected(entry, p):
+    # W_inf of these sets is 2, which no finite-order formula here computes.
+    a, b = make([[0.0], [1.0], [5.0]], "a"), make([[0.5], [3.0], [4.0]], "b")
+    with pytest.raises(ValueError, match="1 <= p < inf"):
+        entry(a, b, p)
+
+
 def test_cost_matrix_singletons():
     np.testing.assert_allclose(cost_matrix(make([[0.0]]), make([[3.0]]), 1), [[3.0]])
 
@@ -235,8 +248,9 @@ def test_import_caps_numpy_blas_threads(case, expected):
 
 def test_distance_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(37)
-    # Ids that need quoting, including a lone carriage return.
-    ids = ["s0", "a,b", 'say "hi"', "line\rbreak"]
+    # Ids that need quoting, including a lone carriage return, and ids whose
+    # surrounding spaces are part of the id.
+    ids = ["s0", "a,b", 'say "hi"', "line\rbreak", " lead", "trail "]
     sets = [make(rng.standard_normal((4, 2)), i) for i in ids]
     dm = distance_matrix(sets, 1)
     path = tmp_path / "dm.csv"
