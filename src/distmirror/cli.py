@@ -97,9 +97,8 @@ def _cmd_distmat(args) -> int:
 def _cmd_embed(args) -> int:
     dm = read_distance_matrix(args.input)
     auto = args.dim == "auto"
-    c = select_dimension(realizability_diagnostics(dm).spectrum) if auto else args.dim
-    emb = cmds(dm, c)
-    note = f"dim={c} (auto)" if auto else f"dim={c}"
+    emb = cmds(dm, None if auto else args.dim)
+    note = f"dim={emb.c} (auto)" if auto else f"dim={emb.c}"
     write_embedding(emb, args.output, header_note=note)
     write_spectrum(emb.spectrum, args.spectrum or Path(args.output).with_suffix(".spectrum.csv"))
     print(f"embed: m={emb.m} {note} -> {args.output}")
@@ -364,11 +363,12 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return 2
-    except MirrorError as e:
+    except (MirrorError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except MemoryError as e:
+        # numpy's _ArrayMemoryError says what it could not allocate; a bare one says nothing.
+        print(f"error: out of memory{f' ({e})' if str(e) else ''}", file=sys.stderr)
         return 1
 
 

@@ -6,8 +6,9 @@ generating parameter vector in R^d is known and *unlabeled* otherwise.
 
 Validation lives in the constructors: :class:`SampleSet` checks shape and
 finiteness, :class:`Dataset` checks the invariants across sets.  The loaders
-only parse, converting each set's values in one call, and prefix any error
-with the file and line it comes from.
+only parse, and prefix any error with the file and line it comes from.  The
+CSV loader converts sample cells a bounded chunk of rows at a time, so a file's
+values are never all held as text at once.
 
 On-disk formats
 ---------------
@@ -263,15 +264,26 @@ def _csv_params(cells: str | tuple[str, ...]) -> tuple[float, ...] | None:
 
 
 def _samples(rows: list) -> np.ndarray:
-    """Convert the sample cells of a set's rows (strings, or tuples of them)."""
+    """Convert rows of sample cells (strings, or tuples of them) to an (n, q) matrix."""
     return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
 
 
-def _load_csv(path: Path, locate: bool = False) -> Dataset:
-    """Group the rows by id, then convert each set once.
+#: Rows of sample cells held as text at once, counted across all sets, before
+#: they are converted.  Chunks much smaller than this leave many interleaved
+#: sets a few rows per block, and larger ones parse no faster (see CHANGES.md).
+_CSV_CHUNK_ROWS = 4096
 
-    When a conversion fails, the file is read again with ``locate`` set, which
-    builds a set from every row alone so the error names the row's line.
+
+def _load_csv(path: Path, locate: bool = False) -> Dataset:
+    """Check every row's structure in one pass, converting sample cells in chunks.
+
+    At most ``_CSV_CHUNK_ROWS`` rows of sample cells are held as text: each
+    full chunk is converted in one call and its rows are appended, in file
+    order, to their sets' blocks.  After a failed conversion the pass converts
+    nothing more but still checks every row, so a ragged row or a parameter
+    change later in the file is the error reported.  Then the file is read
+    again with ``locate`` set, which builds a set from every row alone so the
+    error names the row's line.
     """
     with _open_text(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -285,13 +297,38 @@ def _load_csv(path: Path, locate: bool = False) -> Dataset:
         params_of = itemgetter(*p_cols) if p_cols else (lambda row: "")
         samples_of = itemgetter(*s_cols)
 
-        # id -> (raw parameter cells of its first row, their values, sample cells)
+        # id -> (raw parameter cells of its first row, their values, set index)
         groups: dict[str, tuple] = {}
+        blocks: list[list[np.ndarray]] = []  # set index -> its converted rows
+        cells, owners = [], []  # the pending chunk: sample cells, set index per row
+        converted = True
+
+        def convert_chunk():
+            nonlocal converted
+            if converted and cells:
+                try:
+                    values = _samples(cells)
+                except ValueError:
+                    if locate:
+                        raise
+                    converted = False
+                else:
+                    # A stable sort gives each set one block per chunk, its rows in file order.
+                    owner = np.array(owners)
+                    order = owner.argsort(kind="stable")
+                    owner, values = owner[order], values[order]
+                    starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
+                    for lo, hi in zip(starts, starts[1:] + [len(owner)]):
+                        blocks[owner[lo]].append(values[lo:hi])
+            cells.clear()
+            owners.clear()
+
+        width = len(header)
         for row in reader:
-            if len(row) != len(header):
+            if len(row) != width:
                 if any(c.strip() for c in row):
                     raise DatasetError(f"{path}: line {reader.line_num}: "
-                                       f"expected {len(header)} cells, got {len(row)}")
+                                       f"expected {width} cells, got {len(row)}")
                 continue
             raw = params_of(row)
             group = groups.get(row[0])
@@ -299,19 +336,28 @@ def _load_csv(path: Path, locate: bool = False) -> Dataset:
                 with _located(f"{path}: line {reader.line_num}"):
                     params = _csv_params(raw)
                     if group is None:
-                        group = groups[row[0]] = (raw, params, [])
+                        group = groups[row[0]] = (raw, params, len(blocks))
+                        blocks.append([])
                     elif params != group[1]:
                         raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
-            group[2].append(samples_of(row))
-            if locate:
+            if locate:  # before the row joins a chunk, whose conversion names no line
                 with _located(f"{path}: line {reader.line_num}"):
-                    SampleSet(id=row[0], samples=_samples(group[2][-1:]), params=group[1])
+                    SampleSet(id=row[0], samples=_samples([samples_of(row)]), params=group[1])
+            cells.append(samples_of(row))
+            owners.append(group[2])
+            if len(cells) == _CSV_CHUNK_ROWS:
+                convert_chunk()
+        convert_chunk()
 
+    if not converted:
+        return _load_csv(path, locate=True)
     sets = []
-    for set_id, (_, params, rows) in groups.items():
+    for set_id, (_, params, k) in groups.items():
+        samples = np.concatenate(blocks[k])
+        blocks[k] = None  # frees the chunks that no later set shares
         try:
-            sets.append(SampleSet(id=set_id, samples=_samples(rows), params=params))
-        except (DatasetError, ValueError):
+            sets.append(SampleSet(id=set_id, samples=samples, params=params))
+        except DatasetError:
             if locate:
                 raise
             return _load_csv(path, locate=True)

@@ -111,19 +111,23 @@ def _sorted_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return evals[::-1], evecs[:, ::-1]
 
 
-def cmds(delta: DistanceMatrix, c: int) -> MirrorEmbedding:
+def cmds(delta: DistanceMatrix, c: int | None) -> MirrorEmbedding:
     """Classical MDS of a distance matrix into R^c.
 
     Coordinates are eigenvectors of the doubly centered matrix scaled by the
     square roots of the top c eigenvalues (by algebraic value); negative
     eigenvalues among the top c yield zero columns.  Each column's sign is
     flipped so its entry of largest magnitude is positive, making output
-    reproducible across platforms.
+    reproducible across platforms.  ``c=None`` takes
+    :func:`select_dimension` of the same spectrum, so one eigendecomposition
+    serves both the choice and the coordinates.
     """
     m = delta.m
-    if not 1 <= c <= m:
+    if c is not None and not 1 <= c <= m:
         raise MirrorError(f"embedding dimension c={c} must satisfy 1 <= c <= m={m}")
     evals, evecs = _sorted_eig(double_center(delta))
+    if c is None:
+        c = select_dimension(evals)
     scale = np.sqrt(np.maximum(evals[:c], 0.0))
     coords = evecs[:, :c] * scale
     flip = coords[np.argmax(np.abs(coords), axis=0), np.arange(c)] < 0

@@ -28,7 +28,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import BSpline
 import scipy.linalg
 from scipy.spatial import Delaunay, QhullError
 
@@ -506,6 +505,9 @@ def _knot_vector(lo: float, hi: float, degree: int, interior: int) -> np.ndarray
 
 
 def _basis_rows(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
+    # Imported here: only spline fitting reads scipy.interpolate, slow to load.
+    from scipy.interpolate import BSpline
+
     lo, hi = knots[degree], knots[-degree - 1]
     clipped = np.clip(np.asarray(x, dtype=np.float64), lo, hi)
     return BSpline.design_matrix(clipped, knots, degree).toarray()

@@ -107,6 +107,38 @@ def test_embed_integer_dim_writes_the_diagnosed_spectrum(tmp_path, monkeypatch):
     assert (tmp_path / "emb.spectrum.csv").read_bytes() == (tmp_path / "scree.csv").read_bytes()
 
 
+def test_embed_auto_dim_decomposes_once(tmp_path, monkeypatch):
+    # The dimension choice and the coordinates share one eigendecomposition,
+    # and the files equal those of the dimension it chose.
+    dm = collinear_matrix(tmp_path)
+    fixed = tmp_path / "fixed.csv"
+    assert main(["embed", "--input", str(dm), "--dim", "1", "--output", str(fixed)]) == 0
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda b: calls.append(b) or eigh(b))
+    auto = tmp_path / "auto.csv"
+    assert main(["embed", "--input", str(dm), "--dim", "auto", "--output", str(auto)]) == 0
+    assert len(calls) == 1
+    assert auto.read_text() == fixed.read_text().replace("# dim=1", "# dim=1 (auto)")
+    assert (tmp_path / "auto.spectrum.csv").read_bytes() == (
+        tmp_path / "fixed.spectrum.csv").read_bytes()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 745. GiB for an array"),
+     "error: out of memory (Unable to allocate 745. GiB for an array)"),
+    (MemoryError(), "error: out of memory"),
+], ids=["numpy-message", "bare"])
+def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch, error, line):
+    def fit(args):
+        raise error
+
+    monkeypatch.setattr(distmirror.cli, "_cmd_fit", fit)
+    assert main(["fit", "--embedding", "e.csv", "--params", "p.csv",
+                 "--output", str(tmp_path / "o.csv")]) == 1
+    assert capsys.readouterr().err == line + "\n"
+
+
 @pytest.mark.parametrize("command", ["embed", "recover"])
 @pytest.mark.parametrize("dim", ["0", "-1", "x"])
 def test_bad_dim_is_usage_error_before_reading(tmp_path, capsys, command, dim):

@@ -1,6 +1,7 @@
 import json
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from distmirror.cli import main, read_params_csv
 from distmirror.core import (
+    _CSV_CHUNK_ROWS,
     Dataset,
     SampleSet,
     load_dataset,
@@ -358,3 +360,90 @@ def test_property_save_load_round_trip_is_bit_exact(ds):
             assert fields(loaded[fmt]) == fields(ds)
             assert [s.labeled for s in loaded[fmt].all_sets] == [s.labeled for s in ds.all_sets]
     assert fields(loaded["ndjson"]) == fields(loaded["csv"])
+
+
+# ---------------------------------------------------------------------------
+# CSV ingest converts a bounded chunk of rows at a time
+# ---------------------------------------------------------------------------
+
+
+def write_interleaved_csv(ds, path):
+    """save_dataset's CSV with the sets' rows dealt round-robin, not one set after another."""
+    save_dataset(ds, path, "csv")
+    head, *body = path.read_text().splitlines(keepends=True)
+    rank = [(r, k) for k, s in enumerate(ds.all_sets) for r in range(s.n)]
+    path.write_text(head + "".join(line for _, line in sorted(zip(rank, body))))
+
+
+def sets_of_sizes(sizes, q=1, d=1, unlabeled=0, seed=0):
+    """Labeled sets of the given row counts; the last ``unlabeled`` of them carry no params."""
+    rng = np.random.default_rng(seed)
+    sets = [SampleSet(id=f"s{k}", samples=rng.standard_normal((n, q)),
+                      params=None if k >= len(sizes) - unlabeled else np.full(d, float(k)))
+            for k, n in enumerate(sizes)]
+    return Dataset(labeled=tuple(s for s in sets if s.labeled),
+                   unlabeled=tuple(s for s in sets if not s.labeled))
+
+
+@pytest.mark.parametrize("ds, interleaved", [
+    (sets_of_sizes([10_000]), False),
+    (sets_of_sizes([100] * 2000), False),
+    (sets_of_sizes([1500, 1200, 900], unlabeled=1), True),
+    (sets_of_sizes([700] * 5, q=3, d=2, unlabeled=2), True),
+], ids=["one-set-of-1e4", "2000-sets-of-100", "three-interleaved", "q3-interleaved"])
+def test_csv_load_across_chunks_matches_ndjson(tmp_path, ds, interleaved):
+    nd, cs = tmp_path / "d.ndjson", tmp_path / "d.csv"
+    save_dataset(ds, nd, "ndjson")
+    if interleaved:
+        write_interleaved_csv(ds, cs)
+    else:
+        save_dataset(ds, cs, "csv")
+    from_csv, from_ndjson = load_dataset(cs, "csv"), load_dataset(nd, "ndjson")
+    assert fields(from_csv) == fields(from_ndjson) == fields(ds)
+    assert [s.labeled for s in from_csv.all_sets] == [s.labeled for s in ds.all_sets]
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["contiguous", "interleaved"])
+def test_csv_load_peak_bytes_per_value(tmp_path, interleaved):
+    # Holding every cell as text until the file ends cost 84-100 B per 8-B value.
+    ds = sets_of_sizes([10_000] * 20)
+    path = tmp_path / "d.csv"
+    if interleaved:
+        write_interleaved_csv(ds, path)
+    else:
+        save_dataset(ds, path, "csv")
+    tracemalloc.start()
+    try:
+        loaded = load_dataset(path, "csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fields(loaded) == fields(ds)
+    assert peak / 200_000 <= 40
+
+
+@pytest.mark.parametrize("line", [_CSV_CHUNK_ROWS + 1, _CSV_CHUNK_ROWS + 1000],
+                         ids=["last-row-of-a-chunk", "inside-a-later-chunk"])
+@pytest.mark.parametrize("cell, message", [("x", "invalid numeric data"),
+                                           ("nan", "non-finite")], ids=["non-numeric", "nan"])
+def test_csv_bad_cell_beyond_the_first_chunk_names_its_line(tmp_path, cell, message, line):
+    path = tmp_path / "d.csv"
+    write_interleaved_csv(sets_of_sizes([_CSV_CHUNK_ROWS] * 3), path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = lines[line - 1].rsplit(",", 1)[0] + f",{cell}\n"
+    path.write_text("".join(lines))
+    with pytest.raises(DatasetError, match=f"d.csv: line {line}: .*{message}"):
+        load_dataset(path, "csv")
+
+
+def test_csv_parameter_change_after_a_bad_cell_is_the_error(tmp_path):
+    # The bad cell's chunk is converted first, but every row's structure is
+    # checked before any row's values.
+    rows = [f"a,0,{k}\n" for k in range(3 * _CSV_CHUNK_ROWS)]
+    rows[5] = "a,0,x\n"
+    rows[2 * _CSV_CHUNK_ROWS] = "a,0.5,1\n"
+    path = tmp_path / "d.csv"
+    path.write_text("id,p1,s1\n" + "".join(rows))
+    with pytest.raises(DatasetError, match=f"line {2 * _CSV_CHUNK_ROWS + 2}: "
+                                           "set 'a' changes parameters mid-file"):
+        load_dataset(path, "csv")

@@ -246,6 +246,34 @@ def test_import_caps_numpy_blas_threads(case, expected):
     assert int(out.stdout) == expected
 
 
+# Run in a fresh process: load the scipy modules distmirror needs anyway, then
+# import distmirror and print which on-demand scipy modules that added; then
+# take both on-demand paths.
+SCIPY_PROBE = """
+import sys
+import numpy as np
+import scipy.spatial, scipy.special
+before = set(sys.modules)
+import distmirror.cli
+lazy = ("scipy.optimize", "scipy.interpolate")
+print(sorted(m for m in set(sys.modules) - before if m.startswith(lazy)))
+from distmirror import SampleSet, distance_matrix, evaluate_bspline, fit_bspline
+rng = np.random.default_rng(0)
+dm = distance_matrix([SampleSet(id=str(k), samples=rng.standard_normal((8, 3))) for k in range(3)], 2)
+grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
+surf = fit_bspline(grid, grid * 2.0)
+print(bool(np.all(dm.values[~np.eye(3, dtype=bool)] > 0)), evaluate_bspline(surf, [1.5, 2.5]).shape)
+print(all(m in sys.modules for m in lazy))
+"""
+
+
+def test_import_loads_no_assignment_or_spline_module():
+    src = os.path.dirname(os.path.dirname(distmirror._parallel.__file__))
+    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.splitlines() == ["[]", "True (2,)", "True"]
+
+
 def test_distance_matrix_csv_round_trip(tmp_path):
     rng = np.random.default_rng(37)
     # Ids that need quoting, including a lone carriage return, and ids whose
