@@ -18,16 +18,25 @@ inside the pool.  Matrices that small gain nothing from BLAS threads even
 serially, and under the pool each worker's BLAS threads compete for the same
 cores.  On 2 cores, one BLAS thread took the traced mean-sd study's 400
 ``eigh`` calls from 2.60 to 0.78 s of wall time.  With one BLAS thread the
-leave-one-out pool pays: the mean-sd study took 2.46-3.10 s serial against
-1.98-2.54 s pooled (6 runs each).
+leave-one-out pool pays a little in wall time and costs a little cpu time:
+``run_recovery_experiment(seed=0)`` took 1.53-1.64 s wall and 1.72-1.83 s cpu
+serial against 1.24-1.53 s wall and 1.68-2.04 s cpu pooled (3 alternating runs
+each on 2 cores).
+
+scipy's own bundled OpenBLAS serves only the one ``scipy.linalg.solve`` of
+``fit --method bspline``, and it loads only when an input first needs scipy,
+partway through a command.  Each worker thread OpenBLAS starts spins for about
+0.1 s before it sleeps, so importing this module also sets
+``OPENBLAS_NUM_THREADS=1``, which that library reads when it loads: it then
+starts no worker.  On 2 cores this took the mean-sd study's cpu time from
+1.70-1.74 s to 1.57-1.60 s (3 alternating runs each).
 
 A count named in the environment wins: when ``OPENBLAS_NUM_THREADS``,
 ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS`` is set, OpenBLAS reads it itself
-and it is left alone.  Without the bundled library or its
+and both libraries are left alone.  Without numpy's bundled library or its
 ``scipy_openblas_set_num_threads64_`` symbol (a numpy not built from the
-wheels) nothing is changed.  scipy's own bundled OpenBLAS is left alone: it
-serves only the one ``scipy.linalg.solve`` of ``fit --method bspline``.
-Results are the same at any BLAS thread count (``tests/test_recovery.py``).
+wheels) only the variable is set.  Results are the same at any BLAS thread
+count (``tests/test_recovery.py``).
 """
 
 from __future__ import annotations
@@ -66,7 +75,11 @@ _OPENBLAS = _numpy_openblas()
 
 
 def _cap_blas_threads() -> None:
-    if _OPENBLAS is not None and not any(os.environ.get(k) for k in _BLAS_THREAD_SETTINGS):
+    if any(os.environ.get(k) for k in _BLAS_THREAD_SETTINGS):
+        return
+    # Read by scipy's bundled OpenBLAS when it loads, on the first use of scipy.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    if _OPENBLAS is not None:
         _OPENBLAS.scipy_openblas_set_num_threads64_(1)
 
 

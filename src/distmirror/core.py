@@ -6,9 +6,11 @@ generating parameter vector in R^d is known and *unlabeled* otherwise.
 
 Validation lives in the constructors: :class:`SampleSet` checks shape and
 finiteness, :class:`Dataset` checks the invariants across sets.  The loaders
-only parse, and prefix any error with the file and line it comes from.  The
-CSV loader converts sample cells a bounded chunk of rows at a time, so a file's
-values are never all held as text at once.
+only parse, and prefix any error with the file and line it comes from.  Each
+reader reads its file once, front to back, decoding UTF-8 as it goes, so a named
+pipe is as good an input as a file.  The CSV loader converts sample cells a
+bounded chunk of rows at a time, so a file's values are never all held as text
+at once.
 
 On-disk formats
 ---------------
@@ -27,14 +29,15 @@ reports) is read by :func:`read_table` and written by :func:`write_table`.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -194,30 +197,57 @@ def validate_equal_sample_size(ds: Dataset) -> int:
 
 @contextmanager
 def _located(where: str):
-    """Prefix a MirrorError with its location; a failed decode or conversion becomes one."""
+    """Prefix a MirrorError with its location; a failed conversion becomes one."""
     try:
         yield
     except MirrorError as e:
         e.args = (f"{where}: {e}",)
         raise
-    except UnicodeDecodeError as e:
-        raise DatasetError(f"{where}: not valid UTF-8 ({e.reason})") from e
     except (TypeError, ValueError, OverflowError) as e:
         raise DatasetError(f"{where}: invalid numeric data ({e})") from e
 
 
-@contextmanager
-def _open_text(path: Path, newline: str | None = None):
-    """Open a UTF-8 text file; bytes that are not UTF-8 raise a located error."""
-    with open(path, "r", encoding="utf-8", newline=newline) as fh:
+#: Bytes read and decoded at a time.
+_READ_BYTES = 1 << 16
+
+
+def _decoded_blocks(fh, path: Path, lines_read: Callable[[], int]) -> Iterator[io.StringIO]:
+    """The whole lines of each block read from ``fh``, decoded from UTF-8."""
+    pending: list = []  # bytes after the last line break
+    while True:
+        block = fh.read(_READ_BYTES)
+        # A final "\r" may be the first half of "\r\n", so it waits for the next block.
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if block and not cut:
+            pending.append(block)
+            continue
+        pending.append(memoryview(block)[:cut])
+        data = b"".join(pending)
+        pending = [block[cut:]]
         try:
-            yield fh
-        except UnicodeDecodeError:
-            # The decoder reads ahead in chunks, so find the line from the bytes.
-            for lineno, raw in enumerate(path.read_bytes().splitlines(), start=1):
-                with _located(f"{path}: line {lineno}"):
-                    raw.decode("utf-8")
-            raise
+            text = str(data, "utf-8")
+        except UnicodeDecodeError as e:
+            # Hand on the lines before the bad bytes; the next line is the bad one.
+            good = data[:e.start]
+            good = good[:max(good.rfind(b"\n"), good.rfind(b"\r")) + 1]
+            yield io.StringIO(str(good, "utf-8"), newline="")
+            raise DatasetError(f"{path}: line {lines_read() + 1}: "
+                               f"not valid UTF-8 ({e.reason})") from None
+        yield io.StringIO(text, newline="")
+        if not block:
+            return
+
+
+def _lines(fh, path: Path, lines_read: Callable[[], int]) -> Iterator[str]:
+    """The lines of a binary file, decoded from UTF-8 as they are read.
+
+    Lines end at "\\n", "\\r\\n" or a lone "\\r" and keep their ending, as
+    from a file opened with ``newline=""``, so the file is read once even when
+    it is a pipe.  Bytes that are not UTF-8 raise a DatasetError once every
+    line before them has been taken; ``lines_read()`` then says how many the
+    caller took, which locates them on the next line.
+    """
+    return chain.from_iterable(_decoded_blocks(fh, path, lines_read))
 
 
 def _dataset(path: Path, sets: list[SampleSet]) -> Dataset:
@@ -228,10 +258,29 @@ def _dataset(path: Path, sets: list[SampleSet]) -> Dataset:
                        unlabeled=tuple(s for s in sets if not s.labeled))
 
 
+def _json_numbers(values: list, field: str) -> np.ndarray:
+    """A float vector from JSON numbers; true, false, strings and null are not numbers."""
+    if not set(map(type, values)) <= {int, float}:
+        bad = next(v for v in values if type(v) not in (int, float))
+        raise DatasetError(f"'{field}' holds {json.dumps(bad)}, which is not a number")
+    return np.fromiter(values, dtype=np.float64, count=len(values))
+
+
+def _json_samples(rows) -> np.ndarray:
+    """An (n, q) matrix from a JSON list of equal-length lists of numbers."""
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        raise DatasetError("'samples' must be a list of lists of numbers")
+    if len(set(map(len, rows))) > 1:
+        raise DatasetError("'samples' rows differ in length")
+    flat = _json_numbers(list(chain.from_iterable(rows)), "samples")
+    return flat.reshape(len(rows), len(rows[0]) if rows else 0)
+
+
 def _load_ndjson(path: Path) -> Dataset:
     sets: list[SampleSet] = []
-    with _open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    lineno = 0
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(_lines(fh, path, lambda: lineno), start=1):
             if not line.strip():
                 continue
             with _located(f"{path}: line {lineno}"):
@@ -244,10 +293,12 @@ def _load_ndjson(path: Path) -> Dataset:
                 if not isinstance(rec["id"], str):
                     raise DatasetError("'id' must be a string")
                 params = rec.get("params")
+                if params is not None and type(params) is not list:
+                    raise DatasetError("'params' must be a list of numbers")
                 sets.append(SampleSet(
                     id=rec["id"],
-                    samples=np.array(rec["samples"], dtype=np.float64),
-                    params=None if params is None else np.array(params, dtype=np.float64),
+                    samples=_json_samples(rec["samples"]),
+                    params=None if params is None else _json_numbers(params, "params"),
                 ))
     return _dataset(path, sets)
 
@@ -274,19 +325,19 @@ def _samples(rows: list) -> np.ndarray:
 _CSV_CHUNK_ROWS = 4096
 
 
-def _load_csv(path: Path, locate: bool = False) -> Dataset:
+def _load_csv(path: Path) -> Dataset:
     """Check every row's structure in one pass, converting sample cells in chunks.
 
     At most ``_CSV_CHUNK_ROWS`` rows of sample cells are held as text: each
     full chunk is converted in one call and its rows are appended, in file
-    order, to their sets' blocks.  After a failed conversion the pass converts
-    nothing more but still checks every row, so a ragged row or a parameter
-    change later in the file is the error reported.  Then the file is read
-    again with ``locate`` set, which builds a set from every row alone so the
-    error names the row's line.
+    order, to their sets' blocks.  A chunk that fails to convert or holds a
+    non-finite value is checked again one row at a time, so its error names
+    the row's line.  Such a value error, like non-finite parameters, is kept
+    until the pass ends: a ragged row or a parameter change later in the file
+    is the error reported, and of several value errors the earliest line's.
     """
-    with _open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        reader = csv.reader(_lines(fh, path, lambda: reader.line_num))
         header = [h.strip() for h in next(reader, [])]
         if header[:1] != ["id"]:
             raise DatasetError(f"{path}: line 1: header must start with 'id'")
@@ -299,68 +350,81 @@ def _load_csv(path: Path, locate: bool = False) -> Dataset:
 
         # id -> (raw parameter cells of its first row, their values, set index)
         groups: dict[str, tuple] = {}
+        names: list[str] = []  # set index -> id
         blocks: list[list[np.ndarray]] = []  # set index -> its converted rows
-        cells, owners = [], []  # the pending chunk: sample cells, set index per row
-        converted = True
+        # The pending chunk: sample cells and line of each row, and the rows where
+        # a run of one set's rows starts, with that set's index.
+        cells, lines, run_starts, run_owners = [], [], [], []
+        error: tuple[int, DatasetError] | None = None  # the earliest value error, by line
+
+        def check_row(line, set_id, row_cells, params=None):
+            nonlocal error
+            if error is None or line < error[0]:
+                try:
+                    with _located(f"{path}: line {line}"):
+                        SampleSet(id=set_id, samples=_samples([row_cells]), params=params)
+                except DatasetError as e:
+                    error = (line, e)
 
         def convert_chunk():
-            nonlocal converted
-            if converted and cells:
+            if cells and (error is None or lines[0] < error[0]):
                 try:
                     values = _samples(cells)
+                    finite = np.isfinite(values).all()
                 except ValueError:
-                    if locate:
-                        raise
-                    converted = False
-                else:
+                    finite = False
+                owner = np.repeat(run_owners, np.diff(run_starts + [len(cells)]))
+                if not finite:
+                    for row_cells, k, line in zip(cells, owner.tolist(), lines):
+                        check_row(line, names[k], row_cells)
+                elif error is None:
                     # A stable sort gives each set one block per chunk, its rows in file order.
-                    owner = np.array(owners)
                     order = owner.argsort(kind="stable")
                     owner, values = owner[order], values[order]
                     starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
                     for lo, hi in zip(starts, starts[1:] + [len(owner)]):
                         blocks[owner[lo]].append(values[lo:hi])
-            cells.clear()
-            owners.clear()
+            for column in (cells, lines, run_starts, run_owners):
+                column.clear()
 
         width = len(header)
-        for row in reader:
-            if len(row) != width:
-                if any(c.strip() for c in row):
-                    raise DatasetError(f"{path}: line {reader.line_num}: "
-                                       f"expected {width} cells, got {len(row)}")
-                continue
-            raw = params_of(row)
-            group = groups.get(row[0])
-            if group is None or raw != group[0]:
-                with _located(f"{path}: line {reader.line_num}"):
-                    params = _csv_params(raw)
-                    if group is None:
-                        group = groups[row[0]] = (raw, params, len(blocks))
-                        blocks.append([])
-                    elif params != group[1]:
-                        raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
-            if locate:  # before the row joins a chunk, whose conversion names no line
-                with _located(f"{path}: line {reader.line_num}"):
-                    SampleSet(id=row[0], samples=_samples([samples_of(row)]), params=group[1])
-            cells.append(samples_of(row))
-            owners.append(group[2])
-            if len(cells) == _CSV_CHUNK_ROWS:
-                convert_chunk()
-        convert_chunk()
+        read = -1
+        while read != reader.line_num:  # one chunk of rows a pass, until a pass reads none
+            read = reader.line_num
+            last = None  # the group of the chunk's last row
+            for row in islice(reader, _CSV_CHUNK_ROWS):
+                if len(row) != width:
+                    if any(c.strip() for c in row):
+                        raise DatasetError(f"{path}: line {reader.line_num}: "
+                                           f"expected {width} cells, got {len(row)}")
+                    continue
+                raw = params_of(row)
+                group = groups.get(row[0])
+                if group is None or raw != group[0]:
+                    with _located(f"{path}: line {reader.line_num}"):
+                        params = _csv_params(raw)
+                        if group is None:
+                            group = groups[row[0]] = (raw, params, len(blocks))
+                            names.append(row[0])
+                            blocks.append([])
+                            check_row(reader.line_num, row[0], samples_of(row), params)
+                        elif params != group[1]:
+                            raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
+                if group is not last:
+                    run_starts.append(len(cells))
+                    run_owners.append(group[2])
+                    last = group
+                cells.append(samples_of(row))
+                lines.append(reader.line_num)
+            convert_chunk()
 
-    if not converted:
-        return _load_csv(path, locate=True)
+    if error is not None:
+        raise error[1]
     sets = []
     for set_id, (_, params, k) in groups.items():
         samples = np.concatenate(blocks[k])
         blocks[k] = None  # frees the chunks that no later set shares
-        try:
-            sets.append(SampleSet(id=set_id, samples=samples, params=params))
-        except DatasetError:
-            if locate:
-                raise
-            return _load_csv(path, locate=True)
+        sets.append(SampleSet(id=set_id, samples=samples, params=params))
     return _dataset(path, sets)
 
 
@@ -394,8 +458,8 @@ def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, .
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
     header, rows, lines = None, [], {}  # lines: id -> the line it is on
-    with _open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        reader = csv.reader(_lines(fh, path, lambda: reader.line_num))
         for row in reader:
             if not any(c.strip() for c in row) or (not header_ids and row[0].startswith("#")):
                 continue

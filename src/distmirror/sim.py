@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._parallel import map_deterministic
 from .core import Dataset, SampleSet
@@ -162,6 +161,9 @@ def _substream_normal(seed: int, index: int, n: int) -> np.ndarray:
     through the inverse CDF, which is deterministic to the ulp across
     platforms (no rejection branches).
     """
+    # Imported here: only simulated draws read scipy.special, which loaded data never needs.
+    from scipy.special import ndtri
+
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     raw = gen.integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True)

@@ -28,8 +28,6 @@ from itertools import chain
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
-from scipy.spatial import Delaunay, QhullError
 
 from .core import write_table
 from .errors import DegenerateInput, MirrorError, UnsupportedDimension
@@ -286,6 +284,9 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
         simplices = _canonical_simplices(np.column_stack([order[:-1], order[1:]]))
         hull = np.array([order[0], order[-1]], dtype=np.intp)
         return Triangulation(points=points, simplices=simplices, hull=hull)
+
+    # Imported here: only d = 2 reads scipy.spatial, which d = 1 and q = 1 runs never load.
+    from scipy.spatial import Delaunay, QhullError
 
     # The power-of-two prescale is exact and keeps the differences finite.
     unit = np.ldexp(points, -_prescale_exponent(points))
@@ -555,6 +556,9 @@ def fit_bspline(
     )
     normal = design.T @ design + config.penalty * penalty_matrix
     rhs = design.T @ values
+    # Imported here: only spline fitting reads scipy.linalg, slow to load.
+    import scipy.linalg
+
     try:
         coef = scipy.linalg.solve(normal, rhs, assume_a="pos")
     except np.linalg.LinAlgError:

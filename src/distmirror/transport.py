@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from ._parallel import map_deterministic
 from .core import SampleSet, _located, read_table, write_table
@@ -101,6 +100,9 @@ def cost_matrix(a: SampleSet, b: SampleSet, p: float) -> np.ndarray:
     """Dense matrix of per-pair costs ||a_i - b_j||^p (Euclidean norm)."""
     _check_order(p)
     _check_pair(a, b)
+    # Imported here: only q > 1 costs read scipy.spatial, which q = 1 data never loads.
+    from scipy.spatial.distance import cdist
+
     if p == 2:
         return cdist(a.samples, b.samples, "sqeuclidean")
     d = cdist(a.samples, b.samples, "euclidean")

@@ -1,17 +1,25 @@
+import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import distmirror
 from distmirror.cli import main, read_params_csv
 from distmirror.core import (
     _CSV_CHUNK_ROWS,
+    _lines,
     Dataset,
     SampleSet,
     load_dataset,
@@ -248,6 +256,12 @@ BAD_INPUTS = [
                  id="ndjson-empty-params"),
     pytest.param("ndjson", ND_OK + '{"id": "b", "params": 5, "samples": [[1]]}\n', 2,
                  id="ndjson-scalar-params"),
+    pytest.param("ndjson", ND_OK + '{"id": "b", "samples": [[1], [true]]}\n', 2,
+                 id="ndjson-bool-sample"),
+    pytest.param("ndjson", ND_OK + '{"id": "b", "params": [1.5], "samples": [["1.5"], ["2"]]}\n',
+                 2, id="ndjson-string-sample"),
+    pytest.param("ndjson", ND_OK + '{"id": "b", "params": [true], "samples": [[1]]}\n', 2,
+                 id="ndjson-bool-param"),
     pytest.param("ndjson", ND_OK + '{"id": null, "samples": [[1]]}\n', 2, id="ndjson-null-id"),
     pytest.param("ndjson", ND_OK + '{"id": 7, "samples": [[1]]}\n', 2, id="ndjson-number-id"),
     pytest.param("csv", CSV_OK + "a,0\n", 3, id="csv-ragged"),
@@ -311,6 +325,96 @@ def test_bad_input_names_file_and_line(tmp_path, capsys, reader, text, line):
     assert main(cli_argv(reader, str(path), tmp_path)) == 1
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
+
+
+PIPED = ("csv-non-numeric", "csv-nan", "ndjson-not-utf8", "distmat-not-utf8")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("reader, text, line", [p for p in BAD_INPUTS if p.id in PIPED])
+def test_bad_input_through_a_pipe_reads_it_once(tmp_path, reader, text, line):
+    # A reader that opens its input a second time waits forever for a second writer.
+    data = text if isinstance(text, bytes) else text.encode()
+    src = str(Path(distmirror.__file__).parent.parent)
+    code = "import sys; from distmirror.cli import main; sys.exit(main(sys.argv[1:]))"
+
+    def run(path):
+        argv = [sys.executable, "-c", code, *cli_argv(reader, str(path), tmp_path)]
+        proc = subprocess.Popen(argv, stderr=subprocess.PIPE, stdout=subprocess.DEVNULL, text=True,
+                                env={**os.environ, "PYTHONPATH": src})
+        try:
+            err = proc.communicate(timeout=60)[1]
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.communicate()
+            pytest.fail(f"reading {path} did not end")
+        return proc.returncode, err.replace(str(path), "bad.txt")
+
+    regular = tmp_path / "regular.txt"
+    regular.write_bytes(data)
+    pipe = tmp_path / "pipe.txt"
+    os.mkfifo(pipe)
+
+    def feed():
+        try:
+            with open(pipe, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        piped = run(pipe)
+    finally:
+        # Opening the read end releases a writer whose reader never opened the pipe.
+        os.close(os.open(pipe, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(10)
+    assert piped == run(regular)
+    assert piped[0] == 1 and f"bad.txt: line {line}:" in piped[1] and "Traceback" not in piped[1]
+
+
+# Text whose line breaks and multi-byte characters fall across small read blocks.
+texts = st.lists(st.sampled_from(["a", ",", '"', "\u00e9", "\u20ac", "\U0001d11e", "\n", "\r",
+                                  "\r\n", "\x0c", "\u2028"]), max_size=30)
+
+
+@given(texts, st.integers(1, 9))
+def test_property_lines_match_a_text_mode_read(pieces, block):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        path.write_bytes("".join(pieces).encode())
+        with open(path, encoding="utf-8", newline="") as fh:
+            expected = list(fh)
+        with mock.patch("distmirror.core._READ_BYTES", block), open(path, "rb") as fh:
+            assert list(_lines(fh, path, lambda: pytest.fail("no error to locate"))) == expected
+
+
+@given(texts, st.integers(1, 9), st.data())
+def test_property_bad_utf8_hands_on_earlier_lines_then_names_its_own(pieces, block, data):
+    text = "".join(pieces).encode()
+    at = data.draw(st.integers(0, len(text)))
+    raw = text[:at] + b"\xff" + text[at:]
+    # The first line that does not decode alone, by a whole-file split.
+    split = raw.splitlines(keepends=True)
+    bad = next(k for k, line in enumerate(split) if not _decodes(line))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.txt"
+        path.write_bytes(raw)
+        got = []
+        with mock.patch("distmirror.core._READ_BYTES", block), open(path, "rb") as fh:
+            with pytest.raises(DatasetError, match=f"line {bad + 1}: not valid UTF-8"):
+                for line in _lines(fh, path, lambda: len(got)):
+                    got.append(line)
+    assert got == list(io.StringIO(b"".join(split[:bad]).decode(), newline=""))
+
+
+def _decodes(raw):
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -231,47 +231,145 @@ print(lib.scipy_openblas_get_num_threads64_())
 """
 
 
+def blas_env(case):
+    """This checkout on the path, and no BLAS thread count but the one a "named" case names."""
+    src = os.path.dirname(os.path.dirname(distmirror._parallel.__file__))
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    return {**base, "PYTHONPATH": src, **({"OPENBLAS_NUM_THREADS": "2"} if case == "named" else {})}
+
+
 @pytest.mark.parametrize("case, expected", [("default", 1), ("named", 2), ("hidden", 2)])
 def test_import_caps_numpy_blas_threads(case, expected):
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     if not glob.glob(os.path.join(libs, "libscipy_openblas64_*.so")):
         pytest.skip("numpy has no bundled OpenBLAS")
-    src = os.path.dirname(os.path.dirname(distmirror._parallel.__file__))
-    base = {k: v for k, v in os.environ.items()
-            if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
     out = subprocess.run([sys.executable, "-c", BLAS_PROBE, case], capture_output=True,
-                         text=True, check=True, timeout=120,
-                         env={**base, "PYTHONPATH": src,
-                              **({"OPENBLAS_NUM_THREADS": "2"} if case == "named" else {})})
+                         text=True, check=True, timeout=120, env=blas_env(case))
     assert int(out.stdout) == expected
 
 
-# Run in a fresh process: load the scipy modules distmirror needs anyway, then
-# import distmirror and print which on-demand scipy modules that added; then
-# take both on-demand paths.
-SCIPY_PROBE = """
-import sys
-import numpy as np
-import scipy.spatial, scipy.special
-before = set(sys.modules)
-import distmirror.cli
-lazy = ("scipy.optimize", "scipy.interpolate")
-print(sorted(m for m in set(sys.modules) - before if m.startswith(lazy)))
-from distmirror import SampleSet, distance_matrix, evaluate_bspline, fit_bspline
-rng = np.random.default_rng(0)
-dm = distance_matrix([SampleSet(id=str(k), samples=rng.standard_normal((8, 3))) for k in range(3)], 2)
-grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
-surf = fit_bspline(grid, grid * 2.0)
-print(bool(np.all(dm.values[~np.eye(3, dtype=bool)] > 0)), evaluate_bspline(surf, [1.5, 2.5]).shape)
-print(all(m in sys.modules for m in lazy))
+# Run in a fresh process: import distmirror, then load scipy's bundled OpenBLAS
+# through scipy.linalg and print the thread count it started with.
+SCIPY_BLAS_PROBE = """
+import ctypes, glob, os
+import distmirror
+import scipy, scipy.linalg
+libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+lib = ctypes.CDLL(glob.glob(os.path.join(libs, "libscipy_openblas-*.so"))[0])
+print(lib.scipy_openblas_get_num_threads())
 """
 
 
-def test_import_loads_no_assignment_or_spline_module():
+@pytest.mark.parametrize("case, expected", [("default", 1), ("named", 2)])
+def test_scipy_openblas_starts_with_one_thread(case, expected):
+    import scipy
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(scipy.__file__)), "scipy.libs")
+    if not glob.glob(os.path.join(libs, "libscipy_openblas-*.so")):
+        pytest.skip("scipy has no bundled OpenBLAS")
+    out = subprocess.run([sys.executable, "-c", SCIPY_BLAS_PROBE], capture_output=True,
+                         text=True, check=True, timeout=120, env=blas_env(case))
+    assert int(out.stdout) == expected
+
+
+def run_probe(code, *args, threads="1"):
+    """Run ``code`` in a fresh process on this checkout; return its stdout lines."""
     src = os.path.dirname(os.path.dirname(distmirror._parallel.__file__))
-    out = subprocess.run([sys.executable, "-c", SCIPY_PROBE], capture_output=True, text=True,
-                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.splitlines() == ["[]", "True (2,)", "True"]
+    out = subprocess.run([sys.executable, "-c", PROBE_HEAD + code, *map(str, args)],
+                         capture_output=True, text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": src, "MIRROR_THREADS": threads})
+    return out.stdout.splitlines()
+
+
+# Shared by every probe: the scipy modules loaded so far.
+PROBE_HEAD = """
+import sys
+import numpy as np
+scipy_loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+"""
+
+# Import the CLI, then run distmat, embed and diagnose on q = 1 data through main.
+Q1_CLI_PROBE = """
+import contextlib, io, pathlib
+from distmirror.cli import main
+print(scipy_loaded())
+from distmirror.core import Dataset, SampleSet, save_dataset
+tmp = pathlib.Path(sys.argv[1])
+rng = np.random.default_rng(0)
+save_dataset(Dataset(labeled=tuple(
+    SampleSet(id=f"s{k}", samples=rng.standard_normal((20, 1)) + k, params=[float(k)])
+    for k in range(6))), tmp / "d.ndjson")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["distmat", "--input", str(tmp / "d.ndjson"), "--output", str(tmp / "dm.csv")]),
+             main(["embed", "--input", str(tmp / "dm.csv"), "--output", str(tmp / "e.csv")]),
+             main(["diagnose", "--input", str(tmp / "dm.csv")])]
+print(codes, scipy_loaded())
+"""
+
+
+def test_import_loads_no_assignment_or_spline_module(tmp_path):
+    # No scipy module at all: q = 1 distances, embedding and diagnostics run on numpy alone.
+    assert run_probe(Q1_CLI_PROBE, tmp_path) == ["[]", "[0, 0, 0] []"]
+
+
+# Each first use of a scipy-backed path, alone in a fresh process.
+FIRST_USE = {
+    "q3-distance-matrix": ("""
+from distmirror import SampleSet, distance_matrix
+rng = np.random.default_rng(0)
+dm = distance_matrix([SampleSet(id=str(k), samples=rng.standard_normal((8, 3))) for k in range(3)], 2)
+print(bool(np.all(dm.values[~np.eye(3, dtype=bool)] > 0)))
+""", ["scipy.optimize", "scipy.spatial"]),
+    "d2-triangulation": ("""
+from distmirror import delaunay_triangulate
+grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
+print(len(delaunay_triangulate(grid).simplices) == 32)
+""", ["scipy.spatial"]),
+    "spline-fit": ("""
+from distmirror import evaluate_bspline, fit_bspline
+grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
+print(evaluate_bspline(fit_bspline(grid, grid * 2.0), [1.5, 2.5]).shape == (2,))
+""", ["scipy.interpolate", "scipy.linalg"]),
+    "generate": ("""
+from distmirror import FamilyVariant, GaussianFamilySpec, generate
+ds = generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, n=10, seed=0))
+print(ds.m == 100)
+""", ["scipy.special"]),
+}
+
+
+@pytest.mark.parametrize("case", FIRST_USE)
+def test_scipy_package_loads_on_first_use(case):
+    code, packages = FIRST_USE[case]
+    probe = f"""
+import distmirror.cli
+print(scipy_loaded())
+{code}
+print([p for p in {packages!r} if p in sys.modules])
+"""
+    assert run_probe(probe) == ["[]", "True", str(packages)]
+
+
+# Take the first q > 1 assignment and the first simulated draws inside pool
+# workers, then print a digest of each result.
+POOL_FIRST_USE_PROBE = """
+import hashlib
+from distmirror import (FamilyVariant, GaussianFamilySpec, SampleSet, distance_matrix,
+                        generate)
+ds = generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_ONLY, n=30, seed=2))
+rng = np.random.default_rng(1)
+dm = distance_matrix([SampleSet(id=str(k), samples=rng.standard_normal((12, 3)))
+                      for k in range(8)], 1)
+digest = hashlib.sha256(dm.values.tobytes())
+for s in ds.labeled:
+    digest.update(s.samples.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_first_scipy_use_in_pool_threads_matches_serial():
+    assert run_probe(POOL_FIRST_USE_PROBE, threads="2") == run_probe(POOL_FIRST_USE_PROBE)
 
 
 def test_distance_matrix_csv_round_trip(tmp_path):
