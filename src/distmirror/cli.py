@@ -12,14 +12,14 @@ import argparse
 import sys
 import time
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from ._parallel import worker_count
-from .core import load_dataset, read_table, validate_equal_sample_size, write_table
+from .core import (_is_number_text, load_dataset, read_table, validate_equal_sample_size,
+                   write_table)
 from .embedding import (
     cmds,
     realizability_diagnostics,
@@ -143,12 +143,11 @@ def _cmd_fit(args) -> int:
 
     # The fitters reject unsupported dimensions, so they run before the grid is built.
     if args.method == "delaunay":
-        tri = delaunay_triangulate(work)
-        evaluate = partial(interpolate, MirrorSurface(tri, coords))
+        surface = MirrorSurface(delaunay_triangulate(work), coords)
+        tri, evaluate = surface.tri, interpolate
     else:
-        bsurf = fit_bspline(work, coords, BSplineConfig(**spline))
-        tri = bsurf.domain
-        evaluate = partial(evaluate_bspline, bsurf)
+        surface = fit_bspline(work, coords, BSplineConfig(**spline))
+        tri, evaluate = surface.domain, evaluate_bspline
     if args.triangulation:
         write_triangulation(replace(tri, points=params), args.triangulation)
 
@@ -156,11 +155,8 @@ def _cmd_fit(args) -> int:
     axes = [np.linspace(lo, hi, args.grid_res)
             for lo, hi in zip(params.min(axis=0), params.max(axis=0))]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    rows = []
-    for x in grid:
-        value = evaluate(scaling.transform(x) if scaling else x)
-        if value is not None:
-            rows.append([*x, *np.atleast_1d(value)])
+    values = evaluate(surface, scaling.transform(grid) if scaling else grid)
+    rows = np.hstack([grid, values])[~np.isnan(values).any(axis=1)]
     note = None
     if scaling:
         note = ("normalized axes: offset=" + ",".join(repr(float(v)) for v in scaling.offset)
@@ -210,13 +206,30 @@ def _cmd_recover(args) -> int:
     return 0
 
 
+def _number(kind: type, noun: str):
+    """argparse type of a number that ``kind`` reads from ASCII text without '_'."""
+    def parse(text: str):
+        try:
+            if _is_number_text(text):
+                return kind(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
+
+    return parse
+
+
+_int = _number(int, "an integer")
+_float = _number(float, "a number")
+
+
 def _dim(text: str) -> int | str:
     """argparse type of a mirror dimension: a positive integer or 'auto'."""
     if text == "auto":
         return text
     try:
-        value = int(text)
-    except ValueError:
+        value = _int(text)
+    except argparse.ArgumentTypeError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer or 'auto', got {text!r}")
@@ -226,8 +239,8 @@ def _dim(text: str) -> int | str:
 def _int_list(text: str) -> tuple[int, ...]:
     """argparse type of a non-empty comma-separated integer list."""
     try:
-        values = tuple(int(v) for v in text.split(",") if v.strip())
-    except ValueError:
+        values = tuple(_int(v) for v in text.split(",") if v.strip())
+    except argparse.ArgumentTypeError:
         values = ()
     if not values:
         raise argparse.ArgumentTypeError(f"expected a comma-separated integer list, got {text!r}")
@@ -322,14 +335,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embedding", required=True, help="embedding CSV from 'embed'")
     p.add_argument("--params", required=True, help="parameter CSV (id, p1..pd)")
     p.add_argument("--method", choices=["delaunay", "bspline"], default="delaunay")
-    p.add_argument("--grid-res", type=int, default=25, help="evaluation grid resolution")
+    p.add_argument("--grid-res", type=_int, default=25, help="evaluation grid resolution")
     p.add_argument("--output", required=True, help="surface evaluation CSV")
     p.add_argument("--triangulation", help="optional triangulation export CSV")
     p.add_argument("--normalize-params", action="store_true")
-    p.add_argument("--degree", type=int, help="spline degree; --method bspline only")
-    p.add_argument("--knots", type=int,
+    p.add_argument("--degree", type=_int, help="spline degree; --method bspline only")
+    p.add_argument("--knots", type=_int,
                    help="spline interior knots per axis; --method bspline only")
-    p.add_argument("--penalty", type=float, help="spline penalty; --method bspline only")
+    p.add_argument("--penalty", type=_float, help="spline penalty; --method bspline only")
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("recover", help="recover parameters of unlabeled sets")
@@ -349,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--n-values", type=_int_list, help="comma-separated sample sizes")
     p.add_argument("--seeds", type=_int_list, help="comma-separated seeds; mean-only study only")
-    p.add_argument("--seed", type=int, help="seed; mean-sd study only")
+    p.add_argument("--seed", type=_int, help="seed; mean-sd study only")
     p.set_defaults(handler=_cmd_simulate)
 
     return parser

@@ -303,6 +303,25 @@ def _load_ndjson(path: Path) -> Dataset:
     return _dataset(path, sets)
 
 
+def _is_number_text(text: str) -> bool:
+    """Is text free of what Python's int and float read beyond ASCII decimal
+    numbers: '_' digit separators and non-ASCII digits and spaces?"""
+    return text.isascii() and "_" not in text
+
+
+def _floats(cells: list | tuple) -> np.ndarray:
+    """Convert CSV cells, strings or equal-length tuples of them, to a float array.
+
+    numpy converts text as Python's float does; a cell that fails
+    :func:`_is_number_text` raises the ValueError of text it cannot convert.
+    """
+    flat = cells if not cells or isinstance(cells[0], str) else list(chain.from_iterable(cells))
+    if not _is_number_text("".join(flat)):
+        bad = next(c for c in flat if not _is_number_text(c))
+        raise ValueError(f"could not convert string to float: {bad!r}")
+    return np.array(cells, dtype=np.float64)
+
+
 def _csv_params(cells: str | tuple[str, ...]) -> tuple[float, ...] | None:
     """The parameter cells of one CSV row: all empty (unlabeled) or all numbers."""
     cells = (cells,) if isinstance(cells, str) else cells
@@ -311,12 +330,12 @@ def _csv_params(cells: str | tuple[str, ...]) -> tuple[float, ...] | None:
         return None
     if any(empty):
         raise DatasetError("partially empty parameter cells")
-    return tuple(np.array(cells, dtype=np.float64).tolist())
+    return tuple(_floats(cells).tolist())
 
 
 def _samples(rows: list) -> np.ndarray:
     """Convert rows of sample cells (strings, or tuples of them) to an (n, q) matrix."""
-    return np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    return _floats(rows).reshape(len(rows), -1)
 
 
 #: Rows of sample cells held as text at once, counted across all sets, before
@@ -471,7 +490,7 @@ def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, .
                     raise DatasetError(f"expected {len(header)} cells, got {len(row)}")
                 else:
                     ids = [] if header_ids else [row[0]]
-                    rows.append(np.array(row if header_ids else row[1:], dtype=np.float64))
+                    rows.append(_floats(row if header_ids else row[1:]))
                     if not np.all(np.isfinite(rows[-1])):
                         raise DatasetError("non-finite value")
                 for i in ids:

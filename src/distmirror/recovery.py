@@ -154,7 +154,7 @@ def recover_parameter(
     return RecoveryResult(
         x_hat=x_hat,
         residual=float(np.sqrt(value[best])),
-        on_boundary=near_hull_boundary(tri, x_hat),
+        on_boundary=bool(near_hull_boundary(tri, x_hat[None])[0]),
     )
 
 

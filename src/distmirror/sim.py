@@ -318,9 +318,9 @@ def _truth_on_reduced_hull(grid: np.ndarray, i: int) -> bool:
     Deleted hull vertices cannot be recovered exactly: their truth lies
     outside the reduced hull, and edge points sit exactly on it.
     """
-    rest = np.delete(grid, i, axis=0)
-    tri = delaunay_triangulate(rest)
-    return locate(tri, grid[i]) is None or near_hull_boundary(tri, grid[i])
+    tri = delaunay_triangulate(np.delete(grid, i, axis=0))
+    truth = grid[i:i + 1]
+    return bool(locate(tri, truth)[0] < 0 or near_hull_boundary(tri, truth)[0])
 
 
 def run_recovery_experiment(

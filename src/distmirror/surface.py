@@ -3,7 +3,9 @@
 The observed parameter points are triangulated (Delaunay for d = 2, sorted
 segments for d = 1); a mirror value in R^c sits at every vertex and is
 interpolated barycentrically inside each simplex.  Nothing is ever
-extrapolated: queries outside the convex hull return the ``None`` sentinel.
+extrapolated: every query takes an (N, d) array of points, answers each row,
+and outside the convex hull answers -1 (``locate``) or a NaN row (the
+evaluators), as scipy's ``find_simplex`` and ``LinearNDInterpolator`` do.
 
 A penalized tensor-product B-spline fit is available as a smooth
 alternative for d = 2.
@@ -82,8 +84,8 @@ class Triangulation:
         if points.ndim != 2:
             raise MirrorError("points must be an (m, d) matrix")
         d = points.shape[1]
-        if simplices.ndim != 2 or simplices.shape[1] != d + 1:
-            raise MirrorError("simplices must be a (K, d+1) index matrix")
+        if simplices.ndim != 2 or simplices.shape[1] != d + 1 or not len(simplices):
+            raise MirrorError("simplices must be a (K, d+1) index matrix with K >= 1")
         # Homogeneous inverse per simplex: lambda = _bary[k] @ [x, 1].
         homogeneous = np.ones((len(simplices), d + 1, d + 1))
         homogeneous[:, :d] = points[simplices].transpose(0, 2, 1)
@@ -326,57 +328,78 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
 # ---------------------------------------------------------------------------
 
 
-def _homogeneous(tri: Triangulation, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if x.shape != (tri.d,):
-        raise MirrorError(f"query point has shape {x.shape}, expected ({tri.d},)")
-    return np.append(x, 1.0)
+#: Floats a query holds at once.  ``locate`` holds simplices x (d+1) of them
+#: per query point and the boundary distance hull edges x d, so each takes as
+#: many rows at a time as fit in this many floats (128 KB), and at least one.
+_QUERY_FLOATS = 1 << 14
 
 
-def locate(tri: Triangulation, x: np.ndarray) -> int | None:
-    """Index of the simplex containing x, or None when x is outside the hull.
+def _rows(tri: Triangulation, x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != tri.d:
+        raise MirrorError(f"query points have shape {x.shape}, expected (N, {tri.d})")
+    return x
+
+
+def _blockwise(answer, x: np.ndarray, row_floats: int) -> np.ndarray:
+    """``answer`` of x's rows, as many at a time as hold ``_QUERY_FLOATS`` floats."""
+    step = max(1, _QUERY_FLOATS // row_floats)
+    return np.concatenate([answer(x[i:i + step]) for i in range(0, len(x) or 1, step)])
+
+
+def locate(tri: Triangulation, x: np.ndarray) -> np.ndarray:
+    """Index of the simplex containing each row of x, or -1 outside the hull.
 
     Points on shared faces resolve to the lowest simplex index.
     """
-    lam = tri._bary @ _homogeneous(tri, x)
-    feasible = np.flatnonzero(lam.min(axis=1) >= -BARY_TOL)
-    return int(feasible[0]) if feasible.size else None
+    def block(xb):
+        lam = (tri._bary @ np.column_stack([xb, np.ones(len(xb))])[:, None, :, None])[..., 0]
+        inside = lam.min(axis=2) >= -BARY_TOL
+        return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
+
+    return _blockwise(block, _rows(tri, x), tri.n_simplices * (tri.d + 1))
 
 
-def barycentric(tri: Triangulation, simplex: int, x: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of x in the given simplex.
+def barycentric(tri: Triangulation, simplex: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of each row of x in its simplex, shape (N, d+1).
 
     Coordinates are clamped to [0, 1] and renormalized to sum to one;
-    a vertex query returns an exact unit vector.  Raises when x lies
-    outside the simplex beyond tolerance.
+    a vertex query returns an exact unit vector.  Raises on a simplex index
+    outside [0, K), such as ``locate``'s -1, and on a point outside its
+    simplex beyond tolerance.
     """
-    if not 0 <= simplex < tri.n_simplices:
-        raise MirrorError(f"simplex index {simplex} out of range")
-    xh = _homogeneous(tri, x)
-    vertex = np.flatnonzero((tri.points[tri.simplices[simplex]] == xh[:-1]).all(axis=1))
-    if vertex.size:
-        return np.eye(tri.d + 1)[vertex[0]]
-    lam = tri._bary[simplex] @ xh
-    if lam.min() < -BARY_TOL:
-        raise MirrorError(
-            f"point {xh[:-1].tolist()} lies outside simplex {simplex} "
-            f"(min coordinate {lam.min():.3e})"
-        )
+    x, sid = _rows(tri, x), np.asarray(simplex)
+    if sid.shape != x.shape[:1] or sid.dtype.kind not in "iu":
+        raise MirrorError(f"need one integer simplex index per row, got {sid.dtype} {sid.shape}")
+    bad = np.flatnonzero((sid < 0) | (sid >= tri.n_simplices))
+    if bad.size:
+        raise MirrorError(f"row {bad[0]}: simplex index {sid[bad[0]]} out of range "
+                          f"[0, {tri.n_simplices})")
+    vertex = (tri.points[tri.simplices[sid]] == x[:, None, :]).all(axis=2)
+    at_vertex = vertex.any(axis=1, keepdims=True)
+    lam = (tri._bary[sid] @ np.column_stack([x, np.ones(len(x))])[:, :, None])[..., 0]
+    outside = np.flatnonzero(~at_vertex[:, 0] & (lam.min(axis=1) < -BARY_TOL))
+    if outside.size:
+        i = outside[0]
+        raise MirrorError(f"row {i}: point {x[i].tolist()} lies outside simplex {sid[i]} "
+                          f"(min coordinate {lam[i].min():.3e})")
     lam = np.clip(lam, 0.0, 1.0)
-    return lam / lam.sum()
+    return np.where(at_vertex, vertex, lam / lam.sum(axis=1, keepdims=True))
 
 
-def interpolate(surface: MirrorSurface, x: np.ndarray) -> np.ndarray | None:
-    """Piecewise-linear interpolant value at x; None outside the hull.
+def interpolate(surface: MirrorSurface, x: np.ndarray) -> np.ndarray:
+    """Piecewise-linear interpolant at each row of x, shape (N, c); NaN rows outside the hull.
 
     Exact at vertices, continuous across shared faces, and affine inside
     each simplex (so affine data is reproduced everywhere).
     """
-    sid = locate(surface.tri, x)
-    if sid is None:
-        return None
-    lam = barycentric(surface.tri, sid, x)
-    return lam @ surface.values[surface.tri.simplices[sid]]
+    tri, x = surface.tri, _rows(surface.tri, x)
+    sid = locate(tri, x)
+    inside = sid >= 0
+    lam = barycentric(tri, sid[inside], x[inside])
+    out = np.full((len(x), surface.c), np.nan)
+    out[inside] = (lam[:, None, :] @ surface.values[tri.simplices[sid[inside]]])[:, 0]
+    return out
 
 
 def simplex_gradients(surface: MirrorSurface) -> np.ndarray:
@@ -404,34 +427,41 @@ def jacobian_condition_numbers(surface: MirrorSurface) -> np.ndarray:
     return np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] != 0)
 
 
-def _prescaled_boundary_distance(tri: Triangulation, x: np.ndarray) -> tuple[float, int, float]:
-    """(distance from x to the hull boundary, e, largest extent), all divided by
-    2**e of :func:`_prescale_exponent` so that nothing overflows or underflows."""
+def _prescaled_boundary_distance(
+    tri: Triangulation, x: np.ndarray
+) -> tuple[np.ndarray, int, float]:
+    """(distance from each row of x to the hull boundary, e, largest extent), all divided
+    by 2**e of :func:`_prescale_exponent` so that nothing overflows or underflows."""
     e = _prescale_exponent(tri.points)
-    x = np.ldexp(np.atleast_1d(np.asarray(x, dtype=np.float64)), -e)
     pts = np.ldexp(tri.points, -e)
     extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-    if tri.d == 1:
-        return float(np.abs(x[0] - pts[tri.hull, 0]).min()), e, extent
-    a = pts[tri.hull]  # edge k runs from hull vertex k to vertex k + 1
+    a = pts[tri.hull]  # for d = 2, edge k runs from hull vertex k to vertex k + 1
     ab = np.roll(a, -1, axis=0) - a
     denom = np.einsum("kj,kj->k", ab, ab)
-    t = np.divide(np.einsum("kj,kj->k", x - a, ab), denom,
-                  out=np.zeros(len(a)), where=denom != 0)
-    nearest = a + np.clip(t, 0.0, 1.0)[:, None] * ab
-    return float(np.linalg.norm(x - nearest, axis=1).min()), e, extent
+
+    def block(x):
+        x = np.ldexp(x, -e)[:, None, :]
+        if tri.d == 1:
+            return np.abs(x - a).min(axis=1)[:, 0]
+        t = np.divide(np.einsum("nkj,kj->nk", x - a, ab), denom,
+                      out=np.zeros((len(x), len(a))), where=denom != 0)
+        nearest = a + np.clip(t, 0.0, 1.0)[..., None] * ab
+        return np.linalg.norm(x - nearest, axis=2).min(axis=1)
+
+    return _blockwise(block, _rows(tri, x), a.size), e, extent
 
 
-def hull_boundary_distance(tri: Triangulation, x: np.ndarray) -> float:
-    """Euclidean distance from x to the hull boundary."""
+def hull_boundary_distance(tri: Triangulation, x: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of x to the hull boundary."""
     dist, e, _ = _prescaled_boundary_distance(tri, x)
-    return float(np.ldexp(dist, e))
+    return np.ldexp(dist, e)
 
 
-def near_hull_boundary(tri: Triangulation, x: np.ndarray) -> bool:
-    """Is x within ``BOUNDARY_TOL`` times the points' largest extent of the hull boundary?"""
+def near_hull_boundary(tri: Triangulation, x: np.ndarray) -> np.ndarray:
+    """Is each row of x within ``BOUNDARY_TOL`` times the points' largest extent
+    of the hull boundary?"""
     dist, _, extent = _prescaled_boundary_distance(tri, x)
-    return bool(dist <= BOUNDARY_TOL * extent)
+    return dist <= BOUNDARY_TOL * extent
 
 
 # ---------------------------------------------------------------------------
@@ -578,14 +608,15 @@ def fit_bspline(
     )
 
 
-def evaluate_bspline(surf: BSplineSurface, x: np.ndarray) -> np.ndarray | None:
-    """Spline value at x, with the same Outside rule as ``interpolate``."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if locate(surf.domain, x) is None:
-        return None
-    bx = _basis_rows(x[:1], surf.knots[0], surf.degree)[0]
-    by = _basis_rows(x[1:2], surf.knots[1], surf.degree)[0]
-    return np.einsum("i,j,ijc->c", bx, by, surf.coefficients)
+def evaluate_bspline(surf: BSplineSurface, x: np.ndarray) -> np.ndarray:
+    """Spline value at each row of x, shape (N, c), NaN outside the hull like ``interpolate``."""
+    x = _rows(surf.domain, x)
+    inside = locate(surf.domain, x) >= 0
+    out = np.full((len(x), surf.coefficients.shape[2]), np.nan)
+    if inside.any():  # scipy's design matrix needs a point
+        bx, by = (_basis_rows(x[inside, k], surf.knots[k], surf.degree) for k in (0, 1))
+        out[inside] = np.einsum("ni,nj,ijc->nc", bx, by, surf.coefficients)
+    return out
 
 
 def write_triangulation(tri: Triangulation, path: str | Path) -> None:

@@ -234,18 +234,18 @@ def test_criterion_5_geometry_suite():
         weights = rng.random((10_000, len(hull_pts)))
         weights /= weights.sum(axis=1, keepdims=True)
         queries = weights @ hull_pts
-        for x in queries:
-            sid = locate(tri, x)
-            assert sid is not None
-            lam = barycentric(tri, sid, x)
-            assert abs(lam.sum() - 1.0) <= 1e-12
-            assert np.max(np.abs(lam @ tri.points[tri.simplices[sid]] - x)) <= 1e-10 * scale
+        sid = locate(tri, queries)
+        assert sid.min() >= 0
+        lam = barycentric(tri, sid, queries)
+        assert np.max(np.abs(lam.sum(axis=1) - 1.0)) <= 1e-12
+        rebuilt = np.einsum("nv,nvd->nd", lam, tri.points[tri.simplices[sid]])
+        assert np.max(np.abs(rebuilt - queries)) <= 1e-10 * scale
 
         a = rng.standard_normal((2, 2))
         bias = rng.standard_normal(2)
         surf = MirrorSurface(tri, pts @ a.T + bias)
-        for x in queries[:500]:
-            assert np.max(np.abs(interpolate(surf, x) - (a @ x + bias))) <= 1e-10
+        x = queries[:500]
+        assert np.max(np.abs(interpolate(surf, x) - (x @ a.T + bias))) <= 1e-10
 
         values = rng.standard_normal((120, 2))
         surf = MirrorSurface(tri, values)
@@ -254,12 +254,12 @@ def test_criterion_5_geometry_suite():
             for u, v in ((s[0], s[1]), (s[1], s[2]), (s[2], s[0])):
                 edges.setdefault((min(u, v), max(u, v)), []).append(sid)
         shared = [(e, s) for e, s in edges.items() if len(s) == 2][:100]
-        for (u, v), (s1, s2) in shared:
-            t = rng.random()
-            x = tri.points[u] * t + tri.points[v] * (1 - t)
-            va = barycentric(tri, s1, x) @ surf.values[tri.simplices[s1]]
-            vb = barycentric(tri, s2, x) @ surf.values[tri.simplices[s2]]
-            assert np.max(np.abs(va - vb)) <= 1e-10
+        ends, sides = (np.array(part) for part in zip(*shared))
+        t = rng.random((len(shared), 1))
+        x = tri.points[ends[:, 0]] * t + tri.points[ends[:, 1]] * (1 - t)
+        va, vb = (np.einsum("nv,nvc->nc", barycentric(tri, s, x), surf.values[tri.simplices[s]])
+                  for s in sides.T)
+        assert np.max(np.abs(va - vb)) <= 1e-10
         assert time.perf_counter() - start < 30.0
 
 

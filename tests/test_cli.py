@@ -140,7 +140,7 @@ def test_memory_error_is_an_error_line(tmp_path, capsys, monkeypatch, error, lin
 
 
 @pytest.mark.parametrize("command", ["embed", "recover"])
-@pytest.mark.parametrize("dim", ["0", "-1", "x"])
+@pytest.mark.parametrize("dim", ["0", "-1", "x", "1_0", "\u0662"])
 def test_bad_dim_is_usage_error_before_reading(tmp_path, capsys, command, dim):
     with pytest.raises(SystemExit) as exc:
         main([command, "--input", str(tmp_path / "gone.csv"), "--dim", dim,
@@ -148,6 +148,40 @@ def test_bad_dim_is_usage_error_before_reading(tmp_path, capsys, command, dim):
     assert exc.value.code == 2
     assert f"argument --dim: expected a positive integer or 'auto', got '{dim}'" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("option, text, noun", [
+    ("--seed", "\u0660", "an integer"),
+    ("--seed", "1_0", "an integer"),
+    ("--grid-res", "\uff15", "an integer"),
+    ("--degree", "1_0", "an integer"),
+    ("--knots", "\u00a03", "an integer"),
+    ("--penalty", "1_0.5", "a number"),
+    ("--penalty", "\u0661e-2", "a number"),
+    ("--penalty", "x", "a number"),
+], ids=["seed-arabic-indic", "seed-underscore", "grid-res-fullwidth", "degree-underscore",
+        "knots-nbsp", "penalty-underscore", "penalty-arabic-indic", "penalty-word"])
+def test_number_option_outside_ascii_decimal_is_usage_error(tmp_path, capsys, option, text, noun):
+    # Python's int and float read these as numbers; the options take ASCII decimals only.
+    command = (["simulate", "--experiment", "mean-sd", "--output-dir", str(tmp_path / "o")]
+               if option == "--seed" else
+               ["fit", "--embedding", "e.csv", "--params", "p.csv", "--output", "o.csv",
+                "--method", "bspline"])
+    with pytest.raises(SystemExit) as exc:
+        main(command + [option, text])
+    assert exc.value.code == 2
+    assert f"argument {option}: expected {noun}, got {text!r}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("values", ["1_0", "10,\u0662\u0660"])
+def test_n_values_outside_ascii_decimal_is_usage_error(tmp_path, capsys, values):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--experiment", "mean-sd", "--n-values", values, "--seed", "0",
+              "--output-dir", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --n-values: expected a comma-separated integer list" in err
 
 
 def test_diagnose_prints_summary(tmp_path, capsys):
@@ -606,11 +640,9 @@ def test_file_pipeline_matches_in_process(tmp_path):
     ds = load_dataset(data)
     emb = cmds(distance_matrix(list(ds.all_sets), 2), 2)
     surf = MirrorSurface(delaunay_triangulate(grid), emb.coords)
-    rows = read_csv_rows(surf_path)[1:]
-    for r in rows:
-        x = np.array([float(r[0]), float(r[1])])
-        got = np.array([float(c) for c in r[2:]])
-        np.testing.assert_allclose(got, interpolate(surf, x), atol=1e-9)
+    rows = np.array(read_csv_rows(surf_path)[1:], dtype=float)
+    assert rows.shape == (25, 4)  # the 5 x 5 grid spans the parameters' hull
+    np.testing.assert_allclose(rows[:, 2:], interpolate(surf, rows[:, :2]), atol=1e-9)
 
 
 @pytest.mark.parametrize("threads", ["two", "0", "-3"])

@@ -271,6 +271,14 @@ BAD_INPUTS = [
     pytest.param("csv", CSV_OK + "b,inf,2\nb,inf,3\n", 3, id="csv-inf-param"),
     pytest.param("csv", "id,p1,p2,s1\na,0,0,1\nb,1,,2\n", 3, id="csv-partly-empty-params"),
     pytest.param("csv", CSV_OK + "a,0.5,2\n", 3, id="csv-params-change"),
+    # Python's float reads '_' separators and non-ASCII digits and spaces; CSV numbers do not.
+    pytest.param("csv", CSV_OK + "b,1,1_000\n", 3, id="csv-underscore-sample"),
+    pytest.param("csv", CSV_OK + "b,1,2\nb,1,\u0661\u0662\n", 4, id="csv-arabic-indic-sample"),
+    pytest.param("csv", CSV_OK + "b,1,\u20032\n", 3, id="csv-em-space-sample"),
+    pytest.param("csv", CSV_OK + "b,1_0,2\n", 3, id="csv-underscore-param"),
+    pytest.param("distmat", "a,b\n0,1_0\n1_0,0\n", 2, id="distmat-underscore"),
+    pytest.param("embedding", EMBEDDING_OK + "c,\uff11\n", 4, id="embedding-fullwidth"),
+    pytest.param("params", PARAMS_OK + "c,1_0\n", 4, id="params-underscore"),
     pytest.param("distmat", "a,b\n0,1\n1\n", 3, id="distmat-ragged"),
     pytest.param("distmat", "a,b\n0,1\n1,x\n", 3, id="distmat-non-numeric"),
     pytest.param("distmat", "a,b\n0,1\nnan,0\n", 3, id="distmat-nan"),

@@ -151,7 +151,7 @@ def test_boundary_flags_and_distances_do_not_depend_on_scale(shape, scale):
     params = unit * scale
     tri = delaunay_triangulate(params)
     # (0.25, 0.25) lies 0.25 from the bottom edge of both shapes, farther from the rest.
-    dist = hull_boundary_distance(tri, np.array([0.25, 0.25]) * scale)
+    (dist,) = hull_boundary_distance(tri, np.array([[0.25, 0.25]]) * scale)
     assert dist / scale == pytest.approx(0.25, rel=1e-12)
     # Mirror values stay at unit scale, so only the parameters are scaled.
     assert recover_parameter(identity_embedding(unit, [0.25, -1.0]), params).on_boundary
@@ -204,8 +204,8 @@ def test_global_minimum_against_random_probes(problem):
                         for j in range(res + 1 - i)]) / res
     probes = np.einsum("pv,kvc->kpc", weights, values[tri.simplices])
     assert rec.residual <= np.linalg.norm(probes - target, axis=2).min() + 1e-9
-    at_x_hat = interpolate(MirrorSurface(tri, values), rec.x_hat)
-    assert at_x_hat is not None
+    (at_x_hat,) = interpolate(MirrorSurface(tri, values), rec.x_hat[None])
+    assert np.isfinite(at_x_hat).all()
     assert rec.residual == pytest.approx(np.linalg.norm(at_x_hat - target), abs=1e-9)
 
 

@@ -1,10 +1,14 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from distmirror.errors import DegenerateInput, MirrorError, UnsupportedDimension
 from distmirror.surface import (
+    BARY_TOL,
     BOUNDARY_TOL,
+    _QUERY_FLOATS,
     BSplineConfig,
     MirrorSurface,
     Triangulation,
@@ -148,6 +152,11 @@ def test_degenerate_simplex_named():
         Triangulation(points=pts, simplices=[[0, 1, 3], [0, 1, 2]], hull=[0, 2, 3])
 
 
+def test_triangulation_needs_a_simplex():
+    with pytest.raises(MirrorError, match="K >= 1"):
+        Triangulation(points=np.eye(2), simplices=np.empty((0, 3), dtype=int), hull=[0, 1])
+
+
 def tiny_cluster(kind, r):
     corners = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
     if kind == "hexagon":
@@ -203,8 +212,7 @@ def test_coverage_and_area():
         p = pts[s]
         areas.append(0.5 * abs(np.linalg.det(np.array([p[1] - p[0], p[2] - p[0]]))))
     assert sum(areas) == pytest.approx(hull_area(pts, tri.hull), rel=1e-9)
-    for x in random_hull_points(tri, rng, 1000):
-        assert locate(tri, x) is not None
+    assert (locate(tri, random_hull_points(tri, rng, 1000)) >= 0).all()
 
 
 def cocircular(points, t1, t2):
@@ -317,45 +325,147 @@ def kite():
 
 
 def test_locate_interior(kite):
-    sid = locate(kite, np.array([2.0, 0.5]))
-    assert sid is not None
-    lam = barycentric(kite, sid, np.array([2.0, 0.5]))
-    assert lam.min() >= 0
+    x = np.array([[2.0, 0.5]])
+    sid = locate(kite, x)
+    assert sid.shape == (1,) and sid[0] >= 0
+    assert barycentric(kite, sid, x).min() >= 0
 
 
 def test_locate_shared_vertex_lowest_id(kite):
     # the shared vertex belongs to all three simplices; index 0 wins
-    assert locate(kite, np.array([1.0, 1.0])) == 0
+    assert locate(kite, [[1.0, 1.0]]).tolist() == [0]
 
 
 def test_locate_outside(kite):
-    assert locate(kite, np.array([50.0, 50.0])) is None
+    sid = locate(kite, [[50.0, 50.0], [2.0, 0.5], [-1e-3, 0.0]])
+    assert sid[[0, 2]].tolist() == [-1, -1] and sid[1] >= 0
+
+
+@st.composite
+def query_problems(draw):
+    """A d = 1 or d = 2 triangulation, a pool of query points and rows drawn from it.
+
+    The pool holds the vertices (the shared faces for d = 1), points on simplex
+    edges (shared or hull edges for d = 2), interior points, and points just or
+    far outside the hull.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    if draw(st.booleans()):
+        pts = draw(point_sets)
+    else:
+        m = draw(st.integers(2, 12))
+        pts = np.cumsum(rng.uniform(0.1, 1.0, m))[rng.permutation(m), None]
+        pts = pts * 10.0 ** draw(st.integers(-6, 6))
+    tri = delaunay_triangulate(pts)
+    corners = tri.points[tri.simplices[rng.integers(tri.n_simplices, size=16)]]
+    t = rng.random((16, 1))
+    edge = corners[:, 0] * t + corners[:, 1] * (1 - t)
+    interior = np.einsum("nv,nvd->nd", rng.dirichlet(np.ones(tri.d + 1), 16), corners)
+    centre = tri.points.mean(axis=0)
+    push = rng.uniform(1.0 + 1e-6, 3.0, (len(tri.hull), 1))
+    outside = centre + (tri.points[tri.hull] - centre) * push
+    pool = np.vstack([tri.points, edge, interior, outside])
+    # More rows than one block of locate and one of the boundary distance.
+    block = _QUERY_FLOATS // min(tri.n_simplices * (tri.d + 1), len(tri.hull) * tri.d)
+    rows = rng.integers(len(pool), size=block + draw(st.integers(1, 300)))
+    return tri, pool, rows
+
+
+def former_interpolate(surf, x):
+    """The one-point interpolant of earlier versions, whose bytes ``fit`` keeps."""
+    tri = surf.tri
+    xh = np.append(x, 1.0)
+    feasible = np.flatnonzero((tri._bary @ xh).min(axis=1) >= -BARY_TOL)
+    if not feasible.size:
+        return np.full(surf.c, np.nan)
+    sid = feasible[0]
+    vertex = np.flatnonzero((tri.points[tri.simplices[sid]] == x).all(axis=1))
+    if vertex.size:
+        lam = np.eye(tri.d + 1)[vertex[0]]
+    else:
+        lam = np.clip(tri._bary[sid] @ xh, 0.0, 1.0)
+        lam = lam / lam.sum()
+    return lam @ surf.values[tri.simplices[sid]]
+
+
+def same_bits(got, expect):
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+@given(query_problems())
+def test_property_batched_queries_match_one_row_calls(problem):
+    tri, pool, rows = problem
+    surf = MirrorSurface(tri, np.random.default_rng(len(pool)).standard_normal((tri.m, 2)))
+    queries = [partial(locate, tri), partial(interpolate, surf),
+               partial(hull_boundary_distance, tri), partial(near_hull_boundary, tri)]
+    if tri.d == 2:
+        # A spline over the triangulation's bounding box, whose edges hold some pool points.
+        lo, hi = tri.points.min(axis=0), tri.points.max(axis=0)
+        box = lo + grid_points(5) * (hi - lo)
+        bspline = fit_bspline(box, np.random.default_rng(0).standard_normal((25, 2)))
+        queries.append(partial(evaluate_bspline, bspline))
+    for query in queries:
+        one_row = np.concatenate([query(pool[i:i + 1]) for i in range(len(pool))])
+        same_bits(query(pool[rows]), one_row[rows])
+    same_bits(interpolate(surf, pool), np.array([former_interpolate(surf, x) for x in pool]))
+    sid = locate(tri, pool)
+    one_row = np.full((len(pool), tri.d + 1), np.nan)
+    for i in np.flatnonzero(sid >= 0):
+        one_row[i] = barycentric(tri, sid[i:i + 1], pool[i:i + 1])
+    hits = rows[sid[rows] >= 0]
+    same_bits(barycentric(tri, sid[hits], pool[hits]), one_row[hits])
+    with pytest.raises(MirrorError, match="row 0: simplex index -1 out of range"):
+        barycentric(tri, [-1], pool[:1])
+
+
+def test_locate_empty_query(kite):
+    assert locate(kite, np.empty((0, 2))).shape == (0,)
+
+
+@pytest.mark.parametrize("x", [[2.0, 0.5], [[[2.0, 0.5]]], [[2.0]], [[2.0, 0.5, 1.0]]])
+def test_query_shape_checked(kite, x):
+    with pytest.raises(MirrorError, match=r"expected \(N, 2\)"):
+        locate(kite, x)
 
 
 def test_barycentric_vertex_exact(kite):
-    sid = int(locate(kite, np.array([4.0, 0.0])))
-    lam = barycentric(kite, sid, np.array([4.0, 0.0]))
-    j = list(kite.simplices[sid]).index(1)
-    expect = np.zeros(3)
-    expect[j] = 1.0
+    x = np.array([[4.0, 0.0]])
+    sid = locate(kite, x)
+    lam = barycentric(kite, sid, x)
+    expect = np.zeros((1, 3))
+    expect[0, list(kite.simplices[sid[0]]).index(1)] = 1.0
     np.testing.assert_array_equal(lam, expect)
 
 
 def test_barycentric_centroid(kite):
     verts = kite.points[kite.simplices[0]]
-    lam = barycentric(kite, 0, verts.mean(axis=0))
-    np.testing.assert_allclose(lam, [1 / 3] * 3, atol=1e-12)
+    lam = barycentric(kite, [0], [verts.mean(axis=0)])
+    np.testing.assert_allclose(lam, [[1 / 3] * 3], atol=1e-12)
 
 
 def test_barycentric_edge_midpoint(kite):
     verts = kite.points[kite.simplices[0]]
-    lam = barycentric(kite, 0, (verts[0] + verts[1]) / 2)
-    np.testing.assert_allclose(lam, [0.5, 0.5, 0.0], atol=1e-12)
+    lam = barycentric(kite, [0], [(verts[0] + verts[1]) / 2])
+    np.testing.assert_allclose(lam, [[0.5, 0.5, 0.0]], atol=1e-12)
 
 
 def test_barycentric_outside_rejected(kite):
-    with pytest.raises(MirrorError, match="outside"):
-        barycentric(kite, 0, np.array([50.0, 50.0]))
+    with pytest.raises(MirrorError, match="row 1: point .* lies outside simplex 0"):
+        barycentric(kite, [0, 0], [[1.0, 0.5], [50.0, 50.0]])
+
+
+@pytest.mark.parametrize("sid", [-1, 3, 99])
+def test_barycentric_rejects_simplex_out_of_range(kite, sid):
+    # -1 is locate's answer outside the hull; numpy would read it as the last simplex.
+    with pytest.raises(MirrorError, match=rf"row 1: simplex index {sid} out of range \[0, 3\)"):
+        barycentric(kite, [0, sid], [[1.0, 0.5], [1.0, 0.5]])
+
+
+@pytest.mark.parametrize("sid", [[0.0], [0, 0], 0])
+def test_barycentric_needs_one_integer_index_per_row(kite, sid):
+    with pytest.raises(MirrorError, match="need one integer simplex index per row"):
+        barycentric(kite, sid, [[1.0, 0.5]])
 
 
 def test_barycentric_partition_and_reconstruction():
@@ -363,12 +473,13 @@ def test_barycentric_partition_and_reconstruction():
     pts = rng.random((40, 2)) * 5
     tri = delaunay_triangulate(pts)
     scale = 5.0
-    for x in random_hull_points(tri, rng, 1000):
-        sid = locate(tri, x)
-        lam = barycentric(tri, sid, x)
-        assert lam.sum() == pytest.approx(1.0, abs=1e-12)
-        assert lam.min() >= 0
-        np.testing.assert_allclose(lam @ tri.points[tri.simplices[sid]], x, atol=1e-10 * scale)
+    x = random_hull_points(tri, rng, 1000)
+    sid = locate(tri, x)
+    lam = barycentric(tri, sid, x)
+    np.testing.assert_allclose(lam.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert lam.min() >= 0
+    corners = tri.points[tri.simplices[sid]]
+    np.testing.assert_allclose(np.einsum("nv,nvd->nd", lam, corners), x, atol=1e-10 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -379,8 +490,7 @@ def test_barycentric_partition_and_reconstruction():
 def test_interpolate_vertex_exact(kite):
     values = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [7.0, 8.0]])
     surf = MirrorSurface(kite, values)
-    for i in range(4):
-        np.testing.assert_array_equal(interpolate(surf, kite.points[i]), values[i])
+    np.testing.assert_array_equal(interpolate(surf, kite.points), values)
 
 
 def test_interpolate_linear_precision():
@@ -390,8 +500,8 @@ def test_interpolate_linear_precision():
     b = rng.standard_normal(3)
     tri = delaunay_triangulate(pts)
     surf = MirrorSurface(tri, pts @ a.T + b)
-    for x in random_hull_points(tri, rng, 300):
-        np.testing.assert_allclose(interpolate(surf, x), a @ x + b, atol=1e-10)
+    x = random_hull_points(tri, rng, 300)
+    np.testing.assert_allclose(interpolate(surf, x), x @ a.T + b, atol=1e-10)
 
 
 def test_interpolate_centroid_is_mean(kite):
@@ -399,12 +509,15 @@ def test_interpolate_centroid_is_mean(kite):
     surf = MirrorSurface(kite, values)
     verts = kite.simplices[0]
     centroid = kite.points[verts].mean(axis=0)
-    assert interpolate(surf, centroid)[0] == pytest.approx(values[verts].mean(), abs=1e-12)
+    assert interpolate(surf, [centroid])[0, 0] == pytest.approx(values[verts].mean(), abs=1e-12)
 
 
 def test_interpolate_outside_sentinel(kite):
-    surf = MirrorSurface(kite, np.arange(4.0))
-    assert interpolate(surf, np.array([9.0, 9.0])) is None
+    # The sentinel is a NaN row; surface values are finite, so it means only "outside".
+    surf = MirrorSurface(kite, np.column_stack([np.arange(4.0), np.ones(4)]))
+    got = interpolate(surf, [[9.0, 9.0], [4.0, 0.0]])
+    assert np.isnan(got[0]).all()
+    np.testing.assert_array_equal(got[1], [1.0, 1.0])
 
 
 def test_cross_edge_continuity():
@@ -416,18 +529,15 @@ def test_cross_edge_continuity():
     for sid, s in enumerate(tri.simplices.tolist()):
         for u, v in ((s[0], s[1]), (s[1], s[2]), (s[2], s[0])):
             edges.setdefault((min(u, v), max(u, v)), []).append(sid)
-    shared = [(e, sids) for e, sids in edges.items() if len(sids) == 2]
-    checked = 0
-    for (u, v), (s1, s2) in shared:
-        for t in rng.random(3):
-            x = tri.points[u] * t + tri.points[v] * (1 - t)
-            va = barycentric(tri, s1, x) @ surf.values[tri.simplices[s1]]
-            vb = barycentric(tri, s2, x) @ surf.values[tri.simplices[s2]]
-            np.testing.assert_allclose(va, vb, atol=1e-10)
-            checked += 1
-        if checked >= 100:
-            break
-    assert checked >= 99
+    shared = [(e, sids) for e, sids in edges.items() if len(sids) == 2][:34]
+    assert len(shared) >= 33
+    # Three points on each shared edge, each evaluated in both of its triangles.
+    ends, sides = (np.repeat(part, 3, axis=0) for part in zip(*shared))
+    t = rng.random((len(ends), 1))
+    x = tri.points[ends[:, 0]] * t + tri.points[ends[:, 1]] * (1 - t)
+    va, vb = (np.einsum("nv,nvc->nc", barycentric(tri, s, x), surf.values[tri.simplices[s]])
+              for s in sides.T)
+    np.testing.assert_allclose(va, vb, atol=1e-10)
 
 
 def test_lipschitz_constant_properties():
@@ -453,8 +563,14 @@ def test_lipschitz_constant_properties():
 
 def test_hull_boundary_distance():
     tri = delaunay_triangulate(np.array([[0.0, 0], [2, 0], [2, 2], [0, 2]]))
-    assert hull_boundary_distance(tri, np.array([1.0, 1.0])) == pytest.approx(1.0)
-    assert hull_boundary_distance(tri, np.array([0.0, 1.0])) == pytest.approx(0.0)
+    dist = hull_boundary_distance(tri, [[1.0, 1.0], [0.0, 1.0], [0.5, 1.0]])
+    np.testing.assert_allclose(dist, [1.0, 0.0, 0.5], rtol=0, atol=1e-15)
+
+
+def test_hull_boundary_distance_1d():
+    tri = delaunay_triangulate(np.array([[3.0], [1.0], [2.0]]))
+    dist = hull_boundary_distance(tri, [[2.0], [2.5], [0.0]])
+    np.testing.assert_array_equal(dist, [1.0, 0.5, 1.0])
 
 
 @pytest.mark.parametrize(
@@ -469,8 +585,8 @@ def test_near_hull_boundary_is_relative_to_extent(shape, scale, factor, near):
     extent = np.max(unit.max(axis=0) - unit.min(axis=0))
     tri = delaunay_triangulate(unit * scale)
     # Above the middle of the bottom edge, far from the other two edges.
-    x = np.array([unit[:2, 0].mean(), factor * BOUNDARY_TOL * extent]) * scale
-    assert near_hull_boundary(tri, x) is near
+    x = np.array([[unit[:2, 0].mean(), factor * BOUNDARY_TOL * extent]]) * scale
+    assert near_hull_boundary(tri, x).tolist() == [near]
 
 
 def test_axis_scaling_round_trip():
@@ -497,23 +613,19 @@ def test_bspline_constant_reproduced():
     pts = grid_points(5)
     for penalty in (1e-2, 10.0):
         surf = fit_bspline(pts, np.full((25, 1), 7.5), BSplineConfig(penalty=penalty))
-        for x in pts[::3]:
-            assert evaluate_bspline(surf, x)[0] == pytest.approx(7.5, abs=1e-8)
+        np.testing.assert_allclose(evaluate_bspline(surf, pts[::3]), 7.5, rtol=0, atol=1e-8)
     # zero penalty works too once the design has full column rank
     surf = fit_bspline(
         grid_points(6), np.full((36, 1), 7.5), BSplineConfig(interior_knots=1, penalty=0.0)
     )
-    assert evaluate_bspline(surf, np.array([0.3, 0.4]))[0] == pytest.approx(7.5, abs=1e-8)
+    assert evaluate_bspline(surf, [[0.3, 0.4]])[0, 0] == pytest.approx(7.5, abs=1e-8)
 
 
 def test_bspline_bilinear_reproduced():
     pts = grid_points(9)
     vals = (1.0 + 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.5 * pts[:, 0] * pts[:, 1])[:, None]
     surf = fit_bspline(pts, vals, BSplineConfig(degree=3, penalty=1e-6))
-    worst = max(
-        abs(evaluate_bspline(surf, x)[0] - v[0]) for x, v in zip(pts, vals)
-    )
-    assert worst < 1e-6
+    assert np.abs(evaluate_bspline(surf, pts) - vals).max() < 1e-6
 
 
 def test_bspline_large_penalty_flattens_to_bilinear_fit():
@@ -527,8 +639,7 @@ def test_bspline_large_penalty_flattens_to_bilinear_fit():
     design = np.column_stack([np.ones(len(pts)), pts[:, 0], pts[:, 1], pts[:, 0] * pts[:, 1]])
     coef, *_ = np.linalg.lstsq(design, noisy, rcond=None)
     expect = design @ coef
-    got = np.array([evaluate_bspline(surf, x)[0] for x in pts])
-    np.testing.assert_allclose(got, expect, atol=1e-4)
+    np.testing.assert_allclose(evaluate_bspline(surf, pts)[:, 0], expect, atol=1e-4)
 
 
 def test_bspline_rank_deficient_suggests_penalty():
@@ -541,8 +652,8 @@ def test_bspline_rank_deficient_suggests_penalty():
 def test_bspline_outside_rule_matches_interpolate():
     pts = grid_points(5)
     surf = fit_bspline(pts, np.ones((25, 1)), BSplineConfig())
-    assert evaluate_bspline(surf, np.array([1.5, 0.5])) is None
-    assert evaluate_bspline(surf, np.array([0.5, 0.5])) is not None
+    got = evaluate_bspline(surf, [[1.5, 0.5], [0.5, 0.5]])
+    assert np.isnan(got[0]).all() and np.isfinite(got[1]).all()
 
 
 def test_bspline_needs_enough_points():

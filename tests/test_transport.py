@@ -329,7 +329,7 @@ print(len(delaunay_triangulate(grid).simplices) == 32)
     "spline-fit": ("""
 from distmirror import evaluate_bspline, fit_bspline
 grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
-print(evaluate_bspline(fit_bspline(grid, grid * 2.0), [1.5, 2.5]).shape == (2,))
+print(evaluate_bspline(fit_bspline(grid, grid * 2.0), [[1.5, 2.5]]).shape == (1, 2))
 """, ["scipy.interpolate", "scipy.linalg"]),
     "generate": ("""
 from distmirror import FamilyVariant, GaussianFamilySpec, generate
