@@ -12,15 +12,22 @@ pipe is as good an input as a file.  The CSV loader converts sample cells a
 bounded chunk of rows at a time, so a file's values are never all held as text
 at once.
 
+One error policy holds in every reader: of all the lines that are wrong, the
+earliest is the one reported, whether its fault is bytes that are not UTF-8, its
+structure (cells, fields, ids) or its values.  An error that spans the whole
+file, such as two sets sharing parameters, names the file alone.
+
 On-disk formats
 ---------------
 NDJSON: one record per line,
 ``{"id": str, "params": [float, ...] | absent, "samples": [[float, ...], ...]}``.
 A missing ``params`` field (not an empty list) marks the set unlabeled.
 
-CSV: header ``id, p1..pd, s1..sq``; one row per observation; empty parameter
-cells mark the set unlabeled.  The rows of one id need not be contiguous,
-but they must all carry the same parameters.
+CSV: the header is exactly ``id, p1..pd, s1..sq`` (d >= 0, q >= 1), each cell
+stripped of surrounding space and in that order; any other header is an error
+at line 1 that names its first unexpected column.  One row per observation;
+empty parameter cells mark the set unlabeled.  The rows of one id need not be
+contiguous, but they must all carry the same parameters.
 
 Every other CSV table (distance matrices, embeddings, parameter tables,
 reports) is read by :func:`read_table` and written by :func:`write_table`.
@@ -37,7 +44,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -207,47 +214,23 @@ def _located(where: str):
         raise DatasetError(f"{where}: invalid numeric data ({e})") from e
 
 
-#: Bytes read and decoded at a time.
-_READ_BYTES = 1 << 16
-
-
-def _decoded_blocks(fh, path: Path, lines_read: Callable[[], int]) -> Iterator[io.StringIO]:
-    """The whole lines of each block read from ``fh``, decoded from UTF-8."""
-    pending: list = []  # bytes after the last line break
-    while True:
-        block = fh.read(_READ_BYTES)
-        # A final "\r" may be the first half of "\r\n", so it waits for the next block.
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-        if block and not cut:
-            pending.append(block)
-            continue
-        pending.append(memoryview(block)[:cut])
-        data = b"".join(pending)
-        pending = [block[cut:]]
-        try:
-            text = str(data, "utf-8")
-        except UnicodeDecodeError as e:
-            # Hand on the lines before the bad bytes; the next line is the bad one.
-            good = data[:e.start]
-            good = good[:max(good.rfind(b"\n"), good.rfind(b"\r")) + 1]
-            yield io.StringIO(str(good, "utf-8"), newline="")
-            raise DatasetError(f"{path}: line {lines_read() + 1}: "
-                               f"not valid UTF-8 ({e.reason})") from None
-        yield io.StringIO(text, newline="")
-        if not block:
-            return
-
-
-def _lines(fh, path: Path, lines_read: Callable[[], int]) -> Iterator[str]:
+def _lines(fh, path: Path) -> Iterator[str]:
     """The lines of a binary file, decoded from UTF-8 as they are read.
 
     Lines end at "\\n", "\\r\\n" or a lone "\\r" and keep their ending, as
     from a file opened with ``newline=""``, so the file is read once even when
-    it is a pipe.  Bytes that are not UTF-8 raise a DatasetError once every
-    line before them has been taken; ``lines_read()`` then says how many the
-    caller took, which locates them on the next line.
+    it is a pipe.  Each byte that is not UTF-8 decodes to a lone surrogate,
+    which no valid line holds: the first line holding one raises a
+    DatasetError that names it, once every line before it has been taken.
     """
-    return chain.from_iterable(_decoded_blocks(fh, path, lines_read))
+    with io.TextIOWrapper(fh, encoding="utf-8", errors="surrogateescape", newline="") as text:
+        for lineno, line in enumerate(text, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise DatasetError(f"{path}: line {lineno}: not valid UTF-8") from None
+            yield line
 
 
 def _dataset(path: Path, sets: list[SampleSet]) -> Dataset:
@@ -278,9 +261,8 @@ def _json_samples(rows) -> np.ndarray:
 
 def _load_ndjson(path: Path) -> Dataset:
     sets: list[SampleSet] = []
-    lineno = 0
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(_lines(fh, path, lambda: lineno), start=1):
+        for lineno, line in enumerate(_lines(fh, path), start=1):
             if not line.strip():
                 continue
             with _located(f"{path}: line {lineno}"):
@@ -323,14 +305,17 @@ def _floats(cells: list | tuple) -> np.ndarray:
 
 
 def _csv_params(cells: str | tuple[str, ...]) -> tuple[float, ...] | None:
-    """The parameter cells of one CSV row: all empty (unlabeled) or all numbers."""
+    """The parameter cells of one CSV row: all empty (unlabeled) or all finite numbers."""
     cells = (cells,) if isinstance(cells, str) else cells
     empty = [not c.strip() for c in cells]
     if all(empty):
         return None
     if any(empty):
         raise DatasetError("partially empty parameter cells")
-    return tuple(_floats(cells).tolist())
+    params = _floats(cells)
+    if not np.isfinite(params).all():
+        raise DatasetError("params contain non-finite values")
+    return tuple(params.tolist())
 
 
 def _samples(rows: list) -> np.ndarray:
@@ -351,21 +336,24 @@ def _load_csv(path: Path) -> Dataset:
     full chunk is converted in one call and its rows are appended, in file
     order, to their sets' blocks.  A chunk that fails to convert or holds a
     non-finite value is checked again one row at a time, so its error names
-    the row's line.  Such a value error, like non-finite parameters, is kept
-    until the pass ends: a ragged row or a parameter change later in the file
-    is the error reported, and of several value errors the earliest line's.
+    the row's line.  The pending chunk is converted before an error in a
+    later row leaves the pass, so the error reported is the earliest line's.
     """
     with open(path, "rb") as fh:
-        reader = csv.reader(_lines(fh, path, lambda: reader.line_num))
+        reader = csv.reader(_lines(fh, path))
         header = [h.strip() for h in next(reader, [])]
         if header[:1] != ["id"]:
             raise DatasetError(f"{path}: line 1: header must start with 'id'")
-        p_cols = [i for i, h in enumerate(header) if h.startswith("p") and h[1:].isdigit()]
-        s_cols = [i for i, h in enumerate(header) if h.startswith("s") and h[1:].isdigit()]
-        if not s_cols:
+        width = len(header)
+        d = next((k for k, h in enumerate(header[1:]) if h != f"p{k + 1}"), width - 1)
+        unexpected = [h for k, h in enumerate(header[d + 1:]) if h != f"s{k + 1}"]
+        if unexpected:
+            raise DatasetError(f"{path}: line 1: unexpected column {unexpected[0]!r}; "
+                               "the header must be id, p1..pd, s1..sq")
+        if width == d + 1:
             raise DatasetError(f"{path}: line 1: no sample columns s1..sq found")
-        params_of = itemgetter(*p_cols) if p_cols else (lambda row: "")
-        samples_of = itemgetter(*s_cols)
+        params_of = itemgetter(*range(1, d + 1)) if d else (lambda row: "")
+        samples_of = itemgetter(*range(d + 1, width))
 
         # id -> (raw parameter cells of its first row, their values, set index)
         groups: dict[str, tuple] = {}
@@ -374,71 +362,59 @@ def _load_csv(path: Path) -> Dataset:
         # The pending chunk: sample cells and line of each row, and the rows where
         # a run of one set's rows starts, with that set's index.
         cells, lines, run_starts, run_owners = [], [], [], []
-        error: tuple[int, DatasetError] | None = None  # the earliest value error, by line
-
-        def check_row(line, set_id, row_cells, params=None):
-            nonlocal error
-            if error is None or line < error[0]:
-                try:
-                    with _located(f"{path}: line {line}"):
-                        SampleSet(id=set_id, samples=_samples([row_cells]), params=params)
-                except DatasetError as e:
-                    error = (line, e)
 
         def convert_chunk():
-            if cells and (error is None or lines[0] < error[0]):
-                try:
-                    values = _samples(cells)
-                    finite = np.isfinite(values).all()
-                except ValueError:
-                    finite = False
-                owner = np.repeat(run_owners, np.diff(run_starts + [len(cells)]))
-                if not finite:
-                    for row_cells, k, line in zip(cells, owner.tolist(), lines):
-                        check_row(line, names[k], row_cells)
-                elif error is None:
-                    # A stable sort gives each set one block per chunk, its rows in file order.
-                    order = owner.argsort(kind="stable")
-                    owner, values = owner[order], values[order]
-                    starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
-                    for lo, hi in zip(starts, starts[1:] + [len(owner)]):
-                        blocks[owner[lo]].append(values[lo:hi])
+            try:
+                values = _samples(cells)
+                finite = np.isfinite(values).all()
+            except ValueError:
+                finite = False
+            owner = np.repeat(run_owners, np.diff(run_starts + [len(cells)]))
+            if not finite:
+                for row_cells, k, line in zip(cells, owner.tolist(), lines):
+                    with _located(f"{path}: line {line}"):
+                        SampleSet(id=names[k], samples=_samples([row_cells]))
+            # A stable sort gives each set one block per chunk, its rows in file order.
+            order = owner.argsort(kind="stable")
+            owner, values = owner[order], values[order]
+            starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
+            for lo, hi in zip(starts, starts[1:] + [len(owner)]):
+                blocks[owner[lo]].append(values[lo:hi])
             for column in (cells, lines, run_starts, run_owners):
                 column.clear()
 
-        width = len(header)
         read = -1
         while read != reader.line_num:  # one chunk of rows a pass, until a pass reads none
             read = reader.line_num
             last = None  # the group of the chunk's last row
-            for row in islice(reader, _CSV_CHUNK_ROWS):
-                if len(row) != width:
-                    if any(c.strip() for c in row):
-                        raise DatasetError(f"{path}: line {reader.line_num}: "
-                                           f"expected {width} cells, got {len(row)}")
-                    continue
-                raw = params_of(row)
-                group = groups.get(row[0])
-                if group is None or raw != group[0]:
-                    with _located(f"{path}: line {reader.line_num}"):
-                        params = _csv_params(raw)
-                        if group is None:
-                            group = groups[row[0]] = (raw, params, len(blocks))
-                            names.append(row[0])
-                            blocks.append([])
-                            check_row(reader.line_num, row[0], samples_of(row), params)
-                        elif params != group[1]:
-                            raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
-                if group is not last:
-                    run_starts.append(len(cells))
-                    run_owners.append(group[2])
-                    last = group
-                cells.append(samples_of(row))
-                lines.append(reader.line_num)
-            convert_chunk()
+            try:
+                for row in islice(reader, _CSV_CHUNK_ROWS):
+                    if len(row) != width:
+                        if any(c.strip() for c in row):
+                            raise DatasetError(f"{path}: line {reader.line_num}: "
+                                               f"expected {width} cells, got {len(row)}")
+                        continue
+                    raw = params_of(row)
+                    group = groups.get(row[0])
+                    if group is None or raw != group[0]:
+                        with _located(f"{path}: line {reader.line_num}"):
+                            params = _csv_params(raw)
+                            if group is None:
+                                group = groups[row[0]] = (raw, params, len(blocks))
+                                names.append(row[0])
+                                blocks.append([])
+                            elif params != group[1]:
+                                raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
+                    if group is not last:
+                        run_starts.append(len(cells))
+                        run_owners.append(group[2])
+                        last = group
+                    cells.append(samples_of(row))
+                    lines.append(reader.line_num)
+            finally:  # so an error in the chunk's rows comes before one after them
+                if cells:
+                    convert_chunk()
 
-    if error is not None:
-        raise error[1]
     sets = []
     for set_id, (_, params, k) in groups.items():
         samples = np.concatenate(blocks[k])
@@ -478,7 +454,7 @@ def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, .
         raise DatasetError(f"no such file: {path}")
     header, rows, lines = None, [], {}  # lines: id -> the line it is on
     with open(path, "rb") as fh:
-        reader = csv.reader(_lines(fh, path, lambda: reader.line_num))
+        reader = csv.reader(_lines(fh, path))
         for row in reader:
             if not any(c.strip() for c in row) or (not header_ids and row[0].startswith("#")):
                 continue

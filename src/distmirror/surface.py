@@ -13,8 +13,12 @@ alternative for d = 2.
 For d = 2, qhull (``scipy.spatial.Delaunay``) builds the triangulation.
 It and every geometric predicate run on the points translated and scaled
 uniformly into the unit box, where the predicates use a static epsilon of
-1e-12; inputs are assumed well-conditioned (grids and similar), at any
-coordinate scale.  The tie-break among equally Delaunay triangulations is
+1e-12; inputs are assumed well-conditioned (grids and similar).  The result
+does not depend on the points' overall coordinate scale, but the epsilon is
+absolute in the unit box: a cluster of points far smaller than the points'
+extent can be rejected ("non-positive area") or have its cells fanned where
+they are not Delaunay at the cluster's own scale.  The tie-break among
+equally Delaunay triangulations is
 "each cocircular cell is fanned from its lowest-index vertex", making
 triangulations reproducible across platforms and qhull versions.
 
@@ -25,6 +29,7 @@ by one power of two), where neither side can overflow.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -590,8 +595,12 @@ def fit_bspline(
     import scipy.linalg
 
     try:
-        coef = scipy.linalg.solve(normal, rhs, assume_a="pos")
-    except np.linalg.LinAlgError:
+        # An ill-conditioned system is as singular as one that fails outright.
+        # The filter is process state: fit_bspline runs in the calling thread only.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
+            coef = scipy.linalg.solve(normal, rhs, assume_a="pos")
+    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
         if config.penalty == 0:
             raise MirrorError(
                 "rank-deficient spline design with zero penalty; "

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,26 @@ def test_fit_bspline_non_finite_penalty_is_error(tmp_path, capsys, penalty):
     ) == 1
     assert f"error: invalid spline config: BSplineConfig(degree=3, interior_knots=8, " \
         f"penalty={penalty})" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_bspline_ill_conditioned_system_is_error(tmp_path, capsys):
+    # Nearly an equilateral triangle about its centre: the degree-1 normal matrix
+    # has rcond ~1e-18.  Rounding the points to (-0.5, +-0.8660254037844386)
+    # makes it exactly singular, which was already an error.
+    emb, params = tmp_path / "emb.csv", tmp_path / "params.csv"
+    emb.write_text("id,y1\na,0.0\nb,1.0\nc,2.0\nd,3.0\n")
+    write_params_csv(("a", "b", "c", "d"), np.array(
+        [[1.0, 0.0], [-0.4999999999999998, 0.8660254037844387],
+         [-0.5000000000000004, -0.8660254037844384], [0.0, 0.0]]), params)
+    out = tmp_path / "surface.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["fit", "--embedding", str(emb), "--params", str(params), "--method",
+                     "bspline", "--degree", "1", "--knots", "2", "--output", str(out)]) == 1
+    assert not caught
+    assert capsys.readouterr().err == ("error: singular spline system; "
+                                       "data may be too sparse for the knot grid\n")
     assert not out.exists()
 
 

@@ -7,8 +7,8 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from itertools import cycle
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -167,6 +167,25 @@ def test_csv_params_change_mid_file_rejected(tmp_path):
         load_dataset(path, "csv")
 
 
+@pytest.mark.parametrize("header, column", [
+    ("id,p2,p1,s1", "p2"), ("id,p1,p3,s1", "p3"), ("id,p1,s1,s1", "s1"), ("id,p1,s1,x", "x"),
+    ("id, p1 ,s2", "s2"), ("id,s1,p1", "p1"), ("id,p1,s1,", ""),
+])
+def test_csv_header_error_names_first_unexpected_column(tmp_path, header, column):
+    path = tmp_path / "d.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(DatasetError, match=f"d.csv: line 1: unexpected column '{column}'"):
+        load_dataset(path, "csv")
+
+
+@pytest.mark.parametrize("header", ["", "x,s1", "id", "id,p1"])
+def test_csv_header_without_id_or_samples_is_rejected(tmp_path, header):
+    path = tmp_path / "d.csv"
+    path.write_text(header + "\n")
+    with pytest.raises(DatasetError, match="d.csv: line 1: (header must start|no sample columns)"):
+        load_dataset(path, "csv")
+
+
 @pytest.mark.parametrize("fmt", ["ndjson", "csv"])
 def test_round_trip_identity(tmp_path, fmt):
     rng = np.random.default_rng(5)
@@ -271,6 +290,11 @@ BAD_INPUTS = [
     pytest.param("csv", CSV_OK + "b,inf,2\nb,inf,3\n", 3, id="csv-inf-param"),
     pytest.param("csv", "id,p1,p2,s1\na,0,0,1\nb,1,,2\n", 3, id="csv-partly-empty-params"),
     pytest.param("csv", CSV_OK + "a,0.5,2\n", 3, id="csv-params-change"),
+    # The CSV header is exactly id, p1..pd, s1..sq: no column is read by its name alone.
+    pytest.param("csv", "id,p2,p1,s1\na,0,1,2\nb,1,0,3\n", 1, id="csv-header-swapped-params"),
+    pytest.param("csv", "id,p1,p3,s1\na,0,1,2\n", 1, id="csv-header-skipped-param"),
+    pytest.param("csv", "id,p1,s1,s1\na,0,1,2\n", 1, id="csv-header-repeated-sample"),
+    pytest.param("csv", "id,p1,s1,x\na,0,1,2\n", 1, id="csv-header-unknown-column"),
     # Python's float reads '_' separators and non-ASCII digits and spaces; CSV numbers do not.
     pytest.param("csv", CSV_OK + "b,1,1_000\n", 3, id="csv-underscore-sample"),
     pytest.param("csv", CSV_OK + "b,1,2\nb,1,\u0661\u0662\n", 4, id="csv-arabic-indic-sample"),
@@ -382,38 +406,47 @@ def test_bad_input_through_a_pipe_reads_it_once(tmp_path, reader, text, line):
     assert piped[0] == 1 and f"bad.txt: line {line}:" in piped[1] and "Traceback" not in piped[1]
 
 
-# Text whose line breaks and multi-byte characters fall across small read blocks.
+class ShortReads(io.RawIOBase):
+    """A binary stream that hands out its bytes a few at a time, as a pipe may."""
+
+    def __init__(self, data, sizes):
+        self.data, self.sizes, self.at = data, cycle(sizes), 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        n = min(len(buffer), next(self.sizes), len(self.data) - self.at)
+        buffer[:n] = self.data[self.at:self.at + n]
+        self.at += n
+        return n
+
+
+# Text whose line breaks and multi-byte characters fall across short reads.
 texts = st.lists(st.sampled_from(["a", ",", '"', "\u00e9", "\u20ac", "\U0001d11e", "\n", "\r",
                                   "\r\n", "\x0c", "\u2028"]), max_size=30)
+read_sizes = st.lists(st.integers(1, 9), min_size=1, max_size=8)
 
 
-@given(texts, st.integers(1, 9))
-def test_property_lines_match_a_text_mode_read(pieces, block):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.txt"
-        path.write_bytes("".join(pieces).encode())
-        with open(path, encoding="utf-8", newline="") as fh:
-            expected = list(fh)
-        with mock.patch("distmirror.core._READ_BYTES", block), open(path, "rb") as fh:
-            assert list(_lines(fh, path, lambda: pytest.fail("no error to locate"))) == expected
+@given(texts, read_sizes)
+def test_property_lines_match_a_text_mode_read(pieces, sizes):
+    raw = "".join(pieces).encode()
+    expected = list(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
+    assert list(_lines(ShortReads(raw, sizes), Path("t.txt"))) == expected
 
 
-@given(texts, st.integers(1, 9), st.data())
-def test_property_bad_utf8_hands_on_earlier_lines_then_names_its_own(pieces, block, data):
+@given(texts, read_sizes, st.data())
+def test_property_bad_utf8_hands_on_earlier_lines_then_names_its_own(pieces, sizes, data):
     text = "".join(pieces).encode()
     at = data.draw(st.integers(0, len(text)))
     raw = text[:at] + b"\xff" + text[at:]
     # The first line that does not decode alone, by a whole-file split.
     split = raw.splitlines(keepends=True)
     bad = next(k for k, line in enumerate(split) if not _decodes(line))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.txt"
-        path.write_bytes(raw)
-        got = []
-        with mock.patch("distmirror.core._READ_BYTES", block), open(path, "rb") as fh:
-            with pytest.raises(DatasetError, match=f"line {bad + 1}: not valid UTF-8"):
-                for line in _lines(fh, path, lambda: len(got)):
-                    got.append(line)
+    got = []
+    with pytest.raises(DatasetError, match=f"^t.txt: line {bad + 1}: not valid UTF-8"):
+        for line in _lines(ShortReads(raw, sizes), Path("t.txt")):
+            got.append(line)
     assert got == list(io.StringIO(b"".join(split[:bad]).decode(), newline=""))
 
 
@@ -548,14 +581,14 @@ def test_csv_bad_cell_beyond_the_first_chunk_names_its_line(tmp_path, cell, mess
         load_dataset(path, "csv")
 
 
-def test_csv_parameter_change_after_a_bad_cell_is_the_error(tmp_path):
-    # The bad cell's chunk is converted first, but every row's structure is
-    # checked before any row's values.
-    rows = [f"a,0,{k}\n" for k in range(3 * _CSV_CHUNK_ROWS)]
-    rows[5] = "a,0,x\n"
-    rows[2 * _CSV_CHUNK_ROWS] = "a,0.5,1\n"
+@pytest.mark.parametrize("later", [b"a,0,1,2\n", b"a,0.5,1\n", b"a,0,\xff\n"],
+                         ids=["ragged-row", "parameter-change", "not-utf8"])
+def test_csv_bad_cell_before_a_later_error_in_its_chunk_is_the_error(tmp_path, later):
+    # The later row's error is found first, but the earliest line is the one reported.
+    rows = [f"a,0,{k}\n".encode() for k in range(3 * _CSV_CHUNK_ROWS)]
+    rows[5] = b"a,0,x\n"
+    rows[100] = later
     path = tmp_path / "d.csv"
-    path.write_text("id,p1,s1\n" + "".join(rows))
-    with pytest.raises(DatasetError, match=f"line {2 * _CSV_CHUNK_ROWS + 2}: "
-                                           "set 'a' changes parameters mid-file"):
+    path.write_bytes(b"id,p1,s1\n" + b"".join(rows))
+    with pytest.raises(DatasetError, match="line 7: invalid numeric data"):
         load_dataset(path, "csv")
