@@ -60,7 +60,6 @@ from .surface import (
 )
 from .transport import (
     DistanceMatrix,
-    TransportPlan,
     cost_matrix,
     distance_matrix,
     read_distance_matrix,
@@ -113,7 +112,6 @@ __all__ = [
     "lipschitz_constant",
     "locate",
     "DistanceMatrix",
-    "TransportPlan",
     "cost_matrix",
     "distance_matrix",
     "read_distance_matrix",

@@ -23,7 +23,6 @@ from .core import (_is_number_text, load_dataset, read_table, validate_equal_sam
 from .embedding import (
     cmds,
     realizability_diagnostics,
-    select_dimension,
     write_embedding,
     write_spectrum,
     read_embedding,
@@ -187,7 +186,7 @@ def _cmd_recover(args) -> int:
     if args.dim is None:
         c, note = ds.d, f"dim={ds.d} (default d)"
     elif args.dim == "auto":
-        c = select_dimension(realizability_diagnostics(labeled_dm).spectrum)
+        c = cmds(labeled_dm, None).c
         note = f"dim={c} (auto)"
     else:
         c, note = args.dim, f"dim={args.dim}"

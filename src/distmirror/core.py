@@ -14,8 +14,10 @@ at once.
 
 One error policy holds in every reader: of all the lines that are wrong, the
 earliest is the one reported, whether its fault is bytes that are not UTF-8, its
-structure (cells, fields, ids) or its values.  An error that spans the whole
-file, such as two sets sharing parameters, names the file alone.
+structure (cells, fields, ids) or its values.  A CSV row that the csv module
+cannot split, such as one with a cell over its field size limit, is an error at
+its line.  An error that spans the whole file, such as two sets sharing
+parameters, names the file alone.
 
 On-disk formats
 ---------------
@@ -233,6 +235,16 @@ def _lines(fh, path: Path) -> Iterator[str]:
             yield line
 
 
+@contextmanager
+def _csv_rows(fh, path: Path):
+    """A csv.reader of the file's lines; a row it cannot split is a DatasetError at its line."""
+    reader = csv.reader(_lines(fh, path))
+    try:
+        yield reader
+    except csv.Error as e:  # such as a cell over csv.field_size_limit()
+        raise DatasetError(f"{path}: line {reader.line_num}: {e}") from None
+
+
 def _dataset(path: Path, sets: list[SampleSet]) -> Dataset:
     if not sets:
         raise DatasetError(f"{path}: file contains no records")
@@ -339,8 +351,7 @@ def _load_csv(path: Path) -> Dataset:
     the row's line.  The pending chunk is converted before an error in a
     later row leaves the pass, so the error reported is the earliest line's.
     """
-    with open(path, "rb") as fh:
-        reader = csv.reader(_lines(fh, path))
+    with open(path, "rb") as fh, _csv_rows(fh, path) as reader:
         header = [h.strip() for h in next(reader, [])]
         if header[:1] != ["id"]:
             raise DatasetError(f"{path}: line 1: header must start with 'id'")
@@ -453,8 +464,7 @@ def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, .
     if not path.exists():
         raise DatasetError(f"no such file: {path}")
     header, rows, lines = None, [], {}  # lines: id -> the line it is on
-    with open(path, "rb") as fh:
-        reader = csv.reader(_lines(fh, path))
+    with open(path, "rb") as fh, _csv_rows(fh, path) as reader:
         for row in reader:
             if not any(c.strip() for c in row) or (not header_ids and row[0].startswith("#")):
                 continue

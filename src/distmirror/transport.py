@@ -8,7 +8,10 @@ p-distance reduces to a minimum over permutation couplings,
 which is solved exactly: by pairing order statistics when q = 1 (optimal
 for every p >= 1 in one dimension), and by linear sum assignment on the
 dense cost matrix otherwise.  Entropic or other approximate solvers are
-deliberately absent; all downstream tolerances assume exact costs.
+deliberately absent; all downstream tolerances assume exact costs.  The
+layer returns costs only: no caller reads the coupling that attains one.
+A cost too large for a float is infinite, and :func:`distance_matrix`
+names the first pair whose cost is.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .core import SampleSet, _located, read_table, write_table
 from .errors import MirrorError, UnequalSampleSizes
 
 __all__ = [
-    "TransportPlan",
     "DistanceMatrix",
     "cost_matrix",
     "wasserstein_exact",
@@ -35,19 +37,6 @@ __all__ = [
 
 #: Largest asymmetry tolerated when reading an external distance matrix.
 SYMMETRY_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class TransportPlan:
-    """An optimal permutation coupling and its attained cost.
-
-    ``permutation[i] = j`` pairs row i of the first set with row j of the
-    second.  Only the cost is contractually deterministic; ties between
-    equal-cost assignments are resolved arbitrarily by the solver.
-    """
-
-    permutation: np.ndarray
-    cost: float
 
 
 @dataclass(frozen=True)
@@ -121,34 +110,27 @@ def _sorted_pair_cost(sa: np.ndarray, sb: np.ndarray, p: float) -> float:
     return float((np.add.reduce(gaps**p) / n) ** (1.0 / p))
 
 
-def wasserstein_exact(a: SampleSet, b: SampleSet, p: float = 1) -> TransportPlan:
-    """Globally minimal permutation coupling between two equal-size sets.
+def wasserstein_exact(a: SampleSet, b: SampleSet, p: float = 1) -> float:
+    """Minimal cost W_p over the permutation couplings of two equal-size sets.
 
-    q = 1 takes the sorting fast path; otherwise an exact linear-assignment
+    q = 1 pairs the sorted samples; otherwise an exact linear-assignment
     solve on the cost matrix.  Costs for p = 2 are minimized on squared
-    distances and rooted once at the end.
+    distances and rooted once at the end.  A cost that overflows is ``inf``.
     """
     _check_order(p)
     _check_pair(a, b)
-    n = a.n
-    if a.q == 1:
-        xa = a.samples[:, 0]
-        xb = b.samples[:, 0]
-        order_a = np.argsort(xa, kind="stable")
-        order_b = np.argsort(xb, kind="stable")
-        perm = np.empty(n, dtype=np.intp)
-        perm[order_a] = order_b
-        cost = _sorted_pair_cost(xa[order_a], xb[order_b], p)
-        return TransportPlan(permutation=perm, cost=cost)
-    # Imported here: scipy.optimize takes about 0.15 s to load, and q = 1 never needs it.
-    from scipy.optimize import linear_sum_assignment
+    with np.errstate(over="ignore"):  # a cost past the float range is inf
+        if a.q == 1:
+            return _sorted_pair_cost(np.sort(a.samples[:, 0]), np.sort(b.samples[:, 0]), p)
+        # Imported here: scipy.optimize takes about 0.15 s to load, and q = 1 never needs it.
+        from scipy.optimize import linear_sum_assignment
 
-    costs = cost_matrix(a, b, p)
-    rows, cols = linear_sum_assignment(costs)
-    perm = np.empty(n, dtype=np.intp)
-    perm[rows] = cols
-    total = float(costs[rows, cols].mean())
-    return TransportPlan(permutation=perm, cost=float(total ** (1.0 / p)))
+        costs = cost_matrix(a, b, p)
+        try:
+            rows, cols = linear_sum_assignment(costs)
+        except ValueError:  # "cost matrix is infeasible": every assignment costs inf
+            return float("inf")
+        return float(float(costs[rows, cols].mean()) ** (1.0 / p))
 
 
 def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
@@ -157,7 +139,8 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
     Each unordered pair is computed once and mirrored, so the result is
     exactly symmetric.  For q = 1 each set is sorted once and the pairs run in
     the calling thread; only assignment pairs (q > 1) run in the worker pool.
-    The result is identical for any worker count.
+    The result is identical for any worker count.  A cost that overflows a
+    float is a MirrorError naming the first such pair.
     """
     _check_order(p)
     sets = list(sets)
@@ -170,11 +153,16 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
     pairs = list(zip(rows.tolist(), cols.tolist()))
     if sets[0].q == 1:
         sorted_1d = [np.sort(s.samples[:, 0]) for s in sets]
-        costs = [_sorted_pair_cost(sorted_1d[i], sorted_1d[j], p) for i, j in pairs]
+        with np.errstate(over="ignore"):  # an overflow is inf, reported below
+            costs = [_sorted_pair_cost(sorted_1d[i], sorted_1d[j], p) for i, j in pairs]
     else:
-        costs = map_deterministic(
-            lambda ij: wasserstein_exact(sets[ij[0]], sets[ij[1]], p).cost, pairs
-        )
+        costs = map_deterministic(lambda ij: wasserstein_exact(sets[ij[0]], sets[ij[1]], p), pairs)
+    costs = np.array(costs, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(costs))
+    if bad.size:
+        i, j = pairs[bad[0]]
+        raise MirrorError(f"the W{p:g} cost of {sets[i].id!r} and {sets[j].id!r} "
+                          "overflows a float; rescale the samples")
     values = np.zeros((m, m), dtype=np.float64)
     values[rows, cols] = values[cols, rows] = costs
     return DistanceMatrix(ids=tuple(s.id for s in sets), values=values)

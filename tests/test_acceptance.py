@@ -109,7 +109,7 @@ def test_criterion_2_transport_oracle():
             p = float(rng.choice([1.0, 2.0]))
             a = SampleSet(id="a", samples=rng.standard_normal((n, q)))
             b = SampleSet(id="b", samples=rng.standard_normal((n, q)))
-            got = wasserstein_exact(a, b, p).cost
+            got = wasserstein_exact(a, b, p)
             assert abs(got - brute_force_cost(a, b, p)) <= 1e-12
         from scipy.optimize import linear_sum_assignment
 
@@ -118,7 +118,7 @@ def test_criterion_2_transport_oracle():
             p = float(rng.choice([1.0, 2.0]))
             a = SampleSet(id="a", samples=rng.standard_normal((n, 1)))
             b = SampleSet(id="b", samples=rng.standard_normal((n, 1)))
-            fast = wasserstein_exact(a, b, p).cost
+            fast = wasserstein_exact(a, b, p)
             costs = cost_matrix(a, b, p)
             rows, cols = linear_sum_assignment(costs)
             general = float(costs[rows, cols].mean() ** (1.0 / p))

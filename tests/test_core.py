@@ -316,6 +316,10 @@ BAD_INPUTS = [
     pytest.param("params", PARAMS_OK + "c,nan\n", 4, id="params-nan"),
     pytest.param("params", PARAMS_OK + "b,2.0\n", 4, id="params-duplicate-id"),
     pytest.param("distmat", "a,b\n0,-1\n-1,0\n", None, id="distmat-negative"),
+    # A quoted cell longer than csv.field_size_limit() (131,072 by default).
+    pytest.param("csv", CSV_OK + f'b,1,"{"1" * 200_000}"\n', 3, id="csv-cell-over-field-limit"),
+    pytest.param("distmat", f'a,b\n"{"0" * 200_000}",1\n1,0\n', 2,
+                 id="distmat-cell-over-field-limit"),
     pytest.param("ndjson", ND_OK.encode() + b'{"id": "b\xff", "samples": [[1]]}\n', 2,
                  id="ndjson-not-utf8"),
     pytest.param("csv", CSV_OK.encode() + b"b,1,2\r\nb,1,\xff\n", 4, id="csv-not-utf8"),
@@ -581,8 +585,9 @@ def test_csv_bad_cell_beyond_the_first_chunk_names_its_line(tmp_path, cell, mess
         load_dataset(path, "csv")
 
 
-@pytest.mark.parametrize("later", [b"a,0,1,2\n", b"a,0.5,1\n", b"a,0,\xff\n"],
-                         ids=["ragged-row", "parameter-change", "not-utf8"])
+@pytest.mark.parametrize("later", [b"a,0,1,2\n", b"a,0.5,1\n", b"a,0,\xff\n",
+                                   b'a,0,"' + b"1" * 200_000 + b'"\n'],
+                         ids=["ragged-row", "parameter-change", "not-utf8", "cell-over-field-limit"])
 def test_csv_bad_cell_before_a_later_error_in_its_chunk_is_the_error(tmp_path, later):
     # The later row's error is found first, but the earliest line is the one reported.
     rows = [f"a,0,{k}\n".encode() for k in range(3 * _CSV_CHUNK_ROWS)]

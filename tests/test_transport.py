@@ -3,6 +3,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import given, strategies as st
 
 import distmirror._parallel
 from distmirror._parallel import worker_count
-from distmirror.core import SampleSet
+from distmirror.cli import main
+from distmirror.core import Dataset, SampleSet, save_dataset
 from distmirror.errors import MirrorError, UnequalSampleSizes
 from distmirror.transport import (
     DistanceMatrix,
@@ -72,21 +74,19 @@ def test_cost_matrix_dimension_mismatch():
 
 
 def test_wasserstein_singletons():
-    plan = wasserstein_exact(make([[0.0]]), make([[3.0]]), 1)
-    assert plan.cost == pytest.approx(3.0)
+    assert wasserstein_exact(make([[0.0]]), make([[3.0]]), 1) == pytest.approx(3.0)
 
 
 def test_wasserstein_two_points():
     # both pairings attain ( |0-1| + |1-2| ) / 2 = ( |0-2| + |1-1| ) / 2 = 1
-    plan = wasserstein_exact(make([[0.0], [1.0]]), make([[1.0], [2.0]]), 1)
-    assert plan.cost == pytest.approx(1.0, abs=1e-12)
+    cost = wasserstein_exact(make([[0.0], [1.0]]), make([[1.0], [2.0]]), 1)
+    assert cost == pytest.approx(1.0, abs=1e-12)
 
 
 def test_wasserstein_self_distance_zero():
     rng = np.random.default_rng(3)
     a = make(rng.standard_normal((5, 3)))
-    plan = wasserstein_exact(a, a, 2)
-    assert plan.cost == pytest.approx(0.0, abs=1e-12)
+    assert wasserstein_exact(a, a, 2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_unequal_sizes_rejected():
@@ -102,25 +102,8 @@ def test_matches_brute_force(p, q, n, data):
     coords = st.lists(st.integers(-2, 2), min_size=n * q, max_size=n * q)
     a, b = (make(np.reshape(data.draw(coords), (n, q)), name) for name in "ab")
     expected = brute_force_cost(a, b, p)
-    assert wasserstein_exact(a, b, p).cost == pytest.approx(expected, abs=1e-12)
+    assert wasserstein_exact(a, b, p) == pytest.approx(expected, abs=1e-12)
     assert distance_matrix([a, b], p).values[0, 1] == pytest.approx(expected, abs=1e-12)
-
-
-def test_plan_permutation_attains_cost():
-    rng = np.random.default_rng(7)
-    for p in (1, 2, 1.5):
-        a = make(rng.standard_normal((8, 2)), "a")
-        b = make(rng.standard_normal((8, 2)), "b")
-        plan = wasserstein_exact(a, b, p)
-        perm = plan.permutation
-        assert sorted(perm) == list(range(8))
-        recomputed = (
-            np.mean(
-                np.linalg.norm(a.samples - b.samples[perm], axis=1) ** p
-            )
-            ** (1.0 / p)
-        )
-        assert plan.cost == pytest.approx(recomputed, abs=1e-12)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3])
@@ -132,7 +115,7 @@ def test_1d_fast_path_matches_assignment(p):
         n = int(rng.integers(2, 40))
         a = make(rng.standard_normal((n, 1)), "a")
         b = make(rng.standard_normal((n, 1)), "b")
-        fast = wasserstein_exact(a, b, p).cost
+        fast = wasserstein_exact(a, b, p)
         costs = cost_matrix(a, b, p)
         rows, cols = linear_sum_assignment(costs)
         slow = float(costs[rows, cols].mean() ** (1.0 / p))
@@ -144,7 +127,7 @@ def test_large_sample_gaussian_w1():
     rng = np.random.default_rng(42)
     a = make(rng.normal(0.0, 1.0, (5000, 1)), "a")
     b = make(rng.normal(2.0, 1.0, (5000, 1)), "b")
-    w = wasserstein_exact(a, b, 1).cost
+    w = wasserstein_exact(a, b, 1)
     assert abs(w - 2.0) / 2.0 < 0.05
 
 
@@ -167,7 +150,7 @@ def test_distance_matrix_recomputation_oracle():
         assert np.array_equal(dm.values, dm.values.T)
         for i in range(5):
             for j in range(5):
-                expect = 0.0 if i == j else wasserstein_exact(sets[i], sets[j], p).cost
+                expect = 0.0 if i == j else wasserstein_exact(sets[i], sets[j], p)
                 assert dm.values[i, j] == pytest.approx(expect, abs=1e-15)
 
 
@@ -203,6 +186,36 @@ def test_distance_matrix_q1_pairs_open_no_pool(monkeypatch):
     # Assignment pairs still go to the pool, so the patch is in force.
     with pytest.raises(AssertionError, match="thread pool"):
         distance_matrix([make(rng.standard_normal((5, 3)), f"s{i}") for i in range(3)], 2)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_overflowing_cost_is_inf_without_a_warning(q):
+    # At q = 2 every assignment costs inf, so scipy finds no finite solution.
+    rng = np.random.default_rng(5)
+    a, b = (make(rng.standard_normal((5, q)) * 1e160, name) for name in "ab")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert wasserstein_exact(a, b, 2) == np.inf
+    assert not caught
+
+
+@pytest.mark.parametrize("q, scale", [(1, 1e160), (2, 1e160), (2, 6e153)],
+                         ids=["q1-gaps-overflow", "q2-no-finite-assignment", "q2-mean-overflows"])
+def test_overflowing_cost_is_an_error_naming_its_pair(tmp_path, capsys, q, scale):
+    # Gaps near 1e160 square to inf, so at q = 2 every assignment costs inf.  Near
+    # 6e153 a finite assignment exists, but the mean of its costs overflows.
+    rng = np.random.default_rng(5)
+    sets = [SampleSet(id=f"s{i}", samples=rng.standard_normal((5, q)) * scale, params=[i])
+            for i in range(4)]
+    path = tmp_path / "huge.ndjson"
+    save_dataset(Dataset(labeled=tuple(sets)), path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["distmat", "--input", str(path), "--metric", "w2",
+                     "--output", str(tmp_path / "dm.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and not caught
+    assert err.count("error:") == 1 and "'s0' and 's1'" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("affinity, cpus, expected", [({0}, 8, 1), (None, 3, 3), (None, None, 1)])
