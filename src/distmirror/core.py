@@ -43,7 +43,7 @@ import json
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -335,21 +335,23 @@ def _samples(rows: list) -> np.ndarray:
     return _floats(rows).reshape(len(rows), -1)
 
 
-#: Rows of sample cells held as text at once, counted across all sets, before
-#: they are converted.  Chunks much smaller than this leave many interleaved
-#: sets a few rows per block, and larger ones parse no faster (see CHANGES.md).
+#: Rows of sample cells held as text at once, counted across all sets and not
+#: counting blank rows, before they are converted.  Chunks much smaller than this
+#: leave many interleaved sets a few rows per block, and larger ones parse no
+#: faster (see CHANGES.md).
 _CSV_CHUNK_ROWS = 4096
 
 
 def _load_csv(path: Path) -> Dataset:
-    """Check every row's structure in one pass, converting sample cells in chunks.
+    """Check every row's structure in one loop, converting sample cells in chunks.
 
-    At most ``_CSV_CHUNK_ROWS`` rows of sample cells are held as text: each
-    full chunk is converted in one call and its rows are appended, in file
-    order, to their sets' blocks.  A chunk that fails to convert or holds a
-    non-finite value is checked again one row at a time, so its error names
-    the row's line.  The pending chunk is converted before an error in a
-    later row leaves the pass, so the error reported is the earliest line's.
+    Each row adds its sample cells, set and line to the pending chunk, and
+    blank rows are not counted.  A chunk of ``_CSV_CHUNK_ROWS`` rows is
+    converted in one call and its rows are appended, in file order, to their
+    sets' blocks.  A chunk that fails to convert or holds a non-finite value
+    is checked again one row at a time, so its error names the row's line.
+    The pending chunk is converted before an error in a later row leaves the
+    loop, so the error reported is the earliest line's.
     """
     with open(path, "rb") as fh, _csv_rows(fh, path) as reader:
         header = [h.strip() for h in next(reader, [])]
@@ -368,63 +370,55 @@ def _load_csv(path: Path) -> Dataset:
 
         # id -> (raw parameter cells of its first row, their values, set index)
         groups: dict[str, tuple] = {}
-        names: list[str] = []  # set index -> id
         blocks: list[list[np.ndarray]] = []  # set index -> its converted rows
-        # The pending chunk: sample cells and line of each row, and the rows where
-        # a run of one set's rows starts, with that set's index.
-        cells, lines, run_starts, run_owners = [], [], [], []
+        cells, owners, lines = [], [], []  # the pending chunk: each row's sample cells, set, line
 
         def convert_chunk():
+            chunk, owner, chunk_lines = cells.copy(), np.array(owners), lines.copy()
+            for column in (cells, owners, lines):  # so a chunk that fails is not converted again
+                column.clear()
             try:
-                values = _samples(cells)
+                values = _samples(chunk)
                 finite = np.isfinite(values).all()
             except ValueError:
                 finite = False
-            owner = np.repeat(run_owners, np.diff(run_starts + [len(cells)]))
             if not finite:
-                for row_cells, k, line in zip(cells, owner.tolist(), lines):
+                ids = list(groups)  # set index -> id
+                for row_cells, k, line in zip(chunk, owner.tolist(), chunk_lines):
                     with _located(f"{path}: line {line}"):
-                        SampleSet(id=names[k], samples=_samples([row_cells]))
+                        SampleSet(id=ids[k], samples=_samples([row_cells]))
             # A stable sort gives each set one block per chunk, its rows in file order.
             order = owner.argsort(kind="stable")
             owner, values = owner[order], values[order]
             starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
             for lo, hi in zip(starts, starts[1:] + [len(owner)]):
                 blocks[owner[lo]].append(values[lo:hi])
-            for column in (cells, lines, run_starts, run_owners):
-                column.clear()
 
-        read = -1
-        while read != reader.line_num:  # one chunk of rows a pass, until a pass reads none
-            read = reader.line_num
-            last = None  # the group of the chunk's last row
-            try:
-                for row in islice(reader, _CSV_CHUNK_ROWS):
-                    if len(row) != width:
-                        if any(c.strip() for c in row):
-                            raise DatasetError(f"{path}: line {reader.line_num}: "
-                                               f"expected {width} cells, got {len(row)}")
-                        continue
-                    raw = params_of(row)
-                    group = groups.get(row[0])
-                    if group is None or raw != group[0]:
-                        with _located(f"{path}: line {reader.line_num}"):
-                            params = _csv_params(raw)
-                            if group is None:
-                                group = groups[row[0]] = (raw, params, len(blocks))
-                                names.append(row[0])
-                                blocks.append([])
-                            elif params != group[1]:
-                                raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
-                    if group is not last:
-                        run_starts.append(len(cells))
-                        run_owners.append(group[2])
-                        last = group
-                    cells.append(samples_of(row))
-                    lines.append(reader.line_num)
-            finally:  # so an error in the chunk's rows comes before one after them
-                if cells:
+        try:
+            for row in reader:
+                if len(row) != width:
+                    if any(c.strip() for c in row):
+                        raise DatasetError(f"{path}: line {reader.line_num}: "
+                                           f"expected {width} cells, got {len(row)}")
+                    continue
+                raw = params_of(row)
+                group = groups.get(row[0])
+                if group is None or raw != group[0]:
+                    with _located(f"{path}: line {reader.line_num}"):
+                        params = _csv_params(raw)
+                        if group is None:
+                            group = groups[row[0]] = (raw, params, len(blocks))
+                            blocks.append([])
+                        elif params != group[1]:
+                            raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
+                cells.append(samples_of(row))
+                owners.append(group[2])
+                lines.append(reader.line_num)
+                if len(cells) == _CSV_CHUNK_ROWS:
                     convert_chunk()
+        finally:  # so an error in the chunk's rows comes before one after them
+            if cells:
+                convert_chunk()
 
     sets = []
     for set_id, (_, params, k) in groups.items():

@@ -93,13 +93,20 @@ class RealizabilityReport:
 
 
 def double_center(delta: DistanceMatrix) -> np.ndarray:
-    """Return B = -1/2 H D^(.2) H, exactly symmetric with zero row sums."""
-    d2 = delta.values**2
-    row = d2.mean(axis=1, keepdims=True)
-    col = d2.mean(axis=0, keepdims=True)
-    grand = d2.mean()
-    b = -0.5 * (d2 - row - col + grand)
-    return (b + b.T) / 2.0
+    """Return B = -1/2 H D^(.2) H, exactly symmetric with zero row sums.
+
+    Distances too large for B to fit in a float are a MirrorError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or nan, reported below
+        d2 = delta.values**2
+        row = d2.mean(axis=1, keepdims=True)
+        col = d2.mean(axis=0, keepdims=True)
+        grand = d2.mean()
+        b = -0.5 * (d2 - row - col + grand)
+        b = (b + b.T) / 2.0
+    if not np.isfinite(b).all():
+        raise MirrorError("the squared distances overflow a float; rescale the distances")
+    return b
 
 
 def _sorted_eig(b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,8 @@ dense cost matrix otherwise.  Entropic or other approximate solvers are
 deliberately absent; all downstream tolerances assume exact costs.  The
 layer returns costs only: no caller reads the coupling that attains one.
 A cost too large for a float is infinite, and :func:`distance_matrix`
-names the first pair whose cost is.
+names the first pair whose cost is, as it does the first pair of differing
+sets whose cost underflows to zero.
 """
 
 from __future__ import annotations
@@ -110,6 +111,11 @@ def _sorted_pair_cost(sa: np.ndarray, sb: np.ndarray, p: float) -> float:
     return float((np.add.reduce(gaps**p) / n) ** (1.0 / p))
 
 
+def _sorted_rows(s: SampleSet) -> np.ndarray:
+    """The samples in lexicographic row order: equal for sets equal as multisets."""
+    return s.samples[np.lexsort(s.samples.T)]
+
+
 def wasserstein_exact(a: SampleSet, b: SampleSet, p: float = 1) -> float:
     """Minimal cost W_p over the permutation couplings of two equal-size sets.
 
@@ -140,7 +146,8 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
     exactly symmetric.  For q = 1 each set is sorted once and the pairs run in
     the calling thread; only assignment pairs (q > 1) run in the worker pool.
     The result is identical for any worker count.  A cost that overflows a
-    float is a MirrorError naming the first such pair.
+    float, or that underflows to zero between sets whose samples differ, is a
+    MirrorError naming the first such pair.
     """
     _check_order(p)
     sets = list(sets)
@@ -163,6 +170,11 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
         i, j = pairs[bad[0]]
         raise MirrorError(f"the W{p:g} cost of {sets[i].id!r} and {sets[j].id!r} "
                           "overflows a float; rescale the samples")
+    for k in np.flatnonzero(costs == 0).tolist():
+        i, j = pairs[k]
+        if not np.array_equal(_sorted_rows(sets[i]), _sorted_rows(sets[j])):
+            raise MirrorError(f"the W{p:g} cost of {sets[i].id!r} and {sets[j].id!r} underflows "
+                              "to zero, though their samples differ; rescale the samples")
     values = np.zeros((m, m), dtype=np.float64)
     values[rows, cols] = values[cols, rows] = costs
     return DistanceMatrix(ids=tuple(s.id for s in sets), values=values)
@@ -174,12 +186,18 @@ def write_distance_matrix(dm: DistanceMatrix, path: str | Path) -> None:
 
 
 def read_distance_matrix(path: str | Path) -> DistanceMatrix:
-    """Read a distance matrix CSV, symmetrizing tiny asymmetries by averaging."""
+    """Read a distance matrix CSV, symmetrizing tiny asymmetries by averaging.
+
+    Entries that already equal their mirror are kept as read, so a matrix
+    written by :func:`write_distance_matrix` reads back bit for bit.
+    """
     ids, values = read_table(path, header_ids=True)
     m = len(ids)
     if len(values) != m:
         raise MirrorError(f"{path}: expected {m} value rows, found {len(values)}")
-    asym = float(np.max(np.abs(values - values.T)))
+    # Halves, whose sums and differences stay within the float range.
+    half = values / 2
+    asym = 2 * float(np.max(np.abs(half - half.T)))
     if asym > SYMMETRY_TOL:
         raise MirrorError(
             f"{path}: matrix asymmetric beyond tolerance ({asym:.3e} > {SYMMETRY_TOL:.0e})"
@@ -187,7 +205,7 @@ def read_distance_matrix(path: str | Path) -> DistanceMatrix:
     diag = float(np.max(np.abs(np.diagonal(values))))
     if diag > SYMMETRY_TOL:
         raise MirrorError(f"{path}: nonzero diagonal entry ({diag:.3e})")
-    values = (values + values.T) / 2.0
+    values = np.where(values == values.T, values, half + half.T)
     np.fill_diagonal(values, 0.0)
     with _located(str(path)):
         return DistanceMatrix(ids=ids, values=values)

@@ -534,19 +534,26 @@ def sets_of_sizes(sizes, q=1, d=1, unlabeled=0, seed=0):
                    unlabeled=tuple(s for s in sets if not s.labeled))
 
 
-@pytest.mark.parametrize("ds, interleaved", [
-    (sets_of_sizes([10_000]), False),
-    (sets_of_sizes([100] * 2000), False),
-    (sets_of_sizes([1500, 1200, 900], unlabeled=1), True),
-    (sets_of_sizes([700] * 5, q=3, d=2, unlabeled=2), True),
-], ids=["one-set-of-1e4", "2000-sets-of-100", "three-interleaved", "q3-interleaved"])
-def test_csv_load_across_chunks_matches_ndjson(tmp_path, ds, interleaved):
+@pytest.mark.parametrize("ds, interleaved, blank_every", [
+    (sets_of_sizes([10_000]), False, 0),
+    (sets_of_sizes([100] * 2000), False, 0),
+    (sets_of_sizes([1500, 1200, 900], unlabeled=1), True, 0),
+    (sets_of_sizes([700] * 5, q=3, d=2, unlabeled=2), True, 0),
+    (sets_of_sizes([1500, 1200, 900], unlabeled=1), True, 3),
+], ids=["one-set-of-1e4", "2000-sets-of-100", "three-interleaved", "q3-interleaved",
+        "blank-lines-in-every-chunk"])
+def test_csv_load_across_chunks_matches_ndjson(tmp_path, ds, interleaved, blank_every):
     nd, cs = tmp_path / "d.ndjson", tmp_path / "d.csv"
     save_dataset(ds, nd, "ndjson")
     if interleaved:
         write_interleaved_csv(ds, cs)
     else:
         save_dataset(ds, cs, "csv")
+    if blank_every:  # blank rows, which no chunk counts among its rows
+        head, *body = cs.read_text().splitlines(keepends=True)
+        blanks = cycle(["\n", ",\n", " \t\r\n"])
+        cs.write_text(head + "".join(line + (next(blanks) if k % blank_every == 0 else "")
+                                     for k, line in enumerate(body)))
     from_csv, from_ndjson = load_dataset(cs, "csv"), load_dataset(nd, "ndjson")
     assert fields(from_csv) == fields(from_ndjson) == fields(ds)
     assert [s.labeled for s in from_csv.all_sets] == [s.labeled for s in ds.all_sets]
@@ -571,10 +578,12 @@ def test_csv_load_peak_bytes_per_value(tmp_path, interleaved):
     assert peak / 200_000 <= 40
 
 
-@pytest.mark.parametrize("line", [_CSV_CHUNK_ROWS + 1, _CSV_CHUNK_ROWS + 1000],
-                         ids=["last-row-of-a-chunk", "inside-a-later-chunk"])
-@pytest.mark.parametrize("cell, message", [("x", "invalid numeric data"),
-                                           ("nan", "non-finite")], ids=["non-numeric", "nan"])
+@pytest.mark.parametrize("line", [_CSV_CHUNK_ROWS + k for k in (1, 2, 1000)],
+                         ids=["last-row-of-a-chunk", "first-row-after-a-full-chunk",
+                              "inside-a-later-chunk"])
+@pytest.mark.parametrize("cell, message", [("x", "invalid numeric data"), ("nan", "non-finite"),
+                                           ("0,1", "expected 3 cells, got 4")],
+                         ids=["non-numeric", "nan", "ragged"])
 def test_csv_bad_cell_beyond_the_first_chunk_names_its_line(tmp_path, cell, message, line):
     path = tmp_path / "d.csv"
     write_interleaved_csv(sets_of_sizes([_CSV_CHUNK_ROWS] * 3), path)

@@ -3,11 +3,14 @@ import itertools
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import distmirror._parallel
 from distmirror._parallel import worker_count
@@ -218,6 +221,52 @@ def test_overflowing_cost_is_an_error_naming_its_pair(tmp_path, capsys, q, scale
     assert err.count("error:") == 1 and "'s0' and 's1'" in err and "Traceback" not in err
 
 
+def tiny_sets(q):
+    rng = np.random.default_rng(7)
+    return [SampleSet(id=f"s{i}", samples=rng.standard_normal((3, q)) * 1e-170, params=[i])
+            for i in range(3)]
+
+
+def test_underflowing_cost_is_an_error_naming_its_pair(tmp_path, capsys):
+    # Gaps near 1e-170 square to 0, so every W2 cost is 0 while W1 costs are not.
+    path = tmp_path / "tiny.ndjson"
+    save_dataset(Dataset(labeled=tuple(tiny_sets(1))), path)
+    argv = ["distmat", "--input", str(path), "--output", str(tmp_path / "dm.csv"), "--metric"]
+    assert main(argv + ["w1"]) == 0
+    assert (read_distance_matrix(tmp_path / "dm.csv").values[np.triu_indices(3, 1)] > 0).all()
+    capsys.readouterr()
+    assert main(argv + ["w2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "'s0' and 's1' underflows to zero" in err
+
+
+def test_underflowing_assignment_cost_is_an_error_naming_its_pair():
+    with pytest.raises(MirrorError, match="W2 cost of 's0' and 's1' underflows to zero"):
+        distance_matrix(tiny_sets(3), 2)
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_sets_equal_as_multisets_are_at_zero(q):
+    rng = np.random.default_rng(8)
+    samples = rng.standard_normal((6, q))
+    sets = [make(samples, "a"), make(samples[::-1], "b"), make(samples + 1.0, "c")]
+    values = distance_matrix(sets, 2).values
+    assert values[0, 1] == 0 and values[0, 2] > 0
+
+
+@pytest.mark.parametrize("command", [["embed", "--dim", "1"], ["diagnose"]])
+def test_distances_whose_squares_overflow_are_an_error(tmp_path, capsys, command):
+    path = tmp_path / "dm.csv"
+    path.write_text("a,b\n0,1e308\n1e308,0\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([command[0], "--input", str(path), "--output", str(tmp_path / "out.csv"),
+                     *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 1 and not caught
+    assert err.count("error:") == 1 and "squared distances overflow" in err
+
+
 @pytest.mark.parametrize("affinity, cpus, expected", [({0}, 8, 1), (None, 3, 3), (None, None, 1)])
 def test_worker_count_reads_cpu_affinity(monkeypatch, affinity, cpus, expected):
     monkeypatch.delenv("MIRROR_THREADS", raising=False)
@@ -397,6 +446,46 @@ def test_distance_matrix_csv_round_trip(tmp_path):
     back = read_distance_matrix(path)
     assert back.ids == dm.ids
     np.testing.assert_array_equal(back.values, dm.values)
+
+
+@st.composite
+def distance_matrices(draw):
+    """Finite symmetric nonnegative matrices, entries from subnormal up to 1.7e308, any ids."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=5, unique=True)
+               .filter(lambda ids: any(i.strip() for i in ids)))  # a blank header is skipped
+    m = len(ids)
+    entries = st.floats(0, 1.7e308) | st.sampled_from([5e-324, 1.5e-323, 2.2250738585072014e-308])
+    values = np.zeros((m, m))
+    rows, cols = np.triu_indices(m, 1)
+    values[rows, cols] = values[cols, rows] = draw(arrays(np.float64, rows.size, elements=entries))
+    return DistanceMatrix(ids=ids, values=values)
+
+
+@given(distance_matrices())
+def test_property_distance_matrix_csv_round_trip_is_bit_exact(dm):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dm.csv"
+        write_distance_matrix(dm, path)
+        back = read_distance_matrix(path)
+    assert back.ids == dm.ids
+    assert back.values.view(np.uint64).tolist() == dm.values.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n0,1e308\n1e308,0\n", None),
+    ("a,b\n0,-1e308\n-1e308,0\n", "negative entries"),
+    ("a,b\n0,1e308\n-1e308,0\n", "asymmetric"),
+], ids=["valid", "negative", "asymmetric"])
+def test_reader_takes_entries_near_the_float_limit_without_a_warning(tmp_path, text, message):
+    path = tmp_path / "dm.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if message is None:
+            assert read_distance_matrix(path).values.tolist() == [[0, 1e308], [1e308, 0]]
+        else:
+            with pytest.raises(MirrorError, match=message):
+                read_distance_matrix(path)
 
 
 def test_reader_symmetrizes_small_asymmetry(tmp_path):
