@@ -5,10 +5,15 @@ worker per core this process may run on is used.  A value that is not a
 positive integer is rejected.  Results never depend on the worker count: every
 parallel site computes independent items and writes to disjoint slots.
 
-The pool serves the assignment pairs (q > 1) of ``transport.distance_matrix``,
-``recovery.leave_one_out`` and ``sim.generate``.  The q = 1 pairs run serially:
-on 2 cores the mean-sd study's four matrices took 0.26-0.43 s serial against
-0.69-1.48 s in the pool (15 runs each).
+Three sites map over the pool: ``transport.distance_matrix`` its assignment
+pairs (q > 1), ``recovery.leave_one_out`` its hold-outs and ``sim.generate`` its
+draws.  The q = 1 pairs run serially: on 2 cores the mean-sd study's four
+matrices took 0.26-0.43 s serial against 0.69-1.48 s in the pool (15 runs
+each).  Only the assignment pairs gain from the pool.  The other two sites are
+bound by the GIL: on 2 cores ``simulate --experiment mean-sd`` took 2.69-3.50 s
+wall and 2.8-3.6 s cpu with one worker against 3.09-3.72 s wall and 4.1-4.7 s
+cpu with two (3 alternating runs each).  They stay pooled only because
+``perfbench/selftest.py`` asserts their bindings (ROADMAP.md, open items 2-3).
 
 BLAS threads.  Importing this module sets numpy's bundled OpenBLAS (the
 ``numpy.libs/libscipy_openblas64_*.so`` of the numpy wheels) to one thread.
@@ -17,11 +22,7 @@ embedding and the batched ``inv``/``svd``/``det`` of the geometry, which run
 inside the pool.  Matrices that small gain nothing from BLAS threads even
 serially, and under the pool each worker's BLAS threads compete for the same
 cores.  On 2 cores, one BLAS thread took the traced mean-sd study's 400
-``eigh`` calls from 2.60 to 0.78 s of wall time.  With one BLAS thread the
-leave-one-out pool pays a little in wall time and costs a little cpu time:
-``run_recovery_experiment(seed=0)`` took 1.53-1.64 s wall and 1.72-1.83 s cpu
-serial against 1.24-1.53 s wall and 1.68-2.04 s cpu pooled (3 alternating runs
-each on 2 cores).
+``eigh`` calls from 2.60 to 0.78 s of wall time.
 
 scipy's own bundled OpenBLAS serves only the one ``scipy.linalg.solve`` of
 ``fit --method bspline``, and it loads only when an input first needs scipy,

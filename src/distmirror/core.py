@@ -33,6 +33,14 @@ contiguous, but they must all carry the same parameters.
 
 Every other CSV table (distance matrices, embeddings, parameter tables,
 reports) is read by :func:`read_table` and written by :func:`write_table`.
+
+In every CSV file a row is blank when each of its cells is empty or
+whitespace, and blank rows are skipped, whatever their cell count.  A row
+whose first cell starts with ``#`` is a comment only before a table's
+header, where :func:`write_table` puts its note; after the header it is
+data, since an id may start with ``#``.  A sample CSV, whose first row is its
+header, and a table whose header lists its ids (a distance matrix) have no
+comments.
 """
 
 from __future__ import annotations
@@ -63,8 +71,9 @@ __all__ = [
 ]
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=np.float64)
+def _freeze(a, dtype=np.float64) -> np.ndarray:
+    """a as a read-only C-contiguous ``dtype`` array: a itself when it already is one."""
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -396,11 +405,13 @@ def _load_csv(path: Path) -> Dataset:
 
         try:
             for row in reader:
-                if len(row) != width:
-                    if any(c.strip() for c in row):
+                # A blank row's first cell is empty or starts with a space, outside '!'..'~'.
+                if len(row) != width or not "!" <= row[0] < "\x7f":
+                    if not any(c.strip() for c in row):
+                        continue
+                    if len(row) != width:
                         raise DatasetError(f"{path}: line {reader.line_num}: "
                                            f"expected {width} cells, got {len(row)}")
-                    continue
                 raw = params_of(row)
                 group = groups.get(row[0])
                 if group is None or raw != group[0]:
@@ -447,12 +458,11 @@ def load_dataset(path: str | Path, format: str = "ndjson") -> Dataset:
 def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, ...], np.ndarray]:
     """Read a CSV table of finite floats with one id per row or per column.
 
-    By default each row is ``id, v1..vk`` under a header naming the columns,
-    and lines starting with ``#`` are comments.  With ``header_ids`` the
-    header lists the ids as written, one per column, every row holds only
-    numbers, and ``#`` is not special, since an id may start with it.  Blank
-    lines are skipped.  Returns the ids and the (rows, k) value matrix; ids
-    must be distinct, and every error names the file and the line.
+    By default each row is ``id, v1..vk`` under a header naming the columns.
+    With ``header_ids`` the header lists the ids as written, one per column,
+    and every row holds only numbers.  Blank rows and comments are as in the
+    module's "On-disk formats".  Returns the ids and the (rows, k) value
+    matrix; ids must be distinct, and every error names the file and the line.
     """
     path = Path(path)
     if not path.exists():
@@ -460,7 +470,8 @@ def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, .
     header, rows, lines = None, [], {}  # lines: id -> the line it is on
     with open(path, "rb") as fh, _csv_rows(fh, path) as reader:
         for row in reader:
-            if not any(c.strip() for c in row) or (not header_ids and row[0].startswith("#")):
+            if not any(c.strip() for c in row) or (
+                    header is None and not header_ids and row[0].startswith("#")):
                 continue
             with _located(f"{path}: line {reader.line_num}"):
                 if header is None:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import read_table, write_table
+from .core import _freeze, read_table, write_table
 from .errors import MirrorError, NoPositiveSpectrum
 from .transport import DistanceMatrix
 
@@ -46,28 +46,26 @@ class MirrorEmbedding:
     ids: tuple[str, ...]
     coords: np.ndarray
     spectrum: np.ndarray
-    c: int
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
-        coords = np.ascontiguousarray(self.coords, dtype=np.float64)
-        spectrum = np.ascontiguousarray(self.spectrum, dtype=np.float64)
+        coords = np.asarray(self.coords, dtype=np.float64)
+        spectrum = np.asarray(self.spectrum, dtype=np.float64)
         m = len(self.ids)
-        if coords.shape != (m, self.c):
-            raise MirrorError(
-                f"embedding coords shape {coords.shape} does not match "
-                f"({m}, {self.c})"
-            )
+        if coords.ndim != 2 or len(coords) != m:
+            raise MirrorError(f"embedding coords shape {coords.shape} is not (m={m}, c)")
         if spectrum.shape != (m,):
             raise MirrorError("spectrum must contain one eigenvalue per point")
-        coords.setflags(write=False)
-        spectrum.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "spectrum", spectrum)
+        object.__setattr__(self, "coords", _freeze(coords))
+        object.__setattr__(self, "spectrum", _freeze(spectrum))
 
     @property
     def m(self) -> int:
         return len(self.ids)
+
+    @property
+    def c(self) -> int:
+        return self.coords.shape[1]
 
 
 @dataclass(frozen=True)
@@ -82,14 +80,28 @@ class ProcrustesAlignment:
 class RealizabilityReport:
     """Scree diagnostics of a distance matrix's doubly centered spectrum.
 
-    ``eigenvalue_share[j]`` is spectrum[j] / m, the per-dimension growth rate
-    a user can threshold to judge whether dimension j+1 carries signal.
+    ``spectrum`` holds the m eigenvalues of B in descending order.  An exactly
+    Euclidean matrix has a positive semidefinite B, so each eigenvalue below
+    -tol (tol = 1e-9 * max|eigenvalue|) counts against realizability in
+    ``count_negative``.  ``eigenvalue_share[j]`` is spectrum[j] / m, the
+    per-dimension growth rate a user can threshold to judge whether dimension
+    j+1 carries signal.
     """
 
     spectrum: np.ndarray
-    count_negative: int
-    min_eigenvalue: float
-    eigenvalue_share: np.ndarray
+
+    @property
+    def count_negative(self) -> int:
+        tol = 1e-9 * float(np.max(np.abs(self.spectrum), initial=0.0))
+        return int(np.sum(self.spectrum < -tol))
+
+    @property
+    def min_eigenvalue(self) -> float:
+        return float(self.spectrum[-1]) if self.spectrum.size else 0.0
+
+    @property
+    def eigenvalue_share(self) -> np.ndarray:
+        return self.spectrum / len(self.spectrum)
 
 
 def double_center(delta: DistanceMatrix) -> np.ndarray:
@@ -139,25 +151,12 @@ def cmds(delta: DistanceMatrix, c: int | None) -> MirrorEmbedding:
     coords = evecs[:, :c] * scale
     flip = coords[np.argmax(np.abs(coords), axis=0), np.arange(c)] < 0
     coords[:, flip] = -coords[:, flip]
-    return MirrorEmbedding(ids=delta.ids, coords=coords, spectrum=evals, c=c)
+    return MirrorEmbedding(ids=delta.ids, coords=coords, spectrum=evals)
 
 
 def realizability_diagnostics(delta: DistanceMatrix) -> RealizabilityReport:
-    """Spectrum-based check of how Euclidean a distance matrix is.
-
-    An exactly Euclidean matrix has a positive semidefinite B, so any
-    eigenvalue below -tol (tol = 1e-9 * max|eigenvalue|) counts against
-    realizability.
-    """
-    evals, _ = _sorted_eig(double_center(delta))
-    peak = float(np.max(np.abs(evals))) if evals.size else 0.0
-    tol = 1e-9 * peak
-    return RealizabilityReport(
-        spectrum=evals,
-        count_negative=int(np.sum(evals < -tol)),
-        min_eigenvalue=float(evals[-1]) if evals.size else 0.0,
-        eigenvalue_share=evals / delta.m,
-    )
+    """Spectrum-based check of how Euclidean a distance matrix is."""
+    return RealizabilityReport(spectrum=_sorted_eig(double_center(delta))[0])
 
 
 def select_dimension(spectrum: np.ndarray) -> int:

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import Dataset, SampleSet
+from .core import Dataset, SampleSet, _freeze
 from .embedding import MirrorEmbedding, cmds, procrustes_align
 from .errors import MirrorError
 from .recovery import RecoveryResult, leave_one_out
@@ -82,27 +82,19 @@ class GaussianFamilySpec:
     seed: int = 0
 
     def __post_init__(self):
-        grid = self.grid
-        if grid is None:
-            grid = (
-                mean_only_grid()
-                if self.variant is FamilyVariant.MEAN_ONLY
-                else mean_sd_grid()
-            )
-        grid = np.ascontiguousarray(grid, dtype=np.float64)
+        mean_only = self.variant is FamilyVariant.MEAN_ONLY
+        default = mean_only_grid if mean_only else mean_sd_grid
+        grid = np.asarray(default() if self.grid is None else self.grid, dtype=np.float64)
         if grid.ndim != 2 or grid.shape[1] != 2:
             raise MirrorError("grid must be an (m, 2) matrix")
-        lo, hi = (
-            (1.0, 10.0) if self.variant is FamilyVariant.MEAN_ONLY else (0.0, 1.0)
-        )
+        lo, hi = (1.0, 10.0) if mean_only else (0.0, 1.0)
         if grid.min() < lo or grid.max() > hi:
             raise MirrorError(
                 f"{self.variant.value} grid must lie in [{lo}, {hi}]^2"
             )
         if self.n < 1:
             raise MirrorError("n must be at least 1")
-        grid.setflags(write=False)
-        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "grid", _freeze(grid))
 
     @property
     def m(self) -> int:
@@ -239,9 +231,6 @@ class MirrorStudyResult:
     max_errors: np.ndarray
     surfaces: dict[int, np.ndarray]  # n -> (m,) aligned 1-d mirror (first seed)
 
-    def median_rmse(self) -> np.ndarray:
-        return np.median(self.errors, axis=1)
-
 
 def run_mirror_experiment(
     n_values: Sequence[int] = (10, 50, 100, 500),
@@ -290,26 +279,6 @@ class RecoveryStudyResult:
     seed: int
     # n -> list of (x_true, RecoveryResult, truth_on_reduced_hull)
     runs: dict[int, list[tuple[np.ndarray, RecoveryResult, bool]]]
-
-    def errors(self, n: int, interior_only: bool = False) -> np.ndarray:
-        rows = self.runs[int(n)]
-        return np.array(
-            [
-                np.linalg.norm(truth - rec.x_hat)
-                for truth, rec, on_hull in rows
-                if not (interior_only and on_hull)
-            ]
-        )
-
-    def coordinate_errors(self, n: int, interior_only: bool = False) -> np.ndarray:
-        rows = self.runs[int(n)]
-        return np.array(
-            [
-                np.abs(truth - rec.x_hat)
-                for truth, rec, on_hull in rows
-                if not (interior_only and on_hull)
-            ]
-        )
 
 
 def _truth_on_reduced_hull(grid: np.ndarray, i: int) -> bool:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import write_table
+from .core import _freeze, write_table
 from .errors import DegenerateInput, MirrorError, UnsupportedDimension
 
 __all__ = [
@@ -83,9 +83,8 @@ class Triangulation:
     _bary: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        points = np.ascontiguousarray(self.points, dtype=np.float64)
-        simplices = np.ascontiguousarray(self.simplices, dtype=np.intp)
-        hull = np.ascontiguousarray(self.hull, dtype=np.intp)
+        points = np.asarray(self.points, dtype=np.float64)
+        simplices = np.asarray(self.simplices, dtype=np.intp)
         if points.ndim != 2:
             raise MirrorError("points must be an (m, d) matrix")
         d = points.shape[1]
@@ -102,12 +101,10 @@ class Triangulation:
             raise DegenerateInput(
                 f"simplex {idx} ({simplices[idx].tolist()}) is degenerate"
             ) from None
-        for arr in (points, simplices, hull, mats):
-            arr.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "simplices", simplices)
-        object.__setattr__(self, "hull", hull)
-        object.__setattr__(self, "_bary", mats)
+        object.__setattr__(self, "points", _freeze(points))
+        object.__setattr__(self, "simplices", _freeze(simplices, np.intp))
+        object.__setattr__(self, "hull", _freeze(self.hull, np.intp))
+        object.__setattr__(self, "_bary", _freeze(mats))
 
     @property
     def m(self) -> int:
@@ -130,7 +127,7 @@ class MirrorSurface:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
         if values.shape[0] != self.tri.m:
@@ -139,8 +136,7 @@ class MirrorSurface:
             )
         if not np.all(np.isfinite(values)):
             raise MirrorError("surface values contain non-finite entries")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _freeze(values))
 
     @property
     def c(self) -> int:

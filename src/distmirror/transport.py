@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import SampleSet, _located, read_table, write_table
+from .core import SampleSet, _freeze, _located, read_table, write_table
 from .errors import MirrorError, UnequalSampleSizes
 
 __all__ = [
@@ -49,7 +49,7 @@ class DistanceMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
-        values = np.ascontiguousarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
         m = len(self.ids)
         if values.shape != (m, m):
             raise MirrorError(
@@ -63,8 +63,7 @@ class DistanceMatrix:
             raise MirrorError("distance matrix is not exactly symmetric")
         if np.any(np.diagonal(values) != 0):
             raise MirrorError("distance matrix has a nonzero diagonal")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _freeze(values))
 
     @property
     def m(self) -> int:

@@ -666,6 +666,27 @@ def test_file_pipeline_matches_in_process(tmp_path):
     np.testing.assert_allclose(rows[:, 2:], interpolate(surf, rows[:, :2]), atol=1e-9)
 
 
+def test_hash_led_id_keeps_its_row_through_the_file_chain(tmp_path):
+    # '#a' heads the distance matrix and leads a row of the embedding and of the
+    # params table, after each header, where '#' starts an id and not a comment.
+    axis = np.linspace(0.0, 1.0, 3)
+    grid = np.array([[a, b] for a in axis for b in axis])
+    sets = generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=grid, n=20)).labeled
+    ids = ["#a"] + [s.id for s in sets[1:]]
+    data = tmp_path / "d.ndjson"
+    write_ndjson(data, [{"id": i, "params": s.params.tolist(), "samples": s.samples.tolist()}
+                        for i, s in zip(ids, sets)])
+    dm, emb, params, tri = (tmp_path / f"{name}.csv" for name in ("dm", "emb", "params", "tri"))
+    assert main(["distmat", "--input", str(data), "--metric", "w2", "--output", str(dm)]) == 0
+    assert main(["embed", "--input", str(dm), "--dim", "2", "--output", str(emb)]) == 0
+    assert read_embedding(emb)[0] == tuple(ids)
+    write_params_csv(ids, grid, params)
+    assert main(["fit", "--embedding", str(emb), "--params", str(params), "--grid-res", "3",
+                 "--output", str(tmp_path / "surface.csv"), "--triangulation", str(tri)]) == 0
+    points = [r for r in read_csv_rows(tri) if r[0] == "point"]
+    assert len(points) == 9
+
+
 @pytest.mark.parametrize("threads", ["two", "0", "-3"])
 def test_bad_thread_count_is_usage_error(tmp_path, monkeypatch, capsys, threads):
     monkeypatch.setenv("MIRROR_THREADS", threads)

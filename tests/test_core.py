@@ -16,7 +16,7 @@ from hypothesis import example, given, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import distmirror
-from distmirror.cli import main, read_params_csv
+from distmirror.cli import main, read_params_csv, write_params_csv
 from distmirror.core import (
     _CSV_CHUNK_ROWS,
     _lines,
@@ -26,7 +26,7 @@ from distmirror.core import (
     save_dataset,
     validate_equal_sample_size,
 )
-from distmirror.embedding import read_embedding
+from distmirror.embedding import MirrorEmbedding, read_embedding, write_embedding
 from distmirror.errors import DatasetError, DuplicateParameters, MirrorError, UnequalSampleSizes
 from distmirror.transport import read_distance_matrix
 
@@ -511,6 +511,43 @@ def test_property_save_load_round_trip_is_bit_exact(ds):
     assert fields(loaded["ndjson"]) == fields(loaded["csv"])
 
 
+@st.composite
+def tables(draw):
+    """Distinct ids, drawn as datasets() draws them, each with a row of any finite floats."""
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
+    return ids, draw(arrays(np.float64, (len(ids), draw(st.integers(1, 3))), elements=floats))
+
+
+# After a table's header a '#' starts an id, not a comment.
+HASH_LED_IDS = (["#a", "b", "#"], np.array([[1.0], [2.0], [3.0]]))
+
+
+@pytest.mark.parametrize("note", [None, "dim=1 (auto)"], ids=["no-note", "note"])
+@given(table=tables())
+@example(table=HASH_LED_IDS)
+def test_property_embedding_round_trip_is_bit_exact(note, table):
+    ids, coords = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "emb.csv"
+        write_embedding(MirrorEmbedding(ids=ids, coords=coords, spectrum=np.zeros(len(ids))),
+                        path, header_note=note)
+        back_ids, back = read_embedding(path)
+    assert back_ids == tuple(ids)
+    assert bits(back) == bits(coords)
+
+
+@given(table=tables())
+@example(table=HASH_LED_IDS)
+def test_property_params_round_trip_is_bit_exact(table):
+    ids, params = table
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "params.csv"
+        write_params_csv(ids, params, path)
+        back_ids, back = read_params_csv(path)
+    assert back_ids == tuple(ids)
+    assert bits(back) == bits(params)
+
+
 # ---------------------------------------------------------------------------
 # CSV ingest converts a bounded chunk of rows at a time
 # ---------------------------------------------------------------------------
@@ -549,11 +586,11 @@ def test_csv_load_across_chunks_matches_ndjson(tmp_path, ds, interleaved, blank_
         write_interleaved_csv(ds, cs)
     else:
         save_dataset(ds, cs, "csv")
-    if blank_every:  # blank rows, which no chunk counts among its rows
+    if blank_every:  # blank rows of any width, which no chunk counts among its rows
         head, *body = cs.read_text().splitlines(keepends=True)
-        blanks = cycle(["\n", ",\n", " \t\r\n"])
+        blanks = cycle(["\n", ",\n", " \t\r\n", ",,\n", " , \t,\n", "\u3000,,\u00a0\n"])
         cs.write_text(head + "".join(line + (next(blanks) if k % blank_every == 0 else "")
-                                     for k, line in enumerate(body)))
+                                     for k, line in enumerate(body)), encoding="utf-8")
     from_csv, from_ndjson = load_dataset(cs, "csv"), load_dataset(nd, "ndjson")
     assert fields(from_csv) == fields(from_ndjson) == fields(ds)
     assert [s.labeled for s in from_csv.all_sets] == [s.labeled for s in ds.all_sets]

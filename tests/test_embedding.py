@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from distmirror.embedding import (
+    MirrorEmbedding,
+    RealizabilityReport,
     cmds,
     double_center,
     procrustes_align,
@@ -131,6 +133,22 @@ def test_cmds_isometry_invariance():
     assert fit.residual < 1e-9
 
 
+def test_embedding_dimension_is_its_coordinate_columns():
+    emb = MirrorEmbedding(ids=("a", "b"), coords=np.zeros((2, 3)), spectrum=np.zeros(2))
+    assert (emb.m, emb.c) == (2, 3)
+    assert not emb.coords.flags.writeable and not emb.spectrum.flags.writeable
+
+
+@pytest.mark.parametrize("coords, spectrum", [
+    (np.zeros(2), np.zeros(2)),  # not 2-d
+    (np.zeros((3, 1)), np.zeros(2)),  # a row too many
+    (np.zeros((2, 1)), np.zeros(3)),  # an eigenvalue too many
+], ids=["1-d-coords", "extra-row", "extra-eigenvalue"])
+def test_embedding_rejects_a_shape_that_is_not_one_row_per_id(coords, spectrum):
+    with pytest.raises(MirrorError):
+        MirrorEmbedding(ids=("a", "b"), coords=coords, spectrum=spectrum)
+
+
 def test_cmds_dimension_bounds():
     with pytest.raises(MirrorError):
         cmds(dm_from(COLLINEAR), 0)
@@ -149,6 +167,13 @@ def test_diagnostics_triangle_violation_detected():
     report = realizability_diagnostics(dm_from([[0, 1, 1], [1, 0, 3], [1, 3, 0]]))
     assert report.count_negative >= 1
     assert report.min_eigenvalue == pytest.approx(-5.0 / 6.0, abs=1e-10)
+
+
+def test_report_reads_its_figures_from_the_spectrum():
+    report = RealizabilityReport(spectrum=np.array([1e10, 0.0, -5.0, -20.0]))
+    assert report.count_negative == 1  # -5 is within 1e-9 of the largest |eigenvalue|
+    assert report.min_eigenvalue == -20.0
+    np.testing.assert_array_equal(report.eigenvalue_share, [2.5e9, 0.0, -1.25, -5.0])
 
 
 def test_diagnostics_two_point_closed_form():

@@ -31,7 +31,6 @@ def identity_embedding(grid, target):
         ids=tuple(f"s{i}" for i in range(m)),
         coords=coords,
         spectrum=np.zeros(m),
-        c=coords.shape[1],
     )
 
 
@@ -167,7 +166,6 @@ def test_residual_bounded_by_vertices():
         ids=tuple(f"s{i}" for i in range(17)),
         coords=np.vstack([values, target[None, :]]),
         spectrum=np.zeros(17),
-        c=2,
     )
     rec = recover_parameter(psi, grid)
     vertex_best = min(np.linalg.norm(values - target, axis=1))
@@ -190,7 +188,7 @@ def embedding_of(values, target):
     coords = np.vstack([values, target[None, :]])
     m = len(coords)
     return MirrorEmbedding(ids=tuple(f"s{i}" for i in range(m)), coords=coords,
-                           spectrum=np.zeros(m), c=coords.shape[1])
+                           spectrum=np.zeros(m))
 
 
 @given(recovery_problems())
@@ -220,10 +218,10 @@ def test_isometry_equivariance():
     moved = coords @ rot.T + np.array([3.0, -1.0])
     ids = tuple(f"s{i}" for i in range(17))
     rec_a = recover_parameter(
-        MirrorEmbedding(ids=ids, coords=coords, spectrum=np.zeros(17), c=2), grid
+        MirrorEmbedding(ids=ids, coords=coords, spectrum=np.zeros(17)), grid
     )
     rec_b = recover_parameter(
-        MirrorEmbedding(ids=ids, coords=moved, spectrum=np.zeros(17), c=2), grid
+        MirrorEmbedding(ids=ids, coords=moved, spectrum=np.zeros(17)), grid
     )
     np.testing.assert_allclose(rec_a.x_hat, rec_b.x_hat, atol=1e-9)
 
@@ -234,7 +232,7 @@ def test_tie_break_deterministic():
     grid = unit_grid(3)
     coords = np.zeros((10, 2))
     psi = MirrorEmbedding(
-        ids=tuple(f"s{i}" for i in range(10)), coords=coords, spectrum=np.zeros(10), c=2
+        ids=tuple(f"s{i}" for i in range(10)), coords=coords, spectrum=np.zeros(10)
     )
     rec1 = recover_parameter(psi, grid)
     rec2 = recover_parameter(psi, grid)
