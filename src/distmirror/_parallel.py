@@ -5,21 +5,35 @@ worker per core this process may run on is used.  A value that is not a
 positive integer is rejected.  Results never depend on the worker count: every
 parallel site computes independent items and writes to disjoint slots.
 
-Three sites map over the pool: ``transport.distance_matrix`` its assignment
-pairs (q > 1), ``recovery.leave_one_out`` its hold-outs and ``sim.generate`` its
-draws.  The q = 1 pairs run serially: on 2 cores the mean-sd study's four
-matrices took 0.26-0.43 s serial against 0.69-1.48 s in the pool (15 runs
-each).  Only the assignment pairs gain from the pool.  The other two sites are
-bound by the GIL: on 2 cores ``simulate --experiment mean-sd`` took 2.69-3.50 s
-wall and 2.8-3.6 s cpu with one worker against 3.09-3.72 s wall and 4.1-4.7 s
-cpu with two (3 alternating runs each).  They stay pooled only because
-``perfbench/selftest.py`` asserts their bindings (ROADMAP.md, open items 2-3).
+Three sites map over the pool.  Two threads running Python code take turns
+under the GIL and only add cpu time, so a site pays only where its items spend
+their time in native code that releases it.
+
+- ``transport.distance_matrix`` maps its assignment pairs (q > 1), and they
+  pay: ``linear_sum_assignment`` releases the GIL, and on 2 cores the traced
+  ``cli-chain`` solves ran 13.57 s busy in 6.91 s of wall time (ROADMAP.md,
+  Baseline).  The q = 1 pairs run serially: the mean-sd study's four matrices
+  took 0.26-0.43 s serial against 0.69-1.48 s in the pool (15 runs each).
+- ``recovery.leave_one_out`` maps only its m embeddings, whose ``eigh``
+  releases the GIL.  On 2 cores the mean-sd study's 400 embeddings took
+  0.49-0.79 s wall (median 0.60 s) and 0.83-1.05 s cpu in two workers, against
+  0.51-0.77 s (median 0.70 s) serial (10 alternating runs each in one
+  process); the study as a whole was no faster in wall time.  Its recoveries
+  (triangulation and face enumeration) hold the GIL and run in order in the
+  calling thread: pooling them as well cost ``perfbench/run.py --workload
+  mean-sd-loo`` 4.44 s cpu against 3.65 s (medians of 10 runs,
+  ``BENCH_18.json``).
+- ``sim.generate`` maps its seeded draws, which do not pay: the four mean-sd
+  specs took 0.067 and 0.084 s serial against 0.083 and 0.100 s pooled
+  (medians of 15, two processes).  It stays pooled only because
+  ``perfbench/selftest.py`` asserts its binding, as it does the leave-one-out
+  map's (ROADMAP.md, open items 2-3).
 
 BLAS threads.  Importing this module sets numpy's bundled OpenBLAS (the
 ``numpy.libs/libscipy_openblas64_*.so`` of the numpy wheels) to one thread.
 Every dense matrix here is at most about m x m with m ~ 100: ``eigh`` in the
-embedding and the batched ``inv``/``svd``/``det`` of the geometry, which run
-inside the pool.  Matrices that small gain nothing from BLAS threads even
+embedding, which runs inside the pool, and the batched ``inv``/``svd``/``det``
+of the geometry.  Matrices that small gain nothing from BLAS threads even
 serially, and under the pool each worker's BLAS threads compete for the same
 cores.  On 2 cores, one BLAS thread took the traced mean-sd study's 400
 ``eigh`` calls from 2.60 to 0.78 s of wall time.

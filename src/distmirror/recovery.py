@@ -196,6 +196,10 @@ def leave_one_out(
     reported like any other; callers can separate them via the distance of
     the truth to the reduced hull.  Each iteration sees exactly the matrix a
     fresh joint embedding of the remaining sets plus the held-out set would.
+
+    Only the m embeddings are mapped over the worker pool, because their
+    ``eigh`` releases the GIL; the recoveries, whose triangulation and face
+    enumeration hold it, run in order in the calling thread (``_parallel.py``).
     """
     params = np.ascontiguousarray(params, dtype=np.float64)
     if params.ndim != 2 or len(params) != dm.m:
@@ -204,11 +208,9 @@ def leave_one_out(
     if m < d + 3:
         raise MirrorError(f"leave-one-out needs m >= d+3 = {d + 3} labeled sets, got {m}")
 
-    def run(i: int) -> RecoveryResult:
-        psi = cmds(_reordered_submatrix(dm, i), c)
-        return recover_parameter(psi, np.delete(params, i, axis=0))
-
-    return map_deterministic(run, list(range(m)))
+    embeddings = map_deterministic(lambda i: cmds(_reordered_submatrix(dm, i), c), range(m))
+    return [recover_parameter(psi, np.delete(params, i, axis=0))
+            for i, psi in enumerate(embeddings)]
 
 
 def write_recovery_report(

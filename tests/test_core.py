@@ -28,7 +28,9 @@ from distmirror.core import (
 )
 from distmirror.embedding import MirrorEmbedding, read_embedding, write_embedding
 from distmirror.errors import DatasetError, DuplicateParameters, MirrorError, UnequalSampleSizes
-from distmirror.transport import read_distance_matrix
+from distmirror.sim import FamilyVariant, GaussianFamilySpec
+from distmirror.surface import MirrorSurface, Triangulation, delaunay_triangulate
+from distmirror.transport import DistanceMatrix, read_distance_matrix
 
 
 def write_ndjson(path, records):
@@ -251,6 +253,46 @@ def test_sampleset_arrays_immutable():
         s.samples[0, 0] = 5.0
     with pytest.raises(ValueError):
         s.params[0] = 5.0
+
+
+TRIANGLE = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+# (input array, the array the object keeps) for every frozen array field.
+FROZEN_FIELDS = {
+    "SampleSet.samples": (np.ones((3, 1)), lambda a: SampleSet(id="a", samples=a).samples),
+    "SampleSet.params": (np.array([0.5, 0.25]), lambda a: SampleSet(
+        id="a", samples=np.ones((1, 1)), params=a).params),
+    "DistanceMatrix.values": (np.array([[0.0, 1.0], [1.0, 0.0]]), lambda a: DistanceMatrix(
+        ids=("a", "b"), values=a).values),
+    "GaussianFamilySpec.grid": (np.array([[0.5, 0.5], [0.25, 0.75]]), lambda a: GaussianFamilySpec(
+        variant=FamilyVariant.MEAN_SD, grid=a).grid),
+    "MirrorEmbedding.coords": (np.ones((2, 1)), lambda a: MirrorEmbedding(
+        ids=("a", "b"), coords=a, spectrum=np.zeros(2)).coords),
+    "MirrorEmbedding.spectrum": (np.array([2.0, 1.0]), lambda a: MirrorEmbedding(
+        ids=("a", "b"), coords=np.ones((2, 1)), spectrum=a).spectrum),
+    "Triangulation.points": (TRIANGLE.copy(), lambda a: Triangulation(
+        points=a, simplices=[[0, 1, 2]], hull=[0, 1, 2]).points),
+    "MirrorSurface.values": (np.ones((3, 2)), lambda a: MirrorSurface(
+        delaunay_triangulate(TRIANGLE), a).values),
+}
+
+
+@pytest.mark.parametrize("form", ["array", "view", "read-only view"])
+@pytest.mark.parametrize("name", FROZEN_FIELDS)
+def test_frozen_fields_leave_the_callers_array_alone(name, form):
+    # The object keeps a read-only array of its own; the caller's array keeps
+    # its flags, and writing to it later does not change the object.
+    template, build = FROZEN_FIELDS[name]
+    owner = template.copy()
+    given = owner if form == "array" else owner[...]
+    if form == "read-only view":
+        given.setflags(write=False)
+    kept = build(given)
+    before = kept.copy()
+    assert not kept.flags.writeable
+    assert owner.flags.writeable and given.flags.writeable == (form != "read-only view")
+    owner[...] = 7.0
+    np.testing.assert_array_equal(kept, before)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import os
+import threading
 from contextlib import contextmanager
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distmirror._parallel
+import distmirror.recovery as recovery
 from distmirror.core import Dataset, SampleSet
 from distmirror.embedding import MirrorEmbedding, cmds, procrustes_align
 from distmirror.errors import MirrorError
@@ -301,6 +303,40 @@ def test_leave_one_out_rejects_params_of_other_sets():
     for params in (grid[:-1], grid[:, 0], np.vstack([grid, grid[:1]])):
         with pytest.raises(MirrorError, match="params must be an \\(9, d\\) matrix"):
             leave_one_out(dm, params, c=2)
+
+
+def test_leave_one_out_pools_only_the_embeddings(monkeypatch):
+    # The pool maps the m embeddings; every recovery runs in the calling thread.
+    grid = unit_grid(3)
+    dm = distance_matrix(gaussian_sets(np.random.default_rng(59), grid), p=1)
+    mapped, embed_threads, recover_threads = [], [], []
+    real_map, real_cmds, real_recover = (
+        recovery.map_deterministic, recovery.cmds, recovery.recover_parameter)
+
+    def map_wrapper(fn, items):
+        mapped.append(len(items))
+        return real_map(fn, items)
+
+    def cmds_wrapper(delta, c):
+        embed_threads.append(threading.get_ident())
+        return real_cmds(delta, c)
+
+    def recover_wrapper(psi, params):
+        recover_threads.append(threading.get_ident())
+        return real_recover(psi, params)
+
+    monkeypatch.setenv("MIRROR_THREADS", "2")
+    monkeypatch.setattr(recovery, "map_deterministic", map_wrapper)
+    monkeypatch.setattr(recovery, "cmds", cmds_wrapper)
+    monkeypatch.setattr(recovery, "recover_parameter", recover_wrapper)
+    threads_before = threading.active_count()
+    leave_one_out(dm, grid, c=2)
+    assert mapped == [9]
+    # Only the map's pool runs code off the calling thread.
+    assert len(embed_threads) == 9 and threading.get_ident() not in embed_threads
+    assert len(set(embed_threads)) <= 2
+    assert recover_threads == [threading.get_ident()] * 9
+    assert threading.active_count() == threads_before
 
 
 @contextmanager
