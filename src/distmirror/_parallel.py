@@ -18,10 +18,11 @@ their time in native code that releases it.
   releases the GIL.  On 2 cores the mean-sd study's 400 embeddings took
   0.49-0.79 s wall (median 0.60 s) and 0.83-1.05 s cpu in two workers, against
   0.51-0.77 s (median 0.70 s) serial (10 alternating runs each in one
-  process); the study as a whole was no faster in wall time.  Its recoveries
-  (triangulation and face enumeration) hold the GIL and run in order in the
-  calling thread: pooling them as well cost ``perfbench/run.py --workload
-  mean-sd-loo`` 4.44 s cpu against 3.65 s (medians of 10 runs,
+  process).  They do not pay for the study as a whole: it took 3.07 s wall and
+  3.05 s cpu serial against 3.27 s and 3.60 s pooled (medians of 10).  Its
+  recoveries (triangulation and face enumeration) hold the GIL and run in
+  order in the calling thread: pooling them as well cost ``perfbench/run.py
+  --workload mean-sd-loo`` 4.44 s cpu against 3.65 s (medians of 10 runs,
   ``BENCH_18.json``).
 - ``sim.generate`` maps its seeded draws, which do not pay: the four mean-sd
   specs took 0.067 and 0.084 s serial against 0.083 and 0.100 s pooled

@@ -72,19 +72,12 @@ __all__ = [
 
 
 def _freeze(a, dtype=np.float64) -> np.ndarray:
-    """a's values as a read-only C-contiguous ``dtype`` array that nothing else can write.
+    """A read-only C-contiguous ``dtype`` copy of a's values.
 
-    A read-only array is kept when every array it views is read-only too, such
-    as another object's frozen array.  Anything else is copied, so the
-    caller's array keeps its flags and a later write to it does not reach the
-    object.
+    Always a copy, so the caller's array keeps its flags and nothing written
+    to it later, even after it is made writeable again, reaches the object.
     """
-    a = np.ascontiguousarray(a, dtype=dtype)
-    base = a
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    if base is not None:
-        a = a.copy()
+    a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
     return a
 

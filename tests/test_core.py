@@ -277,20 +277,23 @@ FROZEN_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("form", ["array", "view", "read-only view"])
+@pytest.mark.parametrize("form", ["array", "view", "read-only view", "read-only array"])
 @pytest.mark.parametrize("name", FROZEN_FIELDS)
 def test_frozen_fields_leave_the_callers_array_alone(name, form):
     # The object keeps a read-only array of its own; the caller's array keeps
-    # its flags, and writing to it later does not change the object.
+    # its flags, and writing to it later, even after making a read-only array
+    # writeable again, does not change the object.
     template, build = FROZEN_FIELDS[name]
     owner = template.copy()
-    given = owner if form == "array" else owner[...]
-    if form == "read-only view":
+    given = owner[...] if form.endswith("view") else owner
+    if form.startswith("read-only"):
         given.setflags(write=False)
     kept = build(given)
     before = kept.copy()
     assert not kept.flags.writeable
-    assert owner.flags.writeable and given.flags.writeable == (form != "read-only view")
+    assert given.flags.writeable == (not form.startswith("read-only"))
+    assert owner.flags.writeable == (form != "read-only array")
+    owner.setflags(write=True)
     owner[...] = 7.0
     np.testing.assert_array_equal(kept, before)
 
