@@ -47,6 +47,9 @@ from .surface import (
 from .transport import distance_matrix, read_distance_matrix, write_distance_matrix
 
 _METRIC_ORDER = {"w1": 1.0, "w2": 2.0}
+#: Grid points ``fit`` holds at once: each chunk is as many whole first-axis
+#: rows of its grid as fit in this many points, and at least one row.
+_GRID_POINTS = 1 << 16
 
 
 class _UsageError(Exception):
@@ -153,16 +156,27 @@ def _cmd_fit(args) -> int:
     d = params.shape[1]
     axes = [np.linspace(lo, hi, args.grid_res)
             for lo, hi in zip(params.min(axis=0), params.max(axis=0))]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    values = evaluate(surface, scaling.transform(grid) if scaling else grid)
-    rows = np.hstack([grid, values])[~np.isnan(values).any(axis=1)]
+    # The grid in row-major order, evaluated and written a chunk of first-axis rows at a time.
+    step = max(1, _GRID_POINTS // args.grid_res ** (d - 1))
+    written = 0
+
+    def rows():
+        nonlocal written
+        for i in range(0, args.grid_res, step):
+            grid = np.stack(np.meshgrid(axes[0][i:i + step], *axes[1:], indexing="ij"),
+                            axis=-1).reshape(-1, d)
+            values = evaluate(surface, scaling.transform(grid) if scaling else grid)
+            inside = np.hstack([grid, values])[~np.isnan(values).any(axis=1)]
+            written += len(inside)
+            yield from inside
+
     note = None
     if scaling:
         note = ("normalized axes: offset=" + ",".join(repr(float(v)) for v in scaling.offset)
                 + " scale=" + ",".join(repr(float(v)) for v in scaling.scale))
     header = [f"x{k + 1}" for k in range(d)] + [f"y{k + 1}" for k in range(coords.shape[1])]
-    write_table(args.output, header, rows, note)
-    print(f"fit: method={args.method} grid={args.grid_res} rows={len(rows)} -> {args.output}")
+    write_table(args.output, header, rows(), note)
+    print(f"fit: method={args.method} grid={args.grid_res} rows={written} -> {args.output}")
     return 0
 
 

@@ -71,46 +71,55 @@ def joint_embed(
 FEASIBILITY_TOL = 1e-9
 
 
-def _face_candidates(
-    vvals: np.ndarray, vpts: np.ndarray, target: np.ndarray, face: tuple[int, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form minimizers over one face pattern, batched across simplices.
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (N, c) matrices."""
+    return np.einsum("kc,kc->k", u, v)
 
-    ``vvals`` is (K, d+1, c) vertex mirror values, ``vpts`` (K, d+1, d)
-    vertex coordinates.  Returns (feasible mask, candidate points (K, d),
-    squared objective values (K,)).  Faces whose quadratic is singular are
-    reported infeasible: their minimum is also attained on a sub-face, which
-    is enumerated separately.
+
+def _face_candidates(
+    surface: MirrorSurface, target: np.ndarray, faces: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form minimizers over faces of one size, batched across faces and simplices.
+
+    ``faces`` is a (K, F, k) array: the vertex indices of F faces of each of
+    the K simplices.  Returns (feasible mask, candidate points (K*F, d),
+    squared objective values (K*F,)) for every (simplex, face) pair,
+    simplex-major.  Faces whose quadratic is singular are reported
+    infeasible: their minimum is also attained on a sub-face, which is
+    enumerated separately.  An edge counts as singular relative to the
+    largest squared length that edge slot takes over the K simplices.
     """
-    k = len(face)
-    vals = vvals[:, list(face), :]  # (K, k, c)
-    pts = vpts[:, list(face), :]  # (K, k, d)
-    n_simplices = vvals.shape[0]
+    n_simplices, n_faces, k = faces.shape
+    vals = surface.values[faces].reshape(n_simplices * n_faces, k, -1)  # (K*F, k, c)
+    pts = surface.tri.points[faces].reshape(n_simplices * n_faces, k, -1)  # (K*F, k, d)
+    n = len(vals)
     if k == 1:
-        weights = np.ones((n_simplices, 1))
-        feasible = np.ones(n_simplices, dtype=bool)
+        weights = np.ones((n, 1))
+        feasible = np.ones(n, dtype=bool)
     else:
+        # The Gram matrix of the directions from vertex 0, and their products with
+        # the target's offset from it, one entry at a time.
         base = vals[:, 0, :]
-        directions = vals[:, 1:, :] - base[:, None, :]  # (K, k-1, c)
-        rhs = target[None, :] - base  # (K, c)
-        gram = np.einsum("kic,kjc->kij", directions, directions)
-        proj = np.einsum("kic,kc->ki", directions, rhs)
+        rhs = target[None, :] - base
+        d1 = vals[:, 1, :] - base
+        g11, p1 = _dot(d1, d1), _dot(d1, rhs)
+        weights = np.zeros((n, k))  # column j > 0 is vertex j's weight mu_j
         if k == 2:
-            g = gram[:, 0, 0]
-            solvable = g > 1e-14 * np.maximum(g.max(initial=0.0), 1.0)
-            mu = np.zeros((n_simplices, 1))
-            np.divide(proj[:, 0], g, out=mu[:, 0], where=solvable)
+            scale = np.maximum(g11.reshape(n_simplices, n_faces).max(axis=0, initial=0.0), 1.0)
+            solvable = (g11.reshape(n_simplices, n_faces) > 1e-14 * scale).ravel()
+            np.divide(p1, g11, out=weights[:, 1], where=solvable)
         else:  # k == 3, the full triangle
-            det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] ** 2
-            norm = gram[:, 0, 0] * gram[:, 1, 1]
+            d2 = vals[:, 2, :] - base
+            g12, g22, p2 = _dot(d1, d2), _dot(d2, d2), _dot(d2, rhs)
+            det = g11 * g22 - g12 ** 2
+            norm = g11 * g22
             solvable = det > 1e-12 * np.maximum(norm, 1e-300)
-            mu = np.zeros((n_simplices, 2))
             safe_det = np.where(solvable, det, 1.0)
-            mu[:, 0] = (gram[:, 1, 1] * proj[:, 0] - gram[:, 0, 1] * proj[:, 1]) / safe_det
-            mu[:, 1] = (gram[:, 0, 0] * proj[:, 1] - gram[:, 0, 1] * proj[:, 0]) / safe_det
-        weights = np.concatenate([1.0 - mu.sum(axis=1, keepdims=True), mu], axis=1)
+            weights[:, 1] = (g22 * p1 - g12 * p2) / safe_det
+            weights[:, 2] = (g11 * p2 - g12 * p1) / safe_det
+        weights[:, 0] = 1.0 - weights[:, 1:].sum(axis=1)
         feasible = solvable & (weights.min(axis=1) >= -FEASIBILITY_TOL)
-        weights = np.clip(weights, 0.0, None)
+        weights = np.maximum(weights, 0.0)
         weights /= weights.sum(axis=1, keepdims=True)
     x = np.einsum("ki,kid->kd", weights, pts)
     diff = np.einsum("ki,kic->kc", weights, vals) - target[None, :]
@@ -125,8 +134,10 @@ def recover_parameter(
 
     Builds the mirror surface over ``params`` (an (m, d) matrix matching
     embedding rows 0..m-1), then returns the hull point whose interpolated
-    value is closest to the last row.  Equal minima resolve to the lowest
-    simplex index, then to the lexicographically smallest parameter.
+    value is closest to the last row.  Every face of every simplex is solved
+    in closed form, one batch per face size.  Equal minima resolve to the
+    lowest simplex index, then to the lexicographically smallest parameter;
+    only the candidates tied at the minimum value are sorted for that.
     """
     params = np.ascontiguousarray(params, dtype=np.float64)
     if params.ndim != 2:
@@ -139,17 +150,19 @@ def recover_parameter(
     tri = delaunay_triangulate(params)
     surface = MirrorSurface(tri, psi.coords[:m])
     target = psi.coords[m]
+    if not np.all(np.isfinite(target)):
+        raise MirrorError("the embedding's last row contains non-finite entries")
 
-    d = tri.d
-    vvals = surface.values[tri.simplices]  # (K, d+1, c)
-    vpts = tri.points[tri.simplices]  # (K, d+1, d)
-    faces = [f for r in range(1, d + 2) for f in combinations(range(d + 1), r)]
-    candidates = [_face_candidates(vvals, vpts, target, f) for f in faces]
+    # Each face size's vertex slots, then their vertex indices in every simplex.
+    slots = [list(combinations(range(tri.d + 1), r)) for r in range(1, tri.d + 2)]
+    faces = [tri.simplices[:, s] for s in slots]  # (K, F, k) each
+    candidates = [_face_candidates(surface, target, f) for f in faces]
     feasible, x, value = (np.concatenate(parts) for parts in zip(*candidates))
-    sids = np.tile(np.arange(tri.n_simplices), len(faces))[feasible]
-    x, value = x[feasible], value[feasible]
-    # lexsort's last key is the primary one: value, then simplex, then x_1..x_d.
-    best = np.lexsort((*x.T[::-1], sids, value))[0]
+    sids = np.concatenate([np.repeat(np.arange(tri.n_simplices), len(s)) for s in slots])
+    # value is the primary key, so only the candidates tied at its minimum can win;
+    # among them lexsort's last key rules: simplex, then x_1..x_d.
+    tied = np.flatnonzero(feasible & (value == value[feasible].min()))
+    best = tied[np.lexsort((*x[tied].T[::-1], sids[tied]))[0]]
     x_hat = x[best].copy()
     return RecoveryResult(
         x_hat=x_hat,

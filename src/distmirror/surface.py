@@ -13,14 +13,19 @@ alternative for d = 2.
 For d = 2, qhull (``scipy.spatial.Delaunay``) builds the triangulation.
 It and every geometric predicate run on the points translated and scaled
 uniformly into the unit box, where the predicates use a static epsilon of
-1e-12; inputs are assumed well-conditioned (grids and similar).  The result
-does not depend on the points' overall coordinate scale, but the epsilon is
-absolute in the unit box: a cluster of points far smaller than the points'
-extent can be rejected ("non-positive area") or have its cells fanned where
-they are not Delaunay at the cluster's own scale.  The tie-break among
-equally Delaunay triangulations is
-"each cocircular cell is fanned from its lowest-index vertex", making
-triangulations reproducible across platforms and qhull versions.
+1e-12; inputs are assumed well-conditioned (grids and similar).  The
+orientation and incircle predicates are closed-form float expansions whose
+rounding error in the unit box stays below 2e-14, so the epsilon, not the
+rounding, decides which quads count as cocircular.  Coincident points are
+found before qhull runs, in one sort of the rows, and the error names the
+first repeated point and its earlier copy.  The result does not depend on
+the points' overall coordinate scale, but the epsilon is absolute in the
+unit box: a cluster of points far smaller than the points' extent can be
+rejected ("non-positive area") or have its cells fanned where they are not
+Delaunay at the cluster's own scale.  The tie-break among equally Delaunay
+triangulations is "each cocircular cell is fanned from its lowest-index
+vertex", making triangulations reproducible across platforms and qhull
+versions.
 
 A point is on the hull boundary when it lies within ``BOUNDARY_TOL`` times
 the points' largest extent of it, compared in prescaled units (all divided
@@ -92,7 +97,8 @@ class Triangulation:
             raise MirrorError("simplices must be a (K, d+1) index matrix with K >= 1")
         # Homogeneous inverse per simplex: lambda = _bary[k] @ [x, 1].
         homogeneous = np.ones((len(simplices), d + 1, d + 1))
-        homogeneous[:, :d] = points[simplices].transpose(0, 2, 1)
+        for i in range(d):
+            homogeneous[:, i] = points[:, i][simplices]
         try:
             mats = np.linalg.inv(homogeneous)
         except np.linalg.LinAlgError:
@@ -155,16 +161,28 @@ def _prescale_exponent(points: np.ndarray) -> int:
 
 def _orient(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Twice the signed area of each row (a, b, c); > 0 means counterclockwise."""
-    a, b, c = (points[tris[:, k]] for k in range(3))
-    u, v = b - a, c - a
-    return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    # Gathered per coordinate: one (3, E) row per vertex slot.
+    x, y = points[:, 0][tris.T], points[:, 1][tris.T]
+    return (x[1] - x[0]) * (y[2] - y[0]) - (y[1] - y[0]) * (x[2] - x[0])
 
 
 def _incircle(points: np.ndarray, tris: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Positive where d[k] lies strictly inside the circumcircle of ccw tris[k]."""
-    rows = points[tris] - points[d][:, None, :]
-    sq = np.sum(rows * rows, axis=2)
-    return np.linalg.det(np.concatenate([rows, sq[..., None]], axis=2))
+    """Positive where d[k] lies strictly inside the circumcircle of ccw tris[k].
+
+    The determinant of the rows (x, y, x^2 + y^2) of the triangle's vertices
+    relative to d[k], expanded in closed form along its last column, as
+    Shewchuk's (1997) float incircle test evaluates it.  Its forward error,
+    the roundings of the differences included, is at most (10 + 96 eps) eps
+    times the same expansion taken over absolute values (eps = 2**-53).  In
+    the unit box that expansion is at most 12, so the error is below 1.4e-14,
+    far below ``GEOM_EPS``.
+    """
+    x = points[:, 0][tris.T] - points[d, 0]
+    y = points[:, 1][tris.T] - points[d, 1]
+    lift = x * x + y * y
+    return (lift[0] * (x[1] * y[2] - y[1] * x[2])
+            - lift[1] * (x[0] * y[2] - y[0] * x[2])
+            + lift[2] * (x[0] * y[1] - y[0] * x[1]))
 
 
 def _drop_boundary_slivers(
@@ -176,9 +194,12 @@ def _drop_boundary_slivers(
     the apex of a zero-width boundary triangle; removing that triangle makes
     the point a hull vertex, as it would be were it exactly on the edge.
     """
+    thin = area <= GEOM_EPS
+    if not thin.any():
+        return tris, nbrs
     alive = np.ones(len(tris), dtype=bool)
     while True:
-        sliver = alive & (area <= GEOM_EPS) & ((nbrs < 0) | ~alive[nbrs]).any(axis=1)
+        sliver = thin & alive & ((nbrs < 0) | ~alive[nbrs]).any(axis=1)
         if not sliver.any():
             break
         alive &= ~sliver
@@ -215,33 +236,41 @@ def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray, nbrs: np.ndarray) 
     cluster far smaller than the unit box, so such a cell may fail that
     shape; it keeps qhull's triangles.
     """
-    k, j = np.nonzero(nbrs > np.arange(len(tris))[:, None])
+    m, n_tris = len(unit), len(tris)
+    k, j = np.nonzero(nbrs > np.arange(n_tris)[:, None])
     n = nbrs[k, j]
-    near, tail, head = (tris[k, (j + i) % 3] for i in range(3))
+    # Neighbour j of triangle k lies across the edge from vertex j + 1 to vertex
+    # j + 2 (mod 3): read off a flat copy of the rows, each with its first two
+    # vertices repeated.
+    ring = np.concatenate([tris, tris[:, :2]], axis=1).ravel()
+    at = 5 * k + j
+    near, tail, head = ring[at], ring[at + 1], ring[at + 2]
     far = tris[n, np.argmax(nbrs[n] == k[:, None], axis=1)]
     # Flipping to the other diagonal must leave both triangles above the area floor.
-    s1, s2 = (_orient(unit, np.column_stack([near, far, w])) for w in (tail, head))
+    flips = np.column_stack([near, far, tail, near, far, head]).reshape(-1, 3)
+    s1, s2 = _orient(unit, flips).reshape(-1, 2).T
     convex = (np.minimum(s1, s2) < -GEOM_EPS) & (np.maximum(s1, s2) > GEOM_EPS)
     cocircular = convex & (np.abs(_incircle(unit, tris[k], far)) <= GEOM_EPS)
     a, b = k[cocircular], n[cocircular]
     # Label each triangle with the lowest triangle index in its cell.
-    label = np.arange(len(tris))
-    while not np.array_equal(label[a], label[b]):
+    label = np.arange(n_tris)
+    while (label[a] != label[b]).any():
         low = np.minimum(label[a], label[b])
         np.minimum.at(label, a, low)
         np.minimum.at(label, b, low)
     cell, src, dst = _boundary_edges(tris, nbrs, label)
     # Every boundary vertex is a source, so the lowest source is the fan's hub.
-    hub = np.full(len(tris), len(unit))
+    hub = np.full(n_tris, m)
     np.minimum.at(hub, cell, src)
-    spoke = (src != hub[cell]) & (dst != hub[cell])
-    fan, fan_cell = np.column_stack([hub[cell], src, dst])[spoke], cell[spoke]
+    hub = hub[cell]
+    spoke = (src != hub) & (dst != hub)
+    fan, fan_cell = np.column_stack([hub, src, dst])[spoke], cell[spoke]
     # k triangles bound by k+2 edges from k+2 distinct sources form one
-    # simple cycle with no inner vertex (Euler's formula).
-    size = np.bincount(label, minlength=len(tris)) + 2
-    sources = np.unique(cell * len(unit) + src) // len(unit)
-    fanned = (np.bincount(cell, minlength=len(tris)) == size) & (
-        np.bincount(sources, minlength=len(tris)) == size)
+    # simple cycle with no inner vertex (Euler's formula).  Given k+2 edges,
+    # the sources are distinct unless one (cell, source) key repeats.
+    fanned = np.bincount(cell, minlength=n_tris) == np.bincount(label, minlength=n_tris) + 2
+    key = np.sort(cell * m + src)
+    fanned[key[1:][key[1:] == key[:-1]] // m] = False
     fanned[fan_cell[_orient(unit, fan) <= GEOM_EPS]] = False
     return np.concatenate([tris[~fanned[label]], fan[fanned[fan_cell]]])
 
@@ -250,7 +279,7 @@ def _canonical_simplices(tris: np.ndarray) -> np.ndarray:
     """Rotate each row to start at its lowest index, then sort the rows."""
     width = tris.shape[1]
     shift = (np.argmin(tris, axis=1)[:, None] + np.arange(width)) % width
-    tris = np.take_along_axis(tris, shift, axis=1)
+    tris = tris[np.arange(len(tris))[:, None], shift]
     return tris[np.lexsort(tris.T[::-1])]
 
 
@@ -278,12 +307,15 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
         raise MirrorError("points contain non-finite values")
     if m < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points for d={d}, got {m}")
-    uniq = np.unique(points, axis=0)
-    if uniq.shape[0] != m:
-        raise DegenerateInput("points contain duplicates")
+    # lexsort is stable: within a run of equal rows the indices ascend, so the
+    # smallest index that repeats an earlier row follows that row's first copy.
+    order = np.lexsort(points.T[::-1])
+    same = (points[order[1:]] == points[order[:-1]]).all(axis=1)
+    if same.any():
+        k = np.flatnonzero(same)[np.argmin(order[1:][same])]
+        raise DegenerateInput(f"point {order[k + 1]} coincides with point {order[k]}")
 
     if d == 1:
-        order = np.argsort(points[:, 0], kind="stable")
         simplices = _canonical_simplices(np.column_stack([order[:-1], order[1:]]))
         hull = np.array([order[0], order[-1]], dtype=np.intp)
         return Triangulation(points=points, simplices=simplices, hull=hull)
@@ -293,7 +325,8 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
 
     # The power-of-two prescale is exact and keeps the differences finite.
     unit = np.ldexp(points, -_prescale_exponent(points))
-    unit = (unit - unit.min(axis=0)) / np.max(unit.max(axis=0) - unit.min(axis=0))
+    low = unit.min(axis=0)
+    unit = (unit - low) / np.max(unit.max(axis=0) - low)
     try:
         qhull = Delaunay(unit)
     except QhullError:
@@ -345,7 +378,9 @@ def _rows(tri: Triangulation, x: np.ndarray) -> np.ndarray:
 def _blockwise(answer, x: np.ndarray, row_floats: int) -> np.ndarray:
     """``answer`` of x's rows, as many at a time as hold ``_QUERY_FLOATS`` floats."""
     step = max(1, _QUERY_FLOATS // row_floats)
-    return np.concatenate([answer(x[i:i + step]) for i in range(0, len(x) or 1, step)])
+    if len(x) <= step:
+        return answer(x)
+    return np.concatenate([answer(x[i:i + step]) for i in range(0, len(x), step)])
 
 
 def locate(tri: Triangulation, x: np.ndarray) -> np.ndarray:
@@ -436,8 +471,9 @@ def _prescaled_boundary_distance(
     e = _prescale_exponent(tri.points)
     pts = np.ldexp(tri.points, -e)
     extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
-    a = pts[tri.hull]  # for d = 2, edge k runs from hull vertex k to vertex k + 1
-    ab = np.roll(a, -1, axis=0) - a
+    # For d = 2, edge k runs from hull vertex k to vertex k + 1 (mod the hull's length).
+    ring = pts[np.append(tri.hull, tri.hull[0])]
+    a, ab = ring[:-1], ring[1:] - ring[:-1]
     denom = np.einsum("kj,kj->k", ab, ab)
 
     def block(x):
@@ -446,8 +482,8 @@ def _prescaled_boundary_distance(
             return np.abs(x - a).min(axis=1)[:, 0]
         t = np.divide(np.einsum("nkj,kj->nk", x - a, ab), denom,
                       out=np.zeros((len(x), len(a))), where=denom != 0)
-        nearest = a + np.clip(t, 0.0, 1.0)[..., None] * ab
-        return np.linalg.norm(x - nearest, axis=2).min(axis=1)
+        gap = x - (a + np.clip(t, 0.0, 1.0)[..., None] * ab)
+        return np.sqrt(np.add.reduce(gap * gap, axis=2)).min(axis=1)
 
     return _blockwise(block, _rows(tri, x), a.size), e, extent
 

@@ -55,19 +55,31 @@ class DistanceMatrix:
             raise MirrorError(
                 f"distance matrix shape {values.shape} does not match {m} ids"
             )
+        # Each check is one pass; only a failed one searches for its first entry.
         if not np.all(np.isfinite(values)):
-            raise MirrorError("distance matrix contains non-finite entries")
+            raise MirrorError("distance matrix contains non-finite entries, first "
+                              + _first_entry(self.ids, values, ~np.isfinite(values)))
         if np.any(values < 0):
-            raise MirrorError("distance matrix contains negative entries")
+            raise MirrorError("distance matrix contains negative entries, first "
+                              + _first_entry(self.ids, values, values < 0))
         if not np.array_equal(values, values.T):
-            raise MirrorError("distance matrix is not exactly symmetric")
+            raise MirrorError("distance matrix is not exactly symmetric, first "
+                              + _first_entry(self.ids, values, values != values.T, mirror=True))
         if np.any(np.diagonal(values) != 0):
-            raise MirrorError("distance matrix has a nonzero diagonal")
+            raise MirrorError("distance matrix has a nonzero diagonal, first "
+                              + _first_entry(self.ids, values, np.diag(np.diagonal(values) != 0)))
         object.__setattr__(self, "values", _freeze(values))
 
     @property
     def m(self) -> int:
         return len(self.ids)
+
+
+def _first_entry(ids: tuple[str, ...], values: np.ndarray, bad: np.ndarray, mirror: bool = False) -> str:
+    """The first entry, in row-major order, that ``bad`` flags: its ids and value."""
+    i, j = np.argwhere(bad)[0].tolist()
+    text = f"d({ids[i]!r}, {ids[j]!r}) = {float(values[i, j])!r}"
+    return text + f" != d({ids[j]!r}, {ids[i]!r}) = {float(values[j, i])!r}" if mirror else text
 
 
 def _check_pair(a: SampleSet, b: SampleSet) -> None:
@@ -101,13 +113,17 @@ def cost_matrix(a: SampleSet, b: SampleSet, p: float) -> np.ndarray:
 def _sorted_pair_cost(sa: np.ndarray, sb: np.ndarray, p: float) -> float:
     """Cost of pairing pre-sorted 1-d samples in order."""
     # np.add.reduce is the pairwise sum np.mean takes, without its Python overhead.
-    gaps = np.abs(sa - sb)
+    # The gaps are transformed in place; for p = 2 the sign needs no removing.
+    gaps = sa - sb
     n = gaps.size
+    if p == 2:
+        gaps *= gaps
+        return float(np.sqrt(np.add.reduce(gaps) / n))
+    np.abs(gaps, out=gaps)
     if p == 1:
         return float(np.add.reduce(gaps) / n)
-    if p == 2:
-        return float(np.sqrt(np.add.reduce(gaps * gaps) / n))
-    return float((np.add.reduce(gaps**p) / n) ** (1.0 / p))
+    gaps **= p
+    return float((np.add.reduce(gaps) / n) ** (1.0 / p))
 
 
 def _sorted_rows(s: SampleSet) -> np.ndarray:

@@ -242,6 +242,43 @@ def test_fit_collinear_params_fail(tmp_path):
     ) == 1
 
 
+@pytest.mark.parametrize("flags", [["--method", "delaunay"], ["--method", "bspline"],
+                                   ["--normalize-params"], ["--method", "delaunay", "d=1"]],
+                         ids=["delaunay", "bspline", "normalized", "delaunay-1d"])
+def test_fit_writes_the_same_bytes_in_any_number_of_chunks(tmp_path, monkeypatch, capsys, flags):
+    # A triangular hull leaves part of every chunk's rows outside it.
+    rng = np.random.default_rng(7)
+    if "d=1" in flags:
+        flags, params = flags[:-1], rng.uniform(0, 3, (9, 1))
+    else:
+        params = np.vstack([[[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]],
+                            rng.dirichlet(np.ones(3), 30) @ [[0.0, 0.0], [3.0, 0.0], [0.0, 2.0]]])
+    ids = tuple(f"g{i}" for i in range(len(params)))
+    emb, par = tmp_path / "emb.csv", tmp_path / "params.csv"
+    emb.write_text("id,y1,y2\n" + "".join(f"{i},{a!r},{b!r}\n" for i, (a, b) in
+                                           zip(ids, rng.standard_normal((len(ids), 2)).tolist())))
+    write_params_csv(ids, params, par)
+    calls = []
+    for name in ("interpolate", "evaluate_bspline"):
+        original = getattr(distmirror.cli, name)
+        monkeypatch.setattr(distmirror.cli, name,
+                            lambda s, x, original=original: calls.append(len(x)) or original(s, x))
+    outputs = []
+    for points in (distmirror.cli._GRID_POINTS, 40, 7):
+        monkeypatch.setattr(distmirror.cli, "_GRID_POINTS", points)
+        calls.clear()
+        out = tmp_path / f"surface{points}.csv"
+        assert main(["fit", "--embedding", str(emb), "--params", str(par), *flags,
+                     "--grid-res", "13", "--output", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out.replace(out.name, "")))
+        # chunks of whole first-axis rows: all at once, 3 rows (d = 2) or 40 points (d = 1), one row
+        width = 13 if params.shape[1] == 2 else 1
+        step = max(1, points // width)
+        assert calls == [min(step, 13 - i) * width for i in range(0, 13, step)]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    assert "rows=" in outputs[0][1] and len(outputs[0][0].splitlines()) > 2
+
+
 @pytest.mark.parametrize("res", ["-3", "0", "1"])
 def test_fit_grid_res_below_two_is_usage_error(tmp_path, res):
     emb, params, _ = identity_grid_fixture(tmp_path)

@@ -256,6 +256,113 @@ def test_tie_break_prefers_lowest_simplex_then_smallest_x():
     assert rec.residual == 0.0
 
 
+def brute_force_face(vvals, vpts, target, face):
+    """Reference: the closed-form minimizer over one face of every simplex, solved
+    alone, with its solvability threshold scaled to that face's largest Gram entry."""
+    k = len(face)
+    vals, pts = vvals[:, list(face), :], vpts[:, list(face), :]
+    n_simplices = vvals.shape[0]
+    if k == 1:
+        weights = np.ones((n_simplices, 1))
+        feasible = np.ones(n_simplices, dtype=bool)
+    else:
+        base = vals[:, 0, :]
+        directions = vals[:, 1:, :] - base[:, None, :]
+        rhs = target[None, :] - base
+        gram = np.einsum("kic,kjc->kij", directions, directions)
+        proj = np.einsum("kic,kc->ki", directions, rhs)
+        if k == 2:
+            g = gram[:, 0, 0]
+            solvable = g > 1e-14 * np.maximum(g.max(initial=0.0), 1.0)
+            mu = np.zeros((n_simplices, 1))
+            np.divide(proj[:, 0], g, out=mu[:, 0], where=solvable)
+        else:
+            det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] ** 2
+            norm = gram[:, 0, 0] * gram[:, 1, 1]
+            solvable = det > 1e-12 * np.maximum(norm, 1e-300)
+            mu = np.zeros((n_simplices, 2))
+            safe_det = np.where(solvable, det, 1.0)
+            mu[:, 0] = (gram[:, 1, 1] * proj[:, 0] - gram[:, 0, 1] * proj[:, 1]) / safe_det
+            mu[:, 1] = (gram[:, 0, 0] * proj[:, 1] - gram[:, 0, 1] * proj[:, 0]) / safe_det
+        weights = np.concatenate([1.0 - mu.sum(axis=1, keepdims=True), mu], axis=1)
+        feasible = solvable & (weights.min(axis=1) >= -recovery.FEASIBILITY_TOL)
+        weights = np.clip(weights, 0.0, None)
+        weights /= weights.sum(axis=1, keepdims=True)
+    x = np.einsum("ki,kid->kd", weights, pts)
+    diff = np.einsum("ki,kic->kc", weights, vals) - target[None, :]
+    return feasible, x, np.einsum("kc,kc->k", diff, diff)
+
+
+def brute_force_recovery(values, target, params):
+    """Reference: every face of every simplex, then one lexsort of all feasible
+    candidates by value, simplex and x_1..x_d."""
+    tri = delaunay_triangulate(params)
+    vvals, vpts = values[tri.simplices], tri.points[tri.simplices]
+    faces = [f for r in range(1, tri.d + 2) for f in itertools.combinations(range(tri.d + 1), r)]
+    feasible, x, value = (np.concatenate(parts) for parts in
+                          zip(*(brute_force_face(vvals, vpts, target, f) for f in faces)))
+    sids = np.tile(np.arange(tri.n_simplices), len(faces))[feasible]
+    x, value = x[feasible], value[feasible]
+    best = np.lexsort((*x.T[::-1], sids, value))[0]
+    return x[best], np.sqrt(value[best])
+
+
+@st.composite
+def tied_recovery_problems(draw):
+    """A lattice (d = 2) or a line (d = 1) with vertex values from a few levels,
+    and a target at a vertex value, on an edge shared by two simplices, or free."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    d, c = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    k = draw(st.integers(2, 5))
+    params = unit_grid(k) if d == 2 else np.linspace(0.0, 1.0, k + 1)[:, None]
+    params = params + draw(st.sampled_from([0.0, 0.05])) / k * rng.uniform(-1, 1, params.shape)
+    levels = draw(st.integers(1, 4))
+    values = rng.integers(0, levels, (len(params), c)).astype(float)
+    tri = delaunay_triangulate(params)
+    where = draw(st.sampled_from(["vertex", "shared edge", "free"]))
+    if where == "vertex":
+        target = values[rng.integers(len(params))]
+    elif where == "shared edge":
+        # an edge of two simplices: for d = 1 a vertex, for d = 2 an interior edge
+        edges = {}
+        for s in tri.simplices.tolist():
+            for e in itertools.combinations(sorted(s), tri.d):
+                edges[e] = edges.get(e, 0) + 1
+        shared = sorted(e for e, n in edges.items() if n == 2)
+        edge = list(shared[rng.integers(len(shared))])
+        target = values[edge].mean(axis=0)
+    else:
+        target = rng.uniform(-0.5, levels - 0.5, c)
+    return params, values, target
+
+
+@settings(max_examples=200)
+@given(tied_recovery_problems())
+def test_property_recovery_matches_brute_force_reference(problem):
+    params, values, target = problem
+    rec = recover_parameter(embedding_of(values, target), params)
+    x_hat, residual = brute_force_recovery(values, target, params)
+    assert rec.x_hat.tobytes() == x_hat.tobytes()
+    assert np.float64(rec.residual).tobytes() == residual.tobytes()
+
+
+def test_each_edge_slot_scales_its_own_singularity_threshold():
+    # Edge (0, 1) has squared length 9e-4 in mirror space, the other two 1e12.
+    # Judged against theirs it would count as singular, and the recovery would
+    # fall back to vertex 0; against its own it is solved, at its midpoint.
+    params = np.array([[0.0, 0], [1, 0], [0, 1]])
+    values = np.array([[0.0, 0], [0.03, 0], [0, 1e6]])
+    rec = recover_parameter(embedding_of(values, np.array([0.015, -1.0])), params)
+    np.testing.assert_allclose(rec.x_hat, [0.5, 0.0], rtol=0, atol=1e-12)
+    assert rec.residual == pytest.approx(1.0, abs=1e-12)
+
+
+def test_recovery_rejects_a_non_finite_target():
+    grid = unit_grid(3)
+    with pytest.raises(MirrorError, match="last row contains non-finite"):
+        recover_parameter(identity_embedding(grid, [0.5, np.nan]), grid)
+
+
 # ---------------------------------------------------------------------------
 # leave-one-out
 # ---------------------------------------------------------------------------

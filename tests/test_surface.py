@@ -1,3 +1,4 @@
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -8,7 +9,10 @@ from distmirror.errors import DegenerateInput, MirrorError, UnsupportedDimension
 from distmirror.surface import (
     BARY_TOL,
     BOUNDARY_TOL,
+    GEOM_EPS,
     _QUERY_FLOATS,
+    _incircle,
+    _orient,
     BSplineConfig,
     MirrorSurface,
     Triangulation,
@@ -104,8 +108,18 @@ def test_collinear_rejected():
 
 
 def test_duplicates_rejected():
-    with pytest.raises(DegenerateInput):
-        delaunay_triangulate(np.array([[0.0, 0], [1, 0], [1, 0], [0, 1]]))
+    # The message names the smallest index that repeats an earlier point, and
+    # that point's first copy; -0.0 and 0.0 coincide.
+    for points, message in [
+        ([[0.0, 0], [1, 0], [1, 0], [0, 1]], "point 2 coincides with point 1"),
+        ([[0.0, 0], [1, 0], [0, 1], [0, 1], [1, 0], [0, 1]], "point 3 coincides with point 2"),
+        ([[0.0, 1], [1, 0], [0, 0], [0, 1], [1, 0], [0, 0]], "point 3 coincides with point 0"),
+        ([[0.0, 0], [-0.0, 0], [1, 0], [0, 1]], "point 1 coincides with point 0"),
+        ([[2.0], [0.0], [1.0], [0.0], [2.0]], "point 3 coincides with point 1"),
+        ([[1.0], [-0.0], [0.0]], "point 2 coincides with point 1"),
+    ]:
+        with pytest.raises(DegenerateInput, match=f"^{message}$"):
+            delaunay_triangulate(np.array(points))
 
 
 def test_high_dimension_rejected():
@@ -312,6 +326,72 @@ def test_property_covers_hull_with_every_point(pts):
 def test_property_cocircular_cells_fan_from_lowest_index(pts):
     tri = delaunay_triangulate(pts)
     assert tie_break_violations(pts, tri.simplices) == []
+
+
+def exact_incircle(a, b, c, d):
+    """The incircle determinant of the float points, in exact rational arithmetic."""
+    rows = [[Fraction(p[0]) - Fraction(d[0]), Fraction(p[1]) - Fraction(d[1])] for p in (a, b, c)]
+    (ax, ay), (bx, by), (cx, cy) = rows
+    lift = [x * x + y * y for x, y in rows]
+    return lift[0] * (bx * cy - by * cx) - lift[1] * (ax * cy - ay * cx) + lift[2] * (ax * by - ay * bx)
+
+
+def incircle_error_bound(a, b, c, d):
+    """Shewchuk's (1997) forward error bound of the float incircle determinant:
+    (10 + 96 eps) eps times the permanent of the same expansion (eps = 2**-53)."""
+    eps = 2.0**-53
+    rel = np.array([a, b, c]) - np.array(d)
+    x, y = np.abs(rel[:, 0]), np.abs(rel[:, 1])
+    lift = x * x + y * y
+    permanent = (lift[0] * (x[1] * y[2] + y[1] * x[2]) + lift[1] * (x[0] * y[2] + y[0] * x[2])
+                 + lift[2] * (x[0] * y[1] + y[0] * x[1]))
+    return (10 + 96 * eps) * eps * permanent
+
+
+unit_coordinates = st.floats(0.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def incircle_quads(draw):
+    """Four points of the unit box: random, or on a lattice of step 1/k."""
+    if draw(st.booleans()):
+        return [(draw(unit_coordinates), draw(unit_coordinates)) for _ in range(4)]
+    k = draw(st.integers(1, 1000))
+    cells = st.integers(0, k)
+    return [(draw(cells) / k, draw(cells) / k) for _ in range(4)]
+
+
+@given(incircle_quads())
+def test_property_incircle_sign_matches_exact_determinant(quad):
+    a, b, c, d = quad
+    points = np.array(quad)
+    (value,) = _incircle(points, np.array([[0, 1, 2]]), np.array([3]))
+    exact = exact_incircle(a, b, c, d)
+    bound = incircle_error_bound(a, b, c, d)
+    assert abs(Fraction(float(value)) - exact) <= Fraction(bound)
+    if abs(exact) > bound:
+        assert np.sign(value) == np.sign(exact)
+
+
+@st.composite
+def cocircular_lattice_quads(draw):
+    """The corners of a lattice rectangle, possibly tilted, in the unit box: the
+    lattice has step 1/k, and the sides run along (p, q) and t (-q, p)."""
+    p, q, t = draw(st.integers(1, 30)), draw(st.integers(0, 30)), draw(st.integers(1, 30))
+    corners = np.array([[q * t, 0], [q * t + p, q], [p, q + p * t], [0, p * t]])
+    k = draw(st.integers(int(corners.max()), 1000))
+    shift = [draw(st.integers(0, k - int(top))) for top in corners.max(axis=0)]
+    return (corners + shift) / k
+
+
+@given(cocircular_lattice_quads())
+def test_property_cocircular_lattice_quads_pass_the_epsilon(quad):
+    # The four corners of a rectangle lie on one circle; in floats the
+    # determinant is rounding only.  Both diagonals' triangles are tested.
+    for tri, d in (([0, 1, 2], 3), ([0, 2, 3], 1), ([1, 2, 3], 0), ([0, 1, 3], 2)):
+        tri = tri if _orient(quad, np.array([tri]))[0] > 0 else tri[::-1]
+        (value,) = _incircle(quad, np.array([tri]), np.array([d]))
+        assert abs(value) <= GEOM_EPS
 
 
 # ---------------------------------------------------------------------------

@@ -473,9 +473,11 @@ def test_property_distance_matrix_csv_round_trip_is_bit_exact(dm):
 
 @pytest.mark.parametrize("text, message", [
     ("a,b\n0,1e308\n1e308,0\n", None),
-    ("a,b\n0,-1e308\n-1e308,0\n", "negative entries"),
+    ("a,b\n0,-1e308\n-1e308,0\n", r"negative entries, first d\('a', 'b'\) = -1e\+308$"),
     ("a,b\n0,1e308\n-1e308,0\n", "asymmetric"),
-], ids=["valid", "negative", "asymmetric"])
+    ("a,b,c\n0,1,2\n1,0,-5e-324\n2,-5e-324,0\n",
+     r"negative entries, first d\('b', 'c'\) = -5e-324$"),
+], ids=["valid", "negative", "asymmetric", "negative-subnormal"])
 def test_reader_takes_entries_near_the_float_limit_without_a_warning(tmp_path, text, message):
     path = tmp_path / "dm.csv"
     path.write_text(text)
@@ -504,7 +506,15 @@ def test_reader_rejects_large_asymmetry(tmp_path):
 
 
 def test_distance_matrix_invariants_enforced():
-    with pytest.raises(MirrorError):
-        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, 1.0], [2.0, 0.0]]))
-    with pytest.raises(MirrorError):
-        DistanceMatrix(ids=("a", "b"), values=np.array([[0.0, -1.0], [-1.0, 0.0]]))
+    # Each error names the first offending entry in row-major order.
+    for values, message in [
+        ([[0.0, 1, 2], [1, 0, 3], [2, 4, 0]],
+         r"not exactly symmetric, first d\('b', 'c'\) = 3.0 != d\('c', 'b'\) = 4.0$"),
+        ([[0.0, 1, 2], [1, 0, -1], [2, -1, 0]], r"negative entries, first d\('b', 'c'\) = -1.0$"),
+        ([[0.0, 1, 2], [1, 0, np.inf], [2, np.nan, 0]],
+         r"non-finite entries, first d\('b', 'c'\) = inf$"),
+        ([[0.0, 1, 2], [1, 0.5, 3], [2, 3, 1e-300]],
+         r"nonzero diagonal, first d\('b', 'b'\) = 0.5$"),
+    ]:
+        with pytest.raises(MirrorError, match=message):
+            DistanceMatrix(ids=("a", "b", "c"), values=np.array(values))
