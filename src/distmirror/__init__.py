@@ -18,7 +18,6 @@ __version__ = "0.1.0"
 from .core import Dataset, SampleSet, load_dataset, save_dataset, validate_equal_sample_size
 from .embedding import (
     MirrorEmbedding,
-    ProcrustesAlignment,
     RealizabilityReport,
     cmds,
     double_center,
@@ -75,7 +74,6 @@ __all__ = [
     "save_dataset",
     "validate_equal_sample_size",
     "MirrorEmbedding",
-    "ProcrustesAlignment",
     "RealizabilityReport",
     "cmds",
     "double_center",

@@ -21,7 +21,6 @@ from .transport import DistanceMatrix
 
 __all__ = [
     "MirrorEmbedding",
-    "ProcrustesAlignment",
     "RealizabilityReport",
     "double_center",
     "cmds",
@@ -40,7 +39,7 @@ class MirrorEmbedding:
 
     Row i is the mirror estimate for set ``ids[i]``.  Columns are mutually
     orthogonal, column-mean-zero, and column j has squared norm equal to
-    max(spectrum[j], 0).
+    max(spectrum[j], 0).  Every coordinate and eigenvalue is finite.
     """
 
     ids: tuple[str, ...]
@@ -56,6 +55,10 @@ class MirrorEmbedding:
             raise MirrorError(f"embedding coords shape {coords.shape} is not (m={m}, c)")
         if spectrum.shape != (m,):
             raise MirrorError("spectrum must contain one eigenvalue per point")
+        bad = ~(np.isfinite(coords).all(axis=1) & np.isfinite(spectrum))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise MirrorError(f"embedding row {self.ids[i]!r} has a non-finite coordinate or eigenvalue")
         object.__setattr__(self, "coords", _freeze(coords))
         object.__setattr__(self, "spectrum", _freeze(spectrum))
 
@@ -66,14 +69,6 @@ class MirrorEmbedding:
     @property
     def c(self) -> int:
         return self.coords.shape[1]
-
-
-@dataclass(frozen=True)
-class ProcrustesAlignment:
-    """Orthogonal matrix minimizing ||reference - estimate @ rotation||_F."""
-
-    rotation: np.ndarray
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -178,12 +173,12 @@ def select_dimension(spectrum: np.ndarray) -> int:
     return int(np.argmax(gaps)) + 1
 
 
-def procrustes_align(estimate: np.ndarray, reference: np.ndarray) -> ProcrustesAlignment:
-    """Best orthogonal alignment of one centered configuration onto another.
+def procrustes_align(estimate: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """The orthogonal matrix R minimizing ||reference - estimate @ R||_F.
 
     Both inputs are column-mean-centered first (matching CMDS output
-    conventions); the rotation comes from the SVD of estimate^T reference
-    and may include a reflection.
+    conventions); R comes from the SVD of estimate^T reference and may
+    include a reflection.
     """
     estimate = np.asarray(estimate, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
@@ -194,9 +189,7 @@ def procrustes_align(estimate: np.ndarray, reference: np.ndarray) -> ProcrustesA
     est = estimate - estimate.mean(axis=0)
     ref = reference - reference.mean(axis=0)
     u, _, vt = np.linalg.svd(est.T @ ref)
-    rotation = u @ vt
-    residual = float(np.linalg.norm(ref - est @ rotation))
-    return ProcrustesAlignment(rotation=rotation, residual=residual)
+    return u @ vt
 
 
 def write_embedding(emb: MirrorEmbedding, path: str | Path, header_note: str | None = None) -> None:

@@ -20,11 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import SampleSet, write_table
+from .core import SampleSet, _freeze, write_table
 from .embedding import MirrorEmbedding, cmds
 from .errors import MirrorError
-from .surface import (MirrorSurface, delaunay_triangulate, jacobian_condition_numbers,
-                      near_hull_boundary)
+from .surface import MirrorSurface, delaunay_triangulate, near_hull_boundary
 from .transport import DistanceMatrix, distance_matrix
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "joint_embed",
     "recover_parameter",
     "leave_one_out",
-    "recovery_condition_diagnostics",
     "write_recovery_report",
 ]
 
@@ -48,6 +46,9 @@ class RecoveryResult:
     x_hat: np.ndarray
     residual: float
     on_boundary: bool
+
+    def __post_init__(self):
+        object.__setattr__(self, "x_hat", _freeze(self.x_hat))
 
 
 def joint_embed(
@@ -139,19 +140,14 @@ def recover_parameter(
     lowest simplex index, then to the lexicographically smallest parameter;
     only the candidates tied at the minimum value are sorted for that.
     """
-    params = np.ascontiguousarray(params, dtype=np.float64)
-    if params.ndim != 2:
-        raise MirrorError("params must be an (m, d) matrix")
-    m = params.shape[0]
+    tri = delaunay_triangulate(params)
+    m = tri.m
     if psi.coords.shape[0] != m + 1:
         raise MirrorError(
             f"embedding has {psi.coords.shape[0]} rows; expected m+1 = {m + 1}"
         )
-    tri = delaunay_triangulate(params)
     surface = MirrorSurface(tri, psi.coords[:m])
     target = psi.coords[m]
-    if not np.all(np.isfinite(target)):
-        raise MirrorError("the embedding's last row contains non-finite entries")
 
     # Each face size's vertex slots, then their vertex indices in every simplex.
     slots = [list(combinations(range(tri.d + 1), r)) for r in range(1, tri.d + 2)]
@@ -163,27 +159,11 @@ def recover_parameter(
     # among them lexsort's last key rules: simplex, then x_1..x_d.
     tied = np.flatnonzero(feasible & (value == value[feasible].min()))
     best = tied[np.lexsort((*x[tied].T[::-1], sids[tied]))[0]]
-    x_hat = x[best].copy()
     return RecoveryResult(
-        x_hat=x_hat,
+        x_hat=x[best],
         residual=float(np.sqrt(value[best])),
-        on_boundary=bool(near_hull_boundary(tri, x_hat[None])[0]),
+        on_boundary=bool(near_hull_boundary(tri, x[best][None])[0]),
     )
-
-
-def recovery_condition_diagnostics(psi: MirrorEmbedding, params: np.ndarray) -> np.ndarray:
-    """Per-simplex condition numbers of the fitted surface's Jacobians.
-
-    Whether the mirror is invertible enough for recovery cannot be tested
-    from data; this reports how close each simplex's linear map comes to
-    singular (values near 1 are well-conditioned, inf is flat).
-    """
-    params = np.ascontiguousarray(params, dtype=np.float64)
-    m = params.shape[0]
-    if psi.coords.shape[0] not in (m, m + 1):
-        raise MirrorError("embedding rows must cover the parameter rows")
-    surface = MirrorSurface(delaunay_triangulate(params), psi.coords[:m])
-    return jacobian_condition_numbers(surface)
 
 
 def _reordered_submatrix(dm: DistanceMatrix, held_out: int) -> DistanceMatrix:

@@ -203,8 +203,8 @@ def aligned_mirror_error(estimate: MirrorEmbedding, truth: np.ndarray) -> Aligne
         )
     truth_center = truth.mean(axis=0)
     est_centered = estimate.coords - estimate.coords.mean(axis=0)
-    fit = procrustes_align(est_centered, truth - truth_center)
-    aligned = est_centered @ fit.rotation + truth_center
+    rotation = procrustes_align(est_centered, truth - truth_center)
+    aligned = est_centered @ rotation + truth_center
     per_point = np.linalg.norm(aligned - truth, axis=1)
     return AlignedError(
         rmse=float(np.sqrt(np.mean(per_point**2))),

@@ -79,7 +79,8 @@ class Triangulation:
 
     ``simplices`` holds (d+1)-tuples of point indices (counterclockwise for
     d = 2, sorted rows, lexicographic order); ``hull`` lists the boundary
-    vertex indices, in counterclockwise cycle order for d = 2.
+    vertex indices, in counterclockwise cycle order for d = 2.  Every point
+    is finite and every index names a point.
     """
 
     points: np.ndarray
@@ -90,11 +91,23 @@ class Triangulation:
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
         simplices = np.asarray(self.simplices, dtype=np.intp)
+        hull = np.asarray(self.hull, dtype=np.intp)
         if points.ndim != 2:
             raise MirrorError("points must be an (m, d) matrix")
-        d = points.shape[1]
+        m, d = points.shape
         if simplices.ndim != 2 or simplices.shape[1] != d + 1 or not len(simplices):
             raise MirrorError("simplices must be a (K, d+1) index matrix with K >= 1")
+        if hull.ndim != 1 or len(hull) < d + 1:
+            raise MirrorError(f"hull must be a vector of >= d+1 indices, got shape {hull.shape}")
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise MirrorError(f"point {i} ({points[i].tolist()}) is not finite")
+        for name, idx in (("simplices", simplices), ("hull", hull)):
+            bad = np.flatnonzero((idx < 0) | (idx >= m))
+            if bad.size:
+                at = ", ".join(map(str, np.unravel_index(bad[0], idx.shape)))
+                raise MirrorError(f"{name}[{at}] = {idx.flat[bad[0]]} names no point in 0..{m - 1}")
         # Homogeneous inverse per simplex: lambda = _bary[k] @ [x, 1].
         homogeneous = np.ones((len(simplices), d + 1, d + 1))
         for i in range(d):
@@ -109,7 +122,7 @@ class Triangulation:
             ) from None
         object.__setattr__(self, "points", _freeze(points))
         object.__setattr__(self, "simplices", _freeze(simplices, np.intp))
-        object.__setattr__(self, "hull", _freeze(self.hull, np.intp))
+        object.__setattr__(self, "hull", _freeze(hull, np.intp))
         object.__setattr__(self, "_bary", _freeze(mats))
 
     @property

@@ -212,14 +212,14 @@ def read_distance_matrix(path: str | Path) -> DistanceMatrix:
         raise MirrorError(f"{path}: expected {m} value rows, found {len(values)}")
     # Halves, whose sums and differences stay within the float range.
     half = values / 2
-    asym = 2 * float(np.max(np.abs(half - half.T)))
-    if asym > SYMMETRY_TOL:
-        raise MirrorError(
-            f"{path}: matrix asymmetric beyond tolerance ({asym:.3e} > {SYMMETRY_TOL:.0e})"
-        )
-    diag = float(np.max(np.abs(np.diagonal(values))))
-    if diag > SYMMETRY_TOL:
-        raise MirrorError(f"{path}: nonzero diagonal entry ({diag:.3e})")
+    asym = np.abs(half - half.T) > SYMMETRY_TOL / 2
+    if asym.any():
+        raise MirrorError(f"{path}: matrix asymmetric beyond tolerance {SYMMETRY_TOL:.0e}, first "
+                          + _first_entry(ids, values, asym, mirror=True))
+    diag = np.abs(np.diagonal(values)) > SYMMETRY_TOL
+    if diag.any():
+        raise MirrorError(f"{path}: nonzero diagonal entry beyond tolerance {SYMMETRY_TOL:.0e}, "
+                          "first " + _first_entry(ids, values, np.diag(diag)))
     values = np.where(values == values.T, values, half + half.T)
     np.fill_diagonal(values, 0.0)
     with _located(str(path)):

@@ -1,6 +1,8 @@
+import importlib
 import io
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -28,6 +30,7 @@ from distmirror.core import (
 )
 from distmirror.embedding import MirrorEmbedding, read_embedding, write_embedding
 from distmirror.errors import DatasetError, DuplicateParameters, MirrorError, UnequalSampleSizes
+from distmirror.recovery import RecoveryResult
 from distmirror.sim import FamilyVariant, GaussianFamilySpec
 from distmirror.surface import MirrorSurface, Triangulation, delaunay_triangulate
 from distmirror.transport import DistanceMatrix, read_distance_matrix
@@ -274,6 +277,8 @@ FROZEN_FIELDS = {
         points=a, simplices=[[0, 1, 2]], hull=[0, 1, 2]).points),
     "MirrorSurface.values": (np.ones((3, 2)), lambda a: MirrorSurface(
         delaunay_triangulate(TRIANGLE), a).values),
+    "RecoveryResult.x_hat": (np.array([0.5, 0.25]), lambda a: RecoveryResult(
+        x_hat=a, residual=0.0, on_boundary=False).x_hat),
 }
 
 
@@ -296,6 +301,13 @@ def test_frozen_fields_leave_the_callers_array_alone(name, form):
     owner.setflags(write=True)
     owner[...] = 7.0
     np.testing.assert_array_equal(kept, before)
+
+
+@pytest.mark.parametrize("name", ["distmirror"] + [
+    f"distmirror.{info.name}" for info in pkgutil.iter_modules(distmirror.__path__)])
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
 
 
 # ---------------------------------------------------------------------------

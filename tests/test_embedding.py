@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from distmirror.embedding import (
     MirrorEmbedding,
@@ -27,6 +29,14 @@ def euclidean_dm(points):
     values = (values + values.T) / 2
     np.fill_diagonal(values, 0.0)
     return dm_from(values)
+
+
+def procrustes_fit(estimate, reference):
+    """The rotation procrustes_align returns, and the residual it leaves on the centered inputs."""
+    rotation = procrustes_align(estimate, reference)
+    est = estimate - estimate.mean(axis=0)
+    ref = reference - reference.mean(axis=0)
+    return rotation, np.linalg.norm(ref - est @ rotation)
 
 
 COLLINEAR = [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
@@ -129,8 +139,8 @@ def test_cmds_isometry_invariance():
     moved = points @ rot.T + np.array([5.0, -2.0])
     emb_a = cmds(euclidean_dm(points), 2)
     emb_b = cmds(euclidean_dm(moved), 2)
-    fit = procrustes_align(emb_a.coords, emb_b.coords)
-    assert fit.residual < 1e-9
+    _, residual = procrustes_fit(emb_a.coords, emb_b.coords)
+    assert residual < 1e-9
 
 
 def test_embedding_dimension_is_its_coordinate_columns():
@@ -147,6 +157,32 @@ def test_embedding_dimension_is_its_coordinate_columns():
 def test_embedding_rejects_a_shape_that_is_not_one_row_per_id(coords, spectrum):
     with pytest.raises(MirrorError):
         MirrorEmbedding(ids=("a", "b"), coords=coords, spectrum=spectrum)
+
+
+@st.composite
+def embedding_fields(draw):
+    """Distinct ids with coordinates and eigenvalues, any of which may be NaN or infinite."""
+    m = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.text(max_size=3), min_size=m, max_size=m, unique=True))
+    values = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from([np.nan, np.inf, -np.inf]))
+    coords = draw(arrays(np.float64, (m, draw(st.integers(1, 3))), elements=values))
+    spectrum = draw(arrays(np.float64, m, elements=values))
+    return tuple(ids), coords, spectrum
+
+
+@given(embedding_fields())
+def test_embedding_rejects_non_finite_values_naming_the_first_row(fields):
+    ids, coords, spectrum = fields
+    bad = ~np.isfinite(coords).all(axis=1) | ~np.isfinite(spectrum)
+    if not bad.any():
+        emb = MirrorEmbedding(ids=ids, coords=coords, spectrum=spectrum)
+        np.testing.assert_array_equal(emb.coords, coords)
+        return
+    with pytest.raises(MirrorError) as info:
+        MirrorEmbedding(ids=ids, coords=coords, spectrum=spectrum)
+    first = ids[int(np.argmax(bad))]
+    assert str(info.value) == f"embedding row {first!r} has a non-finite coordinate or eigenvalue"
 
 
 def test_cmds_dimension_bounds():
@@ -209,9 +245,9 @@ def test_select_dimension_no_positive_spectrum():
 def test_procrustes_identity():
     rng = np.random.default_rng(16)
     x = rng.standard_normal((10, 3))
-    fit = procrustes_align(x, x)
-    np.testing.assert_allclose(fit.rotation @ fit.rotation.T, np.eye(3), atol=1e-10)
-    assert fit.residual < 1e-10
+    rotation, residual = procrustes_fit(x, x)
+    np.testing.assert_allclose(rotation @ rotation.T, np.eye(3), atol=1e-10)
+    assert residual < 1e-10
 
 
 def random_orthogonal(rng, c):
@@ -224,27 +260,27 @@ def test_procrustes_recovers_known_rotation():
     x = rng.standard_normal((12, 3))
     x -= x.mean(axis=0)
     rot = random_orthogonal(rng, 3)
-    fit = procrustes_align(x @ rot, x)
-    np.testing.assert_allclose(fit.rotation, rot.T, atol=1e-10)
-    assert fit.residual < 1e-10
+    rotation, residual = procrustes_fit(x @ rot, x)
+    np.testing.assert_allclose(rotation, rot.T, atol=1e-10)
+    assert residual < 1e-10
 
 
 def test_procrustes_beats_random_rotations():
     rng = np.random.default_rng(18)
     estimate = rng.standard_normal((9, 3))
     reference = estimate + 0.1 * rng.standard_normal((9, 3))
-    fit = procrustes_align(estimate, reference)
+    _, residual = procrustes_fit(estimate, reference)
     est = estimate - estimate.mean(axis=0)
     ref = reference - reference.mean(axis=0)
     for _ in range(100):
         w = random_orthogonal(rng, 3)
-        assert fit.residual <= np.linalg.norm(ref - est @ w) + 1e-12
+        assert residual <= np.linalg.norm(ref - est @ w) + 1e-12
 
 
 def test_procrustes_orthogonality_invariant():
     rng = np.random.default_rng(20)
-    fit = procrustes_align(rng.standard_normal((8, 2)), rng.standard_normal((8, 2)))
-    np.testing.assert_allclose(fit.rotation.T @ fit.rotation, np.eye(2), atol=1e-10)
+    rotation = procrustes_align(rng.standard_normal((8, 2)), rng.standard_normal((8, 2)))
+    np.testing.assert_allclose(rotation.T @ rotation, np.eye(2), atol=1e-10)
 
 
 def test_procrustes_shape_mismatch():

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from functools import partial
 
@@ -169,6 +170,27 @@ def test_degenerate_simplex_named():
 def test_triangulation_needs_a_simplex():
     with pytest.raises(MirrorError, match="K >= 1"):
         Triangulation(points=np.eye(2), simplices=np.empty((0, 3), dtype=int), hull=[0, 1])
+
+
+SQUARE = [[0.0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("points, simplices, hull, message", [
+    (SQUARE[:3], [[0, 1, 5]], [0, 1, 2], r"simplices\[0, 2\] = 5 names no point in 0\.\.2"),
+    (SQUARE[:3], [[0, 1, -1]], [0, 1, 2], r"simplices\[0, 2\] = -1 names no point in 0\.\.2"),
+    (SQUARE, [[0, 1, 2], [0, 2, 3]], [0, 1, 7, 3], r"hull\[2\] = 7 names no point in 0\.\.3"),
+    ([[0.0, 0], [1, 0], [np.nan, 1]], [[0, 1, 2]], [0, 1, 2],
+     r"point 2 \(\[nan, 1\.0\]\) is not finite"),
+    (SQUARE[:3], [[0, 1, 2]], [], r"hull must be a vector of >= d\+1 indices, got shape \(0,\)"),
+    (SQUARE[:3], [[0, 1, 2]], [[0, 1, 2]],
+     r"hull must be a vector of >= d\+1 indices, got shape \(1, 3\)"),
+], ids=["index-past-end", "negative-index", "hull-index-past-end", "nan-point", "empty-hull",
+        "2-d-hull"])
+def test_triangulation_rejects_a_bad_point_index_or_hull(points, simplices, hull, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(MirrorError, match=f"^{message}$"):
+            Triangulation(points=np.array(points), simplices=simplices, hull=hull)
 
 
 def tiny_cluster(kind, r):

@@ -490,6 +490,24 @@ def test_reader_takes_entries_near_the_float_limit_without_a_warning(tmp_path, t
                 read_distance_matrix(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("a,b,c\n0,1,2\n1.5,0,3\n2,3,0\n",
+     "matrix asymmetric beyond tolerance 1e-09, first d('a', 'b') = 1.0 != d('b', 'a') = 1.5"),
+    ("a,b\n0.5,1\n1,0\n",
+     "nonzero diagonal entry beyond tolerance 1e-09, first d('a', 'a') = 0.5"),
+    ("a,b\n0,1e308\n-1e308,0\n",
+     "matrix asymmetric beyond tolerance 1e-09, first d('a', 'b') = 1e+308 != d('b', 'a') = -1e+308"),
+], ids=["asymmetric", "diagonal", "asymmetric-near-the-float-limit"])
+def test_reader_errors_name_the_first_entry(tmp_path, capsys, text, message):
+    path = tmp_path / "dm.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["embed", "--input", str(path), "--dim", "1", "--output", str(tmp_path / "e.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 def test_reader_symmetrizes_small_asymmetry(tmp_path):
     path = tmp_path / "dm.csv"
     path.write_text("a,b\n0.0,1.0000000001\n0.9999999999,0.0\n")
