@@ -8,9 +8,9 @@ distributions -- and uses it to recover the unknown parameters of
 unlabeled sample sets.
 
 Pipeline: exact empirical Wasserstein distances -> classical MDS embedding
-(with realizability diagnostics) -> piecewise-linear or spline surface
-over the parameter space -> joint re-embedding and hull-constrained
-nearest-point recovery.
+(with realizability diagnostics) -> piecewise-linear surface over the
+parameter space -> joint re-embedding and hull-constrained nearest-point
+recovery.
 """
 
 __version__ = "0.1.0"
@@ -45,14 +45,10 @@ from .sim import (
     true_wasserstein,
 )
 from .surface import (
-    BSplineConfig,
-    BSplineSurface,
     MirrorSurface,
     Triangulation,
     barycentric,
     delaunay_triangulate,
-    evaluate_bspline,
-    fit_bspline,
     interpolate,
     lipschitz_constant,
     locate,
@@ -98,14 +94,10 @@ __all__ = [
     "run_mirror_experiment",
     "run_recovery_experiment",
     "true_wasserstein",
-    "BSplineConfig",
-    "BSplineSurface",
     "MirrorSurface",
     "Triangulation",
     "barycentric",
     "delaunay_triangulate",
-    "evaluate_bspline",
-    "fit_bspline",
     "interpolate",
     "lipschitz_constant",
     "locate",

@@ -39,10 +39,11 @@ serially, and under the pool each worker's BLAS threads compete for the same
 cores.  On 2 cores, one BLAS thread took the traced mean-sd study's 400
 ``eigh`` calls from 2.60 to 0.78 s of wall time.
 
-scipy's own bundled OpenBLAS serves only the one ``scipy.linalg.solve`` of
-``fit --method bspline``, and it loads only when an input first needs scipy,
-partway through a command.  Each worker thread OpenBLAS starts spins for about
-0.1 s before it sleeps, so importing this module also sets
+scipy's own bundled OpenBLAS loads with the first scipy package an input
+needs, partway through a command: ``scipy.spatial`` for every d = 2
+triangulation, ``scipy.optimize`` for the q > 1 assignments and
+``scipy.special`` for the simulated draws.  Each worker thread OpenBLAS starts
+spins for about 0.1 s before it sleeps, so importing this module also sets
 ``OPENBLAS_NUM_THREADS=1``, which that library reads when it loads: it then
 starts no worker.  On 2 cores this took the mean-sd study's cpu time from
 1.70-1.74 s to 1.57-1.60 s (3 alternating runs each).

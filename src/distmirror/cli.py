@@ -35,12 +35,9 @@ from .sim import (
     run_recovery_experiment,
 )
 from .surface import (
-    BSplineConfig,
     MirrorSurface,
     delaunay_triangulate,
-    evaluate_bspline,
     fit_axis_scaling,
-    fit_bspline,
     interpolate,
     write_triangulation,
 )
@@ -127,11 +124,6 @@ def _cmd_diagnose(args) -> int:
 def _cmd_fit(args) -> int:
     if args.grid_res < 2:
         raise _UsageError(f"--grid-res must be >= 2, got {args.grid_res}")
-    # Spline options left out take BSplineConfig's defaults.
-    spline = {k: v for k, v in (("degree", args.degree), ("interior_knots", args.knots),
-                                ("penalty", args.penalty)) if v is not None}
-    if spline and args.method != "bspline":
-        raise _UsageError("--degree, --knots and --penalty apply only to --method bspline")
     ids_emb, coords = read_embedding(args.embedding)
     ids_par, params = read_params_csv(args.params)
     by_id = {i: k for k, i in enumerate(ids_par)}
@@ -143,15 +135,10 @@ def _cmd_fit(args) -> int:
     scaling = fit_axis_scaling(params) if args.normalize_params else None
     work = scaling.transform(params) if scaling else params
 
-    # The fitters reject unsupported dimensions, so they run before the grid is built.
-    if args.method == "delaunay":
-        surface = MirrorSurface(delaunay_triangulate(work), coords)
-        tri, evaluate = surface.tri, interpolate
-    else:
-        surface = fit_bspline(work, coords, BSplineConfig(**spline))
-        tri, evaluate = surface.domain, evaluate_bspline
+    # Triangulating first rejects an unsupported dimension before the grid is built.
+    surface = MirrorSurface(delaunay_triangulate(work), coords)
     if args.triangulation:
-        write_triangulation(replace(tri, points=params), args.triangulation)
+        write_triangulation(replace(surface.tri, points=params), args.triangulation)
 
     d = params.shape[1]
     axes = [np.linspace(lo, hi, args.grid_res)
@@ -165,7 +152,7 @@ def _cmd_fit(args) -> int:
         for i in range(0, args.grid_res, step):
             grid = np.stack(np.meshgrid(axes[0][i:i + step], *axes[1:], indexing="ij"),
                             axis=-1).reshape(-1, d)
-            values = evaluate(surface, scaling.transform(grid) if scaling else grid)
+            values = interpolate(surface, scaling.transform(grid) if scaling else grid)
             inside = np.hstack([grid, values])[~np.isnan(values).any(axis=1)]
             written += len(inside)
             yield from inside
@@ -176,7 +163,7 @@ def _cmd_fit(args) -> int:
                 + " scale=" + ",".join(repr(float(v)) for v in scaling.scale))
     header = [f"x{k + 1}" for k in range(d)] + [f"y{k + 1}" for k in range(coords.shape[1])]
     write_table(args.output, header, rows(), note)
-    print(f"fit: method={args.method} grid={args.grid_res} rows={written} -> {args.output}")
+    print(f"fit: grid={args.grid_res} rows={written} -> {args.output}")
     return 0
 
 
@@ -219,21 +206,14 @@ def _cmd_recover(args) -> int:
     return 0
 
 
-def _number(kind: type, noun: str):
-    """argparse type of a number that ``kind`` reads from ASCII text without '_'."""
-    def parse(text: str):
-        try:
-            if _is_number_text(text):
-                return kind(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {noun}, got {text!r}")
-
-    return parse
-
-
-_int = _number(int, "an integer")
-_float = _number(float, "a number")
+def _int(text: str) -> int:
+    """argparse type of an integer written in ASCII digits without '_'."""
+    try:
+        if _is_number_text(text):
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
 
 
 def _dim(text: str) -> int | str:
@@ -347,15 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit and export a mirror surface")
     p.add_argument("--embedding", required=True, help="embedding CSV from 'embed'")
     p.add_argument("--params", required=True, help="parameter CSV (id, p1..pd)")
-    p.add_argument("--method", choices=["delaunay", "bspline"], default="delaunay")
     p.add_argument("--grid-res", type=_int, default=25, help="evaluation grid resolution")
     p.add_argument("--output", required=True, help="surface evaluation CSV")
     p.add_argument("--triangulation", help="optional triangulation export CSV")
     p.add_argument("--normalize-params", action="store_true")
-    p.add_argument("--degree", type=_int, help="spline degree; --method bspline only")
-    p.add_argument("--knots", type=_int,
-                   help="spline interior knots per axis; --method bspline only")
-    p.add_argument("--penalty", type=_float, help="spline penalty; --method bspline only")
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("recover", help="recover parameters of unlabeled sets")

@@ -4,11 +4,8 @@ The observed parameter points are triangulated (Delaunay for d = 2, sorted
 segments for d = 1); a mirror value in R^c sits at every vertex and is
 interpolated barycentrically inside each simplex.  Nothing is ever
 extrapolated: every query takes an (N, d) array of points, answers each row,
-and outside the convex hull answers -1 (``locate``) or a NaN row (the
-evaluators), as scipy's ``find_simplex`` and ``LinearNDInterpolator`` do.
-
-A penalized tensor-product B-spline fit is available as a smooth
-alternative for d = 2.
+and outside the convex hull answers -1 (``locate``) or a NaN row
+(``interpolate``), as scipy's ``find_simplex`` and ``LinearNDInterpolator`` do.
 
 For d = 2, qhull (``scipy.spatial.Delaunay``) builds the triangulation.
 It and every geometric predicate run on the points translated and scaled
@@ -34,8 +31,8 @@ by one power of two), where neither side can overflow.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 
@@ -47,8 +44,6 @@ from .errors import DegenerateInput, MirrorError, UnsupportedDimension
 __all__ = [
     "Triangulation",
     "MirrorSurface",
-    "BSplineConfig",
-    "BSplineSurface",
     "AxisScaling",
     "fit_axis_scaling",
     "delaunay_triangulate",
@@ -60,8 +55,6 @@ __all__ = [
     "jacobian_condition_numbers",
     "hull_boundary_distance",
     "near_hull_boundary",
-    "fit_bspline",
-    "evaluate_bspline",
     "write_triangulation",
 ]
 
@@ -73,57 +66,91 @@ GEOM_EPS = 1e-12
 BOUNDARY_TOL = 1e-9
 
 
+def _boundary(points: np.ndarray, simplices: np.ndarray) -> list[int]:
+    """The hull vertices of nondegenerate simplices, ccw for d = 2 (see ``Triangulation``)."""
+    if points.shape[1] == 1:
+        # Segments lower end first, by coordinate: one path if each starts where the last one ends.
+        x = points[:, 0]
+        seg = np.where(x[simplices[:, :1]] < x[simplices[:, 1:]], simplices, simplices[:, ::-1])
+        seg = seg[np.argsort(x[seg[:, 0]])]
+        gap = np.flatnonzero(seg[1:, 0] != seg[:-1, 1])
+        if gap.size:
+            raise MirrorError(f"the segments are not one path after segment {seg[gap[0]].tolist()}")
+        return [seg[0, 0], seg[-1, 1]]
+    # The ccw sides, three per triangle; a side that no other triangle shares is on the boundary.
+    tail, head = simplices.ravel(), simplices[:, [1, 2, 0]].ravel()
+    key = np.minimum(tail, head) * len(points) + np.maximum(tail, head)
+    ranked = np.sort(key)
+    one = np.searchsorted(ranked, key, "right") - np.searchsorted(ranked, key) == 1
+    succ = dict(zip(tail[one].tolist(), head[one].tolist()))
+    # Walked from its lowest vertex, one closed cycle meets every boundary side once.
+    cycle = [min(succ, default=int(simplices.min()))]
+    for _ in range(one.sum() - 1):
+        cycle.append(succ.get(cycle[-1], -1))
+    if len(set(cycle)) != one.sum() or succ.get(cycle[-1]) != cycle[0]:
+        raise MirrorError(f"the boundary walked from point {cycle[0]} is not one closed cycle "
+                          f"of its {one.sum()} sides")
+    return cycle
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """Simplicial cover of the convex hull of m parameter points.
 
     ``simplices`` holds (d+1)-tuples of point indices (counterclockwise for
-    d = 2, sorted rows, lexicographic order); ``hull`` lists the boundary
-    vertex indices, in counterclockwise cycle order for d = 2.  Every point
-    is finite and every index names a point.
+    d = 2, sorted rows, lexicographic order).  Every point is finite, every
+    index names a point, and no simplex is degenerate or, for d = 2,
+    clockwise.  ``hull`` is derived from the simplices: the faces that belong
+    to exactly one simplex bound them, and it lists their vertices as one
+    counterclockwise cycle from its lowest index for d = 2, or the two ends
+    in coordinate order for d = 1.  A boundary that is not one closed cycle
+    (d = 2) or whose segments are not one path (d = 1) is an error.
     """
 
     points: np.ndarray
     simplices: np.ndarray
-    hull: np.ndarray
-    _bary: np.ndarray = field(init=False, repr=False, compare=False)
+    hull: np.ndarray = field(init=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.float64)
         simplices = np.asarray(self.simplices, dtype=np.intp)
-        hull = np.asarray(self.hull, dtype=np.intp)
         if points.ndim != 2:
             raise MirrorError("points must be an (m, d) matrix")
         m, d = points.shape
         if simplices.ndim != 2 or simplices.shape[1] != d + 1 or not len(simplices):
             raise MirrorError("simplices must be a (K, d+1) index matrix with K >= 1")
-        if hull.ndim != 1 or len(hull) < d + 1:
-            raise MirrorError(f"hull must be a vector of >= d+1 indices, got shape {hull.shape}")
         finite = np.isfinite(points).all(axis=1)
         if not finite.all():
             i = int(np.argmin(finite))
             raise MirrorError(f"point {i} ({points[i].tolist()}) is not finite")
-        for name, idx in (("simplices", simplices), ("hull", hull)):
-            bad = np.flatnonzero((idx < 0) | (idx >= m))
-            if bad.size:
-                at = ", ".join(map(str, np.unravel_index(bad[0], idx.shape)))
-                raise MirrorError(f"{name}[{at}] = {idx.flat[bad[0]]} names no point in 0..{m - 1}")
-        # Homogeneous inverse per simplex: lambda = _bary[k] @ [x, 1].
-        homogeneous = np.ones((len(simplices), d + 1, d + 1))
-        for i in range(d):
-            homogeneous[:, i] = points[:, i][simplices]
-        try:
-            mats = np.linalg.inv(homogeneous)
-        except np.linalg.LinAlgError:
-            # slogdet runs the same LU and gives sign 0 on a zero pivot.
-            idx = int(np.flatnonzero(np.linalg.slogdet(homogeneous)[0] == 0)[0])
-            raise DegenerateInput(
-                f"simplex {idx} ({simplices[idx].tolist()}) is degenerate"
-            ) from None
+        bad = np.flatnonzero((simplices < 0) | (simplices >= m))
+        if bad.size:
+            at = ", ".join(map(str, np.unravel_index(bad[0], simplices.shape)))
+            raise MirrorError(f"simplices[{at}] = {simplices.flat[bad[0]]} names no point "
+                              f"in 0..{m - 1}")
         object.__setattr__(self, "points", _freeze(points))
         object.__setattr__(self, "simplices", _freeze(simplices, np.intp))
-        object.__setattr__(self, "hull", _freeze(hull, np.intp))
-        object.__setattr__(self, "_bary", _freeze(mats))
+        # slogdet runs the LU of inv: sign 0 on a zero pivot, and for d = 2 the area's sign.
+        sign = np.linalg.slogdet(self._homogeneous())[0]
+        bad = np.flatnonzero(sign <= 0 if d == 2 else sign == 0)
+        if bad.size:
+            k = bad[0]
+            if sign[k] == 0:
+                raise DegenerateInput(f"simplex {k} ({simplices[k].tolist()}) is degenerate")
+            raise MirrorError(f"simplex {k} ({simplices[k].tolist()}) is clockwise")
+        object.__setattr__(self, "hull", _freeze(_boundary(points, simplices), np.intp))
+
+    def _homogeneous(self) -> np.ndarray:
+        """Per simplex, its vertices as columns of coordinates over a row of ones."""
+        homogeneous = np.ones((self.n_simplices, self.d + 1, self.d + 1))
+        for i in range(self.d):
+            homogeneous[:, i] = self.points[:, i][self.simplices]
+        return homogeneous
+
+    @cached_property
+    def _bary(self) -> np.ndarray:
+        """Homogeneous inverse per simplex, lambda = _bary[k] @ [x, 1], computed on first use."""
+        return _freeze(np.linalg.inv(self._homogeneous()))
 
     @property
     def m(self) -> int:
@@ -219,14 +246,6 @@ def _drop_boundary_slivers(
     renumber = np.cumsum(alive) - 1
     nbrs = np.where((nbrs >= 0) & alive[nbrs], renumber[nbrs], -1)
     return tris[alive], nbrs[alive]
-
-
-def _cycle(succ: dict[int, int]) -> list[int]:
-    """The vertices of a successor map's cycle, from the lowest one."""
-    cycle = [min(succ)]
-    while len(cycle) < len(succ):
-        cycle.append(succ[cycle[-1]])
-    return cycle
 
 
 def _boundary_edges(tris: np.ndarray, nbrs: np.ndarray, label: np.ndarray) -> tuple:
@@ -330,8 +349,7 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
 
     if d == 1:
         simplices = _canonical_simplices(np.column_stack([order[:-1], order[1:]]))
-        hull = np.array([order[0], order[-1]], dtype=np.intp)
-        return Triangulation(points=points, simplices=simplices, hull=hull)
+        return Triangulation(points=points, simplices=simplices)
 
     # Imported here: only d = 2 reads scipy.spatial, which d = 1 and q = 1 runs never load.
     from scipy.spatial import Delaunay, QhullError
@@ -357,17 +375,13 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
     tris, nbrs = _drop_boundary_slivers(tris, nbrs, np.abs(area))
     if len(tris) == 0:
         raise DegenerateInput("all points are collinear")
-    # The ccw boundary edges; vertices lying on a hull edge are part of the cycle.
-    _, src, dst = _boundary_edges(tris, nbrs, np.zeros(len(tris), dtype=np.intp))
-    hull = _cycle(dict(zip(src.tolist(), dst.tolist())))
     tris = _fan_cocircular_cells(unit, tris, nbrs)
 
     thin = np.flatnonzero(_orient(unit, tris) <= GEOM_EPS)
     if thin.size:
         tri = tuple(tris[thin[0]].tolist())
         raise DegenerateInput(f"triangle {tri} has non-positive area; input too degenerate")
-    simplices = _canonical_simplices(tris)
-    return Triangulation(points=points, simplices=simplices, hull=hull)
+    return Triangulation(points=points, simplices=_canonical_simplices(tris))
 
 
 # ---------------------------------------------------------------------------
@@ -540,137 +554,6 @@ def fit_axis_scaling(points: np.ndarray) -> AxisScaling:
     span = points.max(axis=0) - lo
     span = np.where(span == 0, 1.0, span)
     return AxisScaling(offset=lo, scale=span)
-
-
-# ---------------------------------------------------------------------------
-# penalized tensor-product B-spline surface (d = 2)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BSplineConfig:
-    """Smooth surface fit settings: degree >= 1, knots per axis >= 0, finite penalty >= 0."""
-
-    degree: int = 3
-    interior_knots: int = 8
-    penalty: float = 1e-2
-
-    def __post_init__(self):
-        if not (self.degree >= 1 and self.interior_knots >= 0 and 0 <= self.penalty < np.inf):
-            raise MirrorError(f"invalid spline config: {self}")
-
-
-@dataclass(frozen=True)
-class BSplineSurface:
-    """Tensor-product spline surface with difference-penalized coefficients."""
-
-    degree: int
-    knots: tuple[np.ndarray, np.ndarray]
-    coefficients: np.ndarray
-    domain: Triangulation = field(repr=False, compare=False)
-
-
-def _knot_vector(lo: float, hi: float, degree: int, interior: int) -> np.ndarray:
-    """Uniform knots extended ``degree`` steps beyond each end.
-
-    Uniform spacing keeps the coefficient-difference penalty's null space
-    aligned with polynomials of the data coordinates (second-order
-    differences annihilate exactly the linear functions), the standard
-    difference-penalty construction.
-    """
-    core = np.linspace(lo, hi, interior + 2)
-    h = (hi - lo) / (interior + 1)
-    left = lo - h * np.arange(degree, 0, -1)
-    right = hi + h * np.arange(1, degree + 1)
-    return np.concatenate([left, core, right])
-
-
-def _basis_rows(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
-    # Imported here: only spline fitting reads scipy.interpolate, slow to load.
-    from scipy.interpolate import BSpline
-
-    lo, hi = knots[degree], knots[-degree - 1]
-    clipped = np.clip(np.asarray(x, dtype=np.float64), lo, hi)
-    return BSpline.design_matrix(clipped, knots, degree).toarray()
-
-
-def _second_difference_penalty(n: int) -> np.ndarray:
-    d2 = np.diff(np.eye(n), n=2, axis=0)
-    return d2.T @ d2
-
-
-def fit_bspline(
-    points: np.ndarray,
-    values: np.ndarray,
-    config: BSplineConfig = BSplineConfig(),
-) -> BSplineSurface:
-    """Fit a penalized tensor-product spline to scattered surface values.
-
-    Minimizes squared residual plus ``penalty`` times the squared
-    second-order differences of the coefficient grid along each axis, the
-    classic difference-penalty construction.  With zero penalty the design
-    must have full rank, otherwise an error suggests raising the penalty.
-    """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise UnsupportedDimension("spline fitting requires d=2 parameter points")
-    need = (config.degree + 1) ** 2
-    if points.shape[0] < need:
-        raise MirrorError(
-            f"need at least (degree+1)^2 = {need} points, got {points.shape[0]}"
-        )
-
-    domain = delaunay_triangulate(points)
-    values = MirrorSurface(domain, values).values
-    knots_x = _knot_vector(points[:, 0].min(), points[:, 0].max(),
-                           config.degree, config.interior_knots)
-    knots_y = _knot_vector(points[:, 1].min(), points[:, 1].max(),
-                           config.degree, config.interior_knots)
-    bx = _basis_rows(points[:, 0], knots_x, config.degree)
-    by = _basis_rows(points[:, 1], knots_y, config.degree)
-    nx, ny = bx.shape[1], by.shape[1]
-    design = np.einsum("ij,ik->ijk", bx, by).reshape(len(points), nx * ny)
-
-    penalty_matrix = np.kron(_second_difference_penalty(nx), np.eye(ny)) + np.kron(
-        np.eye(nx), _second_difference_penalty(ny)
-    )
-    normal = design.T @ design + config.penalty * penalty_matrix
-    rhs = design.T @ values
-    # Imported here: only spline fitting reads scipy.linalg, slow to load.
-    import scipy.linalg
-
-    try:
-        # An ill-conditioned system is as singular as one that fails outright.
-        # The filter is process state: fit_bspline runs in the calling thread only.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", scipy.linalg.LinAlgWarning)
-            coef = scipy.linalg.solve(normal, rhs, assume_a="pos")
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgWarning):
-        if config.penalty == 0:
-            raise MirrorError(
-                "rank-deficient spline design with zero penalty; "
-                "set penalty > 0 to regularize"
-            ) from None
-        raise MirrorError(
-            "singular spline system; data may be too sparse for the knot grid"
-        ) from None
-    return BSplineSurface(
-        degree=config.degree,
-        knots=(knots_x, knots_y),
-        coefficients=coef.reshape(nx, ny, values.shape[1]),
-        domain=domain,
-    )
-
-
-def evaluate_bspline(surf: BSplineSurface, x: np.ndarray) -> np.ndarray:
-    """Spline value at each row of x, shape (N, c), NaN outside the hull like ``interpolate``."""
-    x = _rows(surf.domain, x)
-    inside = locate(surf.domain, x) >= 0
-    out = np.full((len(x), surf.coefficients.shape[2]), np.nan)
-    if inside.any():  # scipy's design matrix needs a point
-        bx, by = (_basis_rows(x[inside, k], surf.knots[k], surf.degree) for k in (0, 1))
-        out[inside] = np.einsum("ni,nj,ijc->nc", bx, by, surf.coefficients)
-    return out
 
 
 def write_triangulation(tri: Triangulation, path: str | Path) -> None:

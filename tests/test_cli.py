@@ -1,6 +1,5 @@
 import csv
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -155,19 +154,12 @@ def test_bad_dim_is_usage_error_before_reading(tmp_path, capsys, command, dim):
     ("--seed", "\u0660", "an integer"),
     ("--seed", "1_0", "an integer"),
     ("--grid-res", "\uff15", "an integer"),
-    ("--degree", "1_0", "an integer"),
-    ("--knots", "\u00a03", "an integer"),
-    ("--penalty", "1_0.5", "a number"),
-    ("--penalty", "\u0661e-2", "a number"),
-    ("--penalty", "x", "a number"),
-], ids=["seed-arabic-indic", "seed-underscore", "grid-res-fullwidth", "degree-underscore",
-        "knots-nbsp", "penalty-underscore", "penalty-arabic-indic", "penalty-word"])
+], ids=["seed-arabic-indic", "seed-underscore", "grid-res-fullwidth"])
 def test_number_option_outside_ascii_decimal_is_usage_error(tmp_path, capsys, option, text, noun):
     # Python's int and float read these as numbers; the options take ASCII decimals only.
     command = (["simulate", "--experiment", "mean-sd", "--output-dir", str(tmp_path / "o")]
                if option == "--seed" else
-               ["fit", "--embedding", "e.csv", "--params", "p.csv", "--output", "o.csv",
-                "--method", "bspline"])
+               ["fit", "--embedding", "e.csv", "--params", "p.csv", "--output", "o.csv"])
     with pytest.raises(SystemExit) as exc:
         main(command + [option, text])
     assert exc.value.code == 2
@@ -214,7 +206,7 @@ def test_fit_identity_surface(tmp_path):
     out = tmp_path / "surface.csv"
     assert main(
         ["fit", "--embedding", str(emb), "--params", str(params),
-         "--method", "delaunay", "--grid-res", "3", "--output", str(out),
+         "--grid-res", "3", "--output", str(out),
          "--triangulation", str(tmp_path / "tri.csv")]
     ) == 0
     rows = read_csv_rows(out)
@@ -242,9 +234,8 @@ def test_fit_collinear_params_fail(tmp_path):
     ) == 1
 
 
-@pytest.mark.parametrize("flags", [["--method", "delaunay"], ["--method", "bspline"],
-                                   ["--normalize-params"], ["--method", "delaunay", "d=1"]],
-                         ids=["delaunay", "bspline", "normalized", "delaunay-1d"])
+@pytest.mark.parametrize("flags", [[], ["--normalize-params"], ["d=1"]],
+                         ids=["delaunay", "normalized", "delaunay-1d"])
 def test_fit_writes_the_same_bytes_in_any_number_of_chunks(tmp_path, monkeypatch, capsys, flags):
     # A triangular hull leaves part of every chunk's rows outside it.
     rng = np.random.default_rng(7)
@@ -259,10 +250,9 @@ def test_fit_writes_the_same_bytes_in_any_number_of_chunks(tmp_path, monkeypatch
                                            zip(ids, rng.standard_normal((len(ids), 2)).tolist())))
     write_params_csv(ids, params, par)
     calls = []
-    for name in ("interpolate", "evaluate_bspline"):
-        original = getattr(distmirror.cli, name)
-        monkeypatch.setattr(distmirror.cli, name,
-                            lambda s, x, original=original: calls.append(len(x)) or original(s, x))
+    original = distmirror.cli.interpolate
+    monkeypatch.setattr(distmirror.cli, "interpolate",
+                        lambda s, x: calls.append(len(x)) or original(s, x))
     outputs = []
     for points in (distmirror.cli._GRID_POINTS, 40, 7):
         monkeypatch.setattr(distmirror.cli, "_GRID_POINTS", points)
@@ -291,28 +281,6 @@ def test_fit_grid_res_below_two_is_usage_error(tmp_path, res):
     assert not out.exists()
 
 
-def test_fit_bspline_constant(tmp_path):
-    axis = np.linspace(0.0, 1.0, 5)
-    grid = np.array([[a, b] for a in axis for b in axis])
-    ids = tuple(f"g{i}" for i in range(len(grid)))
-    emb = tmp_path / "emb.csv"
-    with open(emb, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "y1"])
-        for set_id in ids:
-            writer.writerow([set_id, repr(4.25)])
-    params = tmp_path / "params.csv"
-    write_params_csv(ids, grid, params)
-    out = tmp_path / "surface.csv"
-    assert main(
-        ["fit", "--embedding", str(emb), "--params", str(params),
-         "--method", "bspline", "--grid-res", "4", "--output", str(out)]
-    ) == 0
-    rows = read_csv_rows(out)
-    values = [float(r[2]) for r in rows[1:]]
-    np.testing.assert_allclose(values, 4.25, atol=1e-7)
-
-
 def test_fit_normalize_params_reproduces_affine_embedding(tmp_path):
     # Axes spanning 1 and 1000: the surface is built on normalized axes and
     # queried through the same scaling, so an affine map is reproduced exactly.
@@ -339,9 +307,10 @@ def test_fit_normalize_params_reproduces_affine_embedding(tmp_path):
     np.testing.assert_allclose(rows[:, 2:], expected, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("flag", ["--method=bspline", "--normalize-params"])
-def test_fit_triangulation_export_in_params_units(tmp_path, flag):
-    # The exported vertices are the raw parameters, whichever surface is fitted.
+@pytest.mark.parametrize("flags", [[], ["--normalize-params"]],
+                         ids=["default", "--normalize-params"])
+def test_fit_triangulation_export_in_params_units(tmp_path, flags):
+    # The exported vertices are the raw parameters, on normalized axes too.
     grid = np.array([[a, b] for a in np.linspace(0.0, 1.0, 5) for b in np.linspace(0.0, 1000.0, 4)])
     ids = tuple(f"g{i}" for i in range(len(grid)))
     emb = tmp_path / "emb.csv"
@@ -354,7 +323,7 @@ def test_fit_triangulation_export_in_params_units(tmp_path, flag):
     write_params_csv(ids, grid, params)
     tri_out = tmp_path / "tri.csv"
     assert main(
-        ["fit", "--embedding", str(emb), "--params", str(params), flag, "--grid-res", "3",
+        ["fit", "--embedding", str(emb), "--params", str(params), *flags, "--grid-res", "3",
          "--output", str(tmp_path / "surface.csv"), "--triangulation", str(tri_out)]
     ) == 0
     rows = read_csv_rows(tri_out)
@@ -362,68 +331,26 @@ def test_fit_triangulation_export_in_params_units(tmp_path, flag):
     points = np.array([[float(v) for v in r[2:4]] for r in rows[1:] if r[0] == "point"])
     simplices = np.array([[int(v) for v in r[2:]] for r in rows[1:] if r[0] == "simplex"])
     np.testing.assert_array_equal(points, grid)
-    work = fit_axis_scaling(grid).transform(grid) if flag == "--normalize-params" else grid
+    work = fit_axis_scaling(grid).transform(grid) if flags else grid
     np.testing.assert_array_equal(simplices, delaunay_triangulate(work).simplices)
 
 
-@pytest.mark.parametrize("penalty", ["nan", "inf"])
-def test_fit_bspline_non_finite_penalty_is_error(tmp_path, capsys, penalty):
-    emb, params, _ = identity_grid_fixture(tmp_path, k=5)
-    out = tmp_path / "surface.csv"
-    assert main(
-        ["fit", "--embedding", str(emb), "--params", str(params), "--method", "bspline",
-         "--penalty", penalty, "--output", str(out)]
-    ) == 1
-    assert f"error: invalid spline config: BSplineConfig(degree=3, interior_knots=8, " \
-        f"penalty={penalty})" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_fit_bspline_ill_conditioned_system_is_error(tmp_path, capsys):
-    # Nearly an equilateral triangle about its centre: the degree-1 normal matrix
-    # has rcond ~1e-18.  Rounding the points to (-0.5, +-0.8660254037844386)
-    # makes it exactly singular, which was already an error.
-    emb, params = tmp_path / "emb.csv", tmp_path / "params.csv"
-    emb.write_text("id,y1\na,0.0\nb,1.0\nc,2.0\nd,3.0\n")
-    write_params_csv(("a", "b", "c", "d"), np.array(
-        [[1.0, 0.0], [-0.4999999999999998, 0.8660254037844387],
-         [-0.5000000000000004, -0.8660254037844384], [0.0, 0.0]]), params)
-    out = tmp_path / "surface.csv"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["fit", "--embedding", str(emb), "--params", str(params), "--method",
-                     "bspline", "--degree", "1", "--knots", "2", "--output", str(out)]) == 1
-    assert not caught
-    assert capsys.readouterr().err == ("error: singular spline system; "
-                                       "data may be too sparse for the knot grid\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize(
-    "options",
-    [["--degree", "-5", "--penalty", "nan"], ["--knots", "4"], ["--penalty", "0.5"]],
-    ids=["degree-penalty", "knots", "penalty"],
-)
-@pytest.mark.parametrize("method", [[], ["--method", "delaunay"]], ids=["default", "delaunay"])
-def test_fit_spline_option_with_delaunay_is_usage_error(tmp_path, capsys, options, method):
+@pytest.mark.parametrize("option", [["--method", "delaunay"], ["--penalty", "1"],
+                                    ["--degree", "3"], ["--knots", "8"]],
+                         ids=["method", "penalty", "degree", "knots"])
+def test_fit_removed_option_is_unrecognized(tmp_path, capsys, option):
     emb, params, _ = identity_grid_fixture(tmp_path)
     out = tmp_path / "surface.csv"
-    assert main(
-        ["fit", "--embedding", str(emb), "--params", str(params), *method, *options,
-         "--output", str(out)]
-    ) == 2
-    assert "apply only to --method bspline" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--embedding", str(emb), "--params", str(params), *option,
+              "--output", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "columns, method, message",
-    [(3, "delaunay", "triangulation supports d in {1, 2}, got d=3"),
-     (1, "bspline", "spline fitting requires d=2 parameter points")],
-)
-def test_fit_unsupported_dimension_reports_fitter_error(tmp_path, capsys, columns, method,
-                                                       message):
-    grid = np.random.default_rng(5).random((20, columns))
+def test_fit_unsupported_dimension_reports_fitter_error(tmp_path, capsys):
+    grid = np.random.default_rng(5).random((20, 3))
     ids = tuple(f"g{i}" for i in range(len(grid)))
     emb = tmp_path / "emb.csv"
     with open(emb, "w", newline="") as fh:
@@ -435,10 +362,9 @@ def test_fit_unsupported_dimension_reports_fitter_error(tmp_path, capsys, column
     write_params_csv(ids, grid, params)
     out = tmp_path / "surface.csv"
     assert main(
-        ["fit", "--embedding", str(emb), "--params", str(params), "--method", method,
-         "--output", str(out)]
+        ["fit", "--embedding", str(emb), "--params", str(params), "--output", str(out)]
     ) == 1
-    assert f"error: {message}" in capsys.readouterr().err
+    assert "error: triangulation supports d in {1, 2}, got d=3" in capsys.readouterr().err
     assert not out.exists()
 
 

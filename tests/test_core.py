@@ -274,7 +274,7 @@ FROZEN_FIELDS = {
     "MirrorEmbedding.spectrum": (np.array([2.0, 1.0]), lambda a: MirrorEmbedding(
         ids=("a", "b"), coords=np.ones((2, 1)), spectrum=a).spectrum),
     "Triangulation.points": (TRIANGLE.copy(), lambda a: Triangulation(
-        points=a, simplices=[[0, 1, 2]], hull=[0, 1, 2]).points),
+        points=a, simplices=[[0, 1, 2]]).points),
     "MirrorSurface.values": (np.ones((3, 2)), lambda a: MirrorSurface(
         delaunay_triangulate(TRIANGLE), a).values),
     "RecoveryResult.x_hat": (np.array([0.5, 0.25]), lambda a: RecoveryResult(
@@ -301,6 +301,17 @@ def test_frozen_fields_leave_the_callers_array_alone(name, form):
     owner.setflags(write=True)
     owner[...] = 7.0
     np.testing.assert_array_equal(kept, before)
+
+
+def test_triangulation_derived_arrays_are_read_only():
+    # The hull is derived when the object is built, the inverses on their first read.
+    tri = Triangulation(points=TRIANGLE, simplices=[[0, 1, 2]])
+    assert "_bary" not in vars(tri)
+    for derived in (tri.hull, tri._bary):
+        assert not derived.flags.writeable
+        with pytest.raises(ValueError):
+            derived[0] = 0
+    assert tri.hull.tolist() == [0, 1, 2] and vars(tri)["_bary"] is tri._bary
 
 
 @pytest.mark.parametrize("name", ["distmirror"] + [

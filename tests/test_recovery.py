@@ -15,7 +15,8 @@ from distmirror.core import Dataset, SampleSet
 from distmirror.embedding import MirrorEmbedding, cmds
 from distmirror.errors import MirrorError
 from distmirror.recovery import joint_embed, leave_one_out, recover_parameter
-from distmirror.sim import FamilyVariant, GaussianFamilySpec, generate
+from distmirror.sim import (FamilyVariant, GaussianFamilySpec, generate, mean_sd_grid,
+                            true_distance_matrix)
 from distmirror.surface import (
     MirrorSurface,
     delaunay_triangulate,
@@ -23,7 +24,7 @@ from distmirror.surface import (
     interpolate,
     jacobian_condition_numbers,
 )
-from distmirror.transport import distance_matrix
+from distmirror.transport import DistanceMatrix, distance_matrix
 
 
 def identity_embedding(grid, target):
@@ -511,3 +512,29 @@ def test_small_scale_error_shrinks_with_n():
             [np.linalg.norm(t - r.x_hat) for t, r in zip(grid, results)]
         )
     assert errors[500] < errors[10]
+
+
+def test_population_limit_recovery_is_the_affine_preimage():
+    # The closed-form mean-sd matrix puts every interior hold-out's target on its
+    # reduced surface.  The oracle shares only the triangulation with
+    # recover_parameter: it inverts the affine map of each triangle whose image
+    # holds the target, and every such preimage must be x_hat.
+    grid = mean_sd_grid()
+    dm = true_distance_matrix(FamilyVariant.MEAN_SD, grid)
+    recs = leave_one_out(dm, grid, c=2)
+    interior = np.flatnonzero(((grid > 0.0) & (grid < 1.0)).all(axis=1))
+    assert len(interior) == 64
+    for i in interior:
+        assert recs[i].residual <= 1e-12
+        order = [j for j in range(dm.m) if j != i] + [i]
+        coords = cmds(DistanceMatrix(ids=tuple(dm.ids[j] for j in order),
+                                     values=dm.values[np.ix_(order, order)]), 2).coords
+        tri = delaunay_triangulate(grid[order[:-1]])
+        # Per triangle, [values; 1] @ lambda = [target; 1].
+        system = np.concatenate([np.swapaxes(coords[tri.simplices], 1, 2),
+                                 np.ones((tri.n_simplices, 1, 3))], axis=1)
+        lam = np.linalg.solve(system, np.append(coords[-1], 1.0)[None, :, None])[..., 0]
+        holds = lam.min(axis=1) >= -1e-9
+        assert holds.any()
+        preimages = np.einsum("kv,kvd->kd", lam[holds], tri.points[tri.simplices[holds]])
+        assert np.abs(preimages - recs[i].x_hat).max() <= 1e-12

@@ -14,14 +14,11 @@ from distmirror.surface import (
     _QUERY_FLOATS,
     _incircle,
     _orient,
-    BSplineConfig,
     MirrorSurface,
     Triangulation,
     barycentric,
     delaunay_triangulate,
-    evaluate_bspline,
     fit_axis_scaling,
-    fit_bspline,
     hull_boundary_distance,
     interpolate,
     jacobian_condition_numbers,
@@ -164,33 +161,45 @@ def test_near_duplicate_names_point():
 def test_degenerate_simplex_named():
     pts = np.array([[0.0, 0], [1, 0], [2, 0], [0, 1]])
     with pytest.raises(DegenerateInput, match=r"simplex 1 \(\[0, 1, 2\]\)"):
-        Triangulation(points=pts, simplices=[[0, 1, 3], [0, 1, 2]], hull=[0, 2, 3])
+        Triangulation(points=pts, simplices=[[0, 1, 3], [0, 1, 2]])
 
 
 def test_triangulation_needs_a_simplex():
     with pytest.raises(MirrorError, match="K >= 1"):
-        Triangulation(points=np.eye(2), simplices=np.empty((0, 3), dtype=int), hull=[0, 1])
+        Triangulation(points=np.eye(2), simplices=np.empty((0, 3), dtype=int))
 
 
 SQUARE = [[0.0, 0], [1, 0], [1, 1], [0, 1]]
 
 
-@pytest.mark.parametrize("points, simplices, hull, message", [
-    (SQUARE[:3], [[0, 1, 5]], [0, 1, 2], r"simplices\[0, 2\] = 5 names no point in 0\.\.2"),
-    (SQUARE[:3], [[0, 1, -1]], [0, 1, 2], r"simplices\[0, 2\] = -1 names no point in 0\.\.2"),
-    (SQUARE, [[0, 1, 2], [0, 2, 3]], [0, 1, 7, 3], r"hull\[2\] = 7 names no point in 0\.\.3"),
-    ([[0.0, 0], [1, 0], [np.nan, 1]], [[0, 1, 2]], [0, 1, 2],
-     r"point 2 \(\[nan, 1\.0\]\) is not finite"),
-    (SQUARE[:3], [[0, 1, 2]], [], r"hull must be a vector of >= d\+1 indices, got shape \(0,\)"),
-    (SQUARE[:3], [[0, 1, 2]], [[0, 1, 2]],
-     r"hull must be a vector of >= d\+1 indices, got shape \(1, 3\)"),
-], ids=["index-past-end", "negative-index", "hull-index-past-end", "nan-point", "empty-hull",
-        "2-d-hull"])
-def test_triangulation_rejects_a_bad_point_index_or_hull(points, simplices, hull, message):
+@pytest.mark.parametrize("points, simplices, message", [
+    (SQUARE[:3], [[0, 1, 5]], r"simplices\[0, 2\] = 5 names no point in 0\.\.2"),
+    (SQUARE[:3], [[0, 1, -1]], r"simplices\[0, 2\] = -1 names no point in 0\.\.2"),
+    ([[0.0, 0], [1, 0], [np.nan, 1]], [[0, 1, 2]], r"point 2 \(\[nan, 1\.0\]\) is not finite"),
+    # Two triangles apart: walked from point 0, the boundary closes after 3 of its 6 sides.
+    (SQUARE[:3] + [[5.0, 5], [6, 5], [5, 6]], [[0, 1, 2], [3, 4, 5]],
+     r"the boundary walked from point 0 is not one closed cycle of its 6 sides"),
+    # A bow-tie: point 0 starts two boundary sides.
+    (SQUARE[:3] + [[-1.0, 0], [-1, -1]], [[0, 1, 2], [0, 3, 4]],
+     r"the boundary walked from point 0 is not one closed cycle of its 6 sides"),
+    (SQUARE[:3], [[0, 2, 1]], r"simplex 0 \(\[0, 2, 1\]\) is clockwise"),
+    ([[0.0], [1], [2], [3]], [[0, 1], [2, 3]],
+     r"the segments are not one path after segment \[0, 1\]"),
+], ids=["index-past-end", "negative-index", "nan-point", "disjoint-triangles", "bow-tie",
+        "clockwise", "1-d-gap"])
+def test_triangulation_rejects_a_bad_point_index_or_hull(points, simplices, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(MirrorError, match=f"^{message}$"):
-            Triangulation(points=np.array(points), simplices=simplices, hull=hull)
+            Triangulation(points=np.array(points), simplices=simplices)
+
+
+def test_hull_derived_from_the_simplices_alone():
+    # The unit square and its centre, fanned from the centre: the centre is no hull vertex.
+    tri = Triangulation(points=np.array(SQUARE + [[0.5, 0.5]]),
+                        simplices=[[0, 1, 4], [0, 4, 3], [1, 2, 4], [2, 3, 4]])
+    assert tri.hull.tolist() == [0, 1, 2, 3]
+    assert hull_boundary_distance(tri, [[0.5, 0.5]]).tolist() == [0.5]
 
 
 def tiny_cluster(kind, r):
@@ -342,6 +351,21 @@ def test_property_covers_hull_with_every_point(pts):
     u, v = (local[tri.simplices[:, k]] - local[tri.simplices[:, 0]] for k in (1, 2))
     areas = 0.5 * np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
     assert areas.sum() == pytest.approx(hull_area(local, tri.hull), rel=1e-9)
+
+
+@given(point_sets)
+def test_property_hull_is_the_boundary_cycle(pts):
+    # Against qhull's own hull: every hull vertex is on the cycle, and each step
+    # of the cycle is a side of exactly one triangle.
+    from scipy.spatial import ConvexHull
+
+    tri = delaunay_triangulate(pts)
+    hull = tri.hull.tolist()
+    assert set(ConvexHull(pts).vertices.tolist()) <= set(hull)
+    assert len(set(hull)) == len(hull)
+    sides = [frozenset(e) for s in tri.simplices.tolist() for e in zip(s, s[1:] + s[:1])]
+    for side in zip(hull, hull[1:] + hull[:1]):
+        assert sides.count(frozenset(side)) == 1
 
 
 @given(point_sets)
@@ -501,12 +525,6 @@ def test_property_batched_queries_match_one_row_calls(problem):
     surf = MirrorSurface(tri, np.random.default_rng(len(pool)).standard_normal((tri.m, 2)))
     queries = [partial(locate, tri), partial(interpolate, surf),
                partial(hull_boundary_distance, tri), partial(near_hull_boundary, tri)]
-    if tri.d == 2:
-        # A spline over the triangulation's bounding box, whose edges hold some pool points.
-        lo, hi = tri.points.min(axis=0), tri.points.max(axis=0)
-        box = lo + grid_points(5) * (hi - lo)
-        bspline = fit_bspline(box, np.random.default_rng(0).standard_normal((25, 2)))
-        queries.append(partial(evaluate_bspline, bspline))
     for query in queries:
         one_row = np.concatenate([query(pool[i:i + 1]) for i in range(len(pool))])
         same_bits(query(pool[rows]), one_row[rows])
@@ -701,81 +719,11 @@ def test_axis_scaling_round_trip():
     np.testing.assert_allclose(scaling.inverse(scaled), pts, atol=1e-12)
 
 
-# ---------------------------------------------------------------------------
-# spline surface
-# ---------------------------------------------------------------------------
-
-
-def grid_points(k):
-    axis = np.linspace(0.0, 1.0, k)
-    return np.array([[a, b] for a in axis for b in axis])
-
-
-def test_bspline_constant_reproduced():
-    pts = grid_points(5)
-    for penalty in (1e-2, 10.0):
-        surf = fit_bspline(pts, np.full((25, 1), 7.5), BSplineConfig(penalty=penalty))
-        np.testing.assert_allclose(evaluate_bspline(surf, pts[::3]), 7.5, rtol=0, atol=1e-8)
-    # zero penalty works too once the design has full column rank
-    surf = fit_bspline(
-        grid_points(6), np.full((36, 1), 7.5), BSplineConfig(interior_knots=1, penalty=0.0)
-    )
-    assert evaluate_bspline(surf, [[0.3, 0.4]])[0, 0] == pytest.approx(7.5, abs=1e-8)
-
-
-def test_bspline_bilinear_reproduced():
-    pts = grid_points(9)
-    vals = (1.0 + 2.0 * pts[:, 0] - 3.0 * pts[:, 1] + 0.5 * pts[:, 0] * pts[:, 1])[:, None]
-    surf = fit_bspline(pts, vals, BSplineConfig(degree=3, penalty=1e-6))
-    assert np.abs(evaluate_bspline(surf, pts) - vals).max() < 1e-6
-
-
-def test_bspline_large_penalty_flattens_to_bilinear_fit():
-    rng = np.random.default_rng(107)
-    pts = grid_points(7)
-    truth = 0.5 + 1.5 * pts[:, 0] - 0.7 * pts[:, 1]
-    noisy = truth + 0.05 * rng.standard_normal(len(pts))
-    surf = fit_bspline(pts, noisy[:, None], BSplineConfig(penalty=1e10))
-    # the penalty null space is spanned by {1, x, y, xy}; at huge penalty the
-    # fit collapses onto the least-squares projection onto that space
-    design = np.column_stack([np.ones(len(pts)), pts[:, 0], pts[:, 1], pts[:, 0] * pts[:, 1]])
-    coef, *_ = np.linalg.lstsq(design, noisy, rcond=None)
-    expect = design @ coef
-    np.testing.assert_allclose(evaluate_bspline(surf, pts)[:, 0], expect, atol=1e-4)
-
-
-def test_bspline_rank_deficient_suggests_penalty():
-    pts = grid_points(4)  # 16 points, far fewer than (8+3+1)^2 coefficients
-    vals = np.ones((16, 1))
-    with pytest.raises(MirrorError, match="penalty"):
-        fit_bspline(pts, vals, BSplineConfig(penalty=0.0))
-
-
-def test_bspline_outside_rule_matches_interpolate():
-    pts = grid_points(5)
-    surf = fit_bspline(pts, np.ones((25, 1)), BSplineConfig())
-    got = evaluate_bspline(surf, [[1.5, 0.5], [0.5, 0.5]])
-    assert np.isnan(got[0]).all() and np.isfinite(got[1]).all()
-
-
-def test_bspline_needs_enough_points():
-    with pytest.raises(MirrorError, match="at least"):
-        fit_bspline(grid_points(3), np.ones((9, 1)), BSplineConfig(degree=3))
-
-
-@pytest.mark.parametrize("kwargs", [
-    {"penalty": float("nan")}, {"penalty": float("inf")}, {"penalty": -1.0},
-    {"degree": 0}, {"interior_knots": -1},
-], ids=["nan-penalty", "inf-penalty", "negative-penalty", "zero-degree", "negative-knots"])
-def test_bspline_config_checked_at_construction(kwargs):
-    with pytest.raises(MirrorError, match="invalid spline config"):
-        BSplineConfig(**kwargs)
-
-
 @pytest.mark.parametrize("vals, message", [
     (np.ones((24, 1)), r"value rows \(24\) must match point count \(25\)"),
     (np.r_[np.ones(24), np.nan], "non-finite"),
 ])
-def test_bspline_values_checked_like_mirror_surface(vals, message):
+def test_mirror_surface_values_checked(vals, message):
+    grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
     with pytest.raises(MirrorError, match=message):
-        fit_bspline(grid_points(5), vals, BSplineConfig(degree=2))
+        MirrorSurface(delaunay_triangulate(grid), vals)

@@ -370,7 +370,7 @@ print(codes, scipy_loaded())
 """
 
 
-def test_import_loads_no_assignment_or_spline_module(tmp_path):
+def test_import_loads_no_assignment_module(tmp_path):
     # No scipy module at all: q = 1 distances, embedding and diagnostics run on numpy alone.
     assert run_probe(Q1_CLI_PROBE, tmp_path) == ["[]", "[0, 0, 0] []"]
 
@@ -388,11 +388,6 @@ from distmirror import delaunay_triangulate
 grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
 print(len(delaunay_triangulate(grid).simplices) == 32)
 """, ["scipy.spatial"]),
-    "spline-fit": ("""
-from distmirror import evaluate_bspline, fit_bspline
-grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
-print(evaluate_bspline(fit_bspline(grid, grid * 2.0), [[1.5, 2.5]]).shape == (1, 2))
-""", ["scipy.interpolate", "scipy.linalg"]),
     "generate": ("""
 from distmirror import FamilyVariant, GaussianFamilySpec, generate
 ds = generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, n=10, seed=0))
