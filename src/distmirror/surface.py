@@ -24,6 +24,13 @@ triangulations is "each cocircular cell is fanned from its lowest-index
 vertex", making triangulations reproducible across platforms and qhull
 versions.
 
+Only qhull's triangles are read.  Which triangles share a side comes from
+one side table built from the triangles alone (``_sides``): side 3k + j of
+triangle k runs from its vertex j to vertex j + 1, and its twin is the side
+with the same two ends, or -1 on the boundary.  The table finds the boundary
+slivers to peel, the cocircular cells to fan and the boundary that
+``Triangulation`` derives its hull from.
+
 A point is on the hull boundary when it lies within ``BOUNDARY_TOL`` times
 the points' largest extent of it, compared in prescaled units (all divided
 by one power of two), where neither side can overflow.
@@ -66,6 +73,35 @@ GEOM_EPS = 1e-12
 BOUNDARY_TOL = 1e-9
 
 
+def _points(points) -> np.ndarray:
+    """points as a float (m, d) matrix; the error names the first point that is not finite."""
+    points = np.asarray(points, dtype=np.float64)
+    if points.ndim != 2:
+        raise MirrorError("points must be an (m, d) matrix")
+    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+    if bad.size:
+        raise MirrorError(f"point {bad[0]} ({points[bad[0]].tolist()}) is not finite")
+    return points
+
+
+def _sides(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(tail, head, twin) of each side of the (K, 3) triangles.
+
+    Side 3k + j of triangle k runs from its vertex j to vertex j + 1 (mod 3),
+    so the sides of a ccw triangle run counterclockwise.  The twin of a side
+    is another side with the same two ends, or -1 where there is none; in a
+    triangulation of ccw triangles it is the same side run the other way, in
+    the triangle across it.
+    """
+    tail, head = tris.ravel(), tris[:, [1, 2, 0]].ravel()
+    key = np.minimum(tail, head) * (tris.max() + 1) + np.maximum(tail, head)
+    order = np.argsort(key, kind="stable")
+    pair = np.flatnonzero(key[order[1:]] == key[order[:-1]])
+    twin = np.full(len(key), -1)
+    twin[order[pair]], twin[order[pair + 1]] = order[pair + 1], order[pair]
+    return tail, head, twin
+
+
 def _boundary(points: np.ndarray, simplices: np.ndarray) -> list[int]:
     """The hull vertices of nondegenerate simplices, ccw for d = 2 (see ``Triangulation``)."""
     if points.shape[1] == 1:
@@ -77,11 +113,9 @@ def _boundary(points: np.ndarray, simplices: np.ndarray) -> list[int]:
         if gap.size:
             raise MirrorError(f"the segments are not one path after segment {seg[gap[0]].tolist()}")
         return [seg[0, 0], seg[-1, 1]]
-    # The ccw sides, three per triangle; a side that no other triangle shares is on the boundary.
-    tail, head = simplices.ravel(), simplices[:, [1, 2, 0]].ravel()
-    key = np.minimum(tail, head) * len(points) + np.maximum(tail, head)
-    ranked = np.sort(key)
-    one = np.searchsorted(ranked, key, "right") - np.searchsorted(ranked, key) == 1
+    # A side that no other triangle shares is on the boundary.
+    tail, head, twin = _sides(simplices)
+    one = twin < 0
     succ = dict(zip(tail[one].tolist(), head[one].tolist()))
     # Walked from its lowest vertex, one closed cycle meets every boundary side once.
     cycle = [min(succ, default=int(simplices.min()))]
@@ -90,6 +124,15 @@ def _boundary(points: np.ndarray, simplices: np.ndarray) -> list[int]:
     if len(set(cycle)) != one.sum() or succ.get(cycle[-1]) != cycle[0]:
         raise MirrorError(f"the boundary walked from point {cycle[0]} is not one closed cycle "
                           f"of its {one.sum()} sides")
+    # It must also turn once, as a pentagram of a pentagon's vertices does not.  Around
+    # the cycle the changes of heading (atan2, whatever a side's length; halved points
+    # leave no difference to overflow) sum to 0, so the turns are the left turns that
+    # wrap the heading past pi less the right turns that wrap it back.
+    step = np.diff(0.5 * points[cycle + cycle[:2]], axis=0)
+    turn = np.diff(np.arctan2(step[:, 1], step[:, 0]))
+    turns = np.count_nonzero(turn < -np.pi) - np.count_nonzero(turn > np.pi)
+    if turns != 1:
+        raise MirrorError(f"the boundary walked from point {cycle[0]} turns {turns} times, not once")
     return cycle
 
 
@@ -104,7 +147,8 @@ class Triangulation:
     to exactly one simplex bound them, and it lists their vertices as one
     counterclockwise cycle from its lowest index for d = 2, or the two ends
     in coordinate order for d = 1.  A boundary that is not one closed cycle
-    (d = 2) or whose segments are not one path (d = 1) is an error.
+    turning once (d = 2) or whose segments are not one path (d = 1) is an
+    error.
     """
 
     points: np.ndarray
@@ -112,17 +156,11 @@ class Triangulation:
     hull: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
+        points = _points(self.points)
         simplices = np.asarray(self.simplices, dtype=np.intp)
-        if points.ndim != 2:
-            raise MirrorError("points must be an (m, d) matrix")
         m, d = points.shape
         if simplices.ndim != 2 or simplices.shape[1] != d + 1 or not len(simplices):
             raise MirrorError("simplices must be a (K, d+1) index matrix with K >= 1")
-        finite = np.isfinite(points).all(axis=1)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise MirrorError(f"point {i} ({points[i].tolist()}) is not finite")
         bad = np.flatnonzero((simplices < 0) | (simplices >= m))
         if bad.size:
             at = ", ".join(map(str, np.unravel_index(bad[0], simplices.shape)))
@@ -225,72 +263,64 @@ def _incircle(points: np.ndarray, tris: np.ndarray, d: np.ndarray) -> np.ndarray
             + lift[2] * (x[0] * y[1] - y[0] * x[1]))
 
 
-def _drop_boundary_slivers(
-    tris: np.ndarray, nbrs: np.ndarray, area: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _drop_boundary_slivers(tris: np.ndarray, area: np.ndarray) -> np.ndarray:
     """Peel off boundary triangles whose area is under the floor.
 
     qhull keeps a point lying within the area floor inside a hull edge as
     the apex of a zero-width boundary triangle; removing that triangle makes
-    the point a hull vertex, as it would be were it exactly on the edge.
+    the point a hull vertex, as it would be were it exactly on the edge.  A
+    side is exposed when no live triangle lies across it.
     """
     thin = area <= GEOM_EPS
     if not thin.any():
-        return tris, nbrs
+        return tris
+    twin = _sides(tris)[2]
     alive = np.ones(len(tris), dtype=bool)
     while True:
-        sliver = thin & alive & ((nbrs < 0) | ~alive[nbrs]).any(axis=1)
+        sliver = thin & alive & ((twin < 0) | ~alive[twin // 3]).reshape(-1, 3).any(axis=1)
         if not sliver.any():
             break
         alive &= ~sliver
-    renumber = np.cumsum(alive) - 1
-    nbrs = np.where((nbrs >= 0) & alive[nbrs], renumber[nbrs], -1)
-    return tris[alive], nbrs[alive]
+    return tris[alive]
 
 
-def _boundary_edges(tris: np.ndarray, nbrs: np.ndarray, label: np.ndarray) -> tuple:
-    """(label, source, target) of each ccw side whose neighbour is missing or labelled apart."""
-    k, j = np.nonzero((nbrs < 0) | (label[nbrs] != label[:, None]))
-    return label[k], tris[k, (j + 1) % 3], tris[k, (j + 2) % 3]
-
-
-def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
+def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray) -> np.ndarray:
     """Re-triangulate every cocircular Delaunay cell as a fan from its lowest index.
 
-    An interior edge is cocircular when the four points of its two
-    triangles pass the incircle test within ``GEOM_EPS`` and form a strictly
-    convex quad.  Triangles joined by such edges form one cell, and a
-    triangle with no such edge is a cell of one.  Where a cell is a convex
-    polygon with no inner vertex, its k triangles become the k-triangle fan;
-    the result lists the kept triangles first, in input order, then the
-    fans.  Any triangulation of a cocircular cell is Delaunay, so this only
-    fixes the choice among them.  The static epsilon passes every quad of a
-    cluster far smaller than the unit box, so such a cell may fail that
-    shape; it keeps qhull's triangles.
+    Adjacency comes from the side table of ``_sides``: each interior side is
+    taken once, from the lower-numbered of its two triangles, and the vertex
+    across it is read off its twin.  An interior side is cocircular when the
+    four points of its two triangles pass the incircle test within
+    ``GEOM_EPS`` and form a strictly convex quad.  Triangles joined by such
+    sides form one cell, and a triangle with no such side is a cell of one;
+    a cell is bounded by the sides whose twin is missing or in another cell.
+    Where a cell is a convex polygon with no inner vertex, its k triangles
+    become the k-triangle fan; the result lists the kept triangles first, in
+    input order, then the fans.  Any triangulation of a cocircular cell is
+    Delaunay, so this only fixes the choice among them.  The static epsilon
+    passes every quad of a cluster far smaller than the unit box, so such a
+    cell may fail that shape; it keeps qhull's triangles.
     """
     m, n_tris = len(unit), len(tris)
-    k, j = np.nonzero(nbrs > np.arange(n_tris)[:, None])
-    n = nbrs[k, j]
-    # Neighbour j of triangle k lies across the edge from vertex j + 1 to vertex
-    # j + 2 (mod 3): read off a flat copy of the rows, each with its first two
-    # vertices repeated.
-    ring = np.concatenate([tris, tris[:, :2]], axis=1).ravel()
-    at = 5 * k + j
-    near, tail, head = ring[at], ring[at + 1], ring[at + 2]
-    far = tris[n, np.argmax(nbrs[n] == k[:, None], axis=1)]
+    tail, head, twin = _sides(tris)
+    # The vertex opposite side 3k + j of triangle k is its vertex j + 2 (mod 3).
+    apex = tris[:, [2, 0, 1]].ravel()
+    side = np.flatnonzero(twin > np.arange(len(twin)))
+    near, far = apex[side], apex[twin[side]]
     # Flipping to the other diagonal must leave both triangles above the area floor.
-    flips = np.column_stack([near, far, tail, near, far, head]).reshape(-1, 3)
+    flips = np.column_stack([near, far, tail[side], near, far, head[side]]).reshape(-1, 3)
     s1, s2 = _orient(unit, flips).reshape(-1, 2).T
     convex = (np.minimum(s1, s2) < -GEOM_EPS) & (np.maximum(s1, s2) > GEOM_EPS)
-    cocircular = convex & (np.abs(_incircle(unit, tris[k], far)) <= GEOM_EPS)
-    a, b = k[cocircular], n[cocircular]
+    cocircular = convex & (np.abs(_incircle(unit, tris[side // 3], far)) <= GEOM_EPS)
+    a, b = side[cocircular] // 3, twin[side[cocircular]] // 3
     # Label each triangle with the lowest triangle index in its cell.
     label = np.arange(n_tris)
     while (label[a] != label[b]).any():
         low = np.minimum(label[a], label[b])
         np.minimum.at(label, a, low)
         np.minimum.at(label, b, low)
-    cell, src, dst = _boundary_edges(tris, nbrs, label)
+    cut = np.flatnonzero((twin < 0) | (label[twin // 3] != np.repeat(label, 3)))
+    cell, src, dst = label[cut // 3], tail[cut], head[cut]
     # Every boundary vertex is a source, so the lowest source is the fan's hub.
     hub = np.full(n_tris, m)
     np.minimum.at(hub, cell, src)
@@ -325,9 +355,7 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
     where several triangulations are Delaunay, is fanned from its
     lowest-index vertex.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise MirrorError("points must be an (m, d) matrix")
+    points = _points(points)
     m, d = points.shape
     if d >= 3:
         raise UnsupportedDimension(
@@ -335,8 +363,6 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
         )
     if d < 1:
         raise MirrorError("points must have at least one coordinate")
-    if not np.all(np.isfinite(points)):
-        raise MirrorError("points contain non-finite values")
     if m < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points for d={d}, got {m}")
     # lexsort is stable: within a run of equal rows the indices ascend, so the
@@ -366,16 +392,13 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
         p, _, v = qhull.coplanar[0].tolist()
         raise DegenerateInput(f"point {max(p, v)} coincides with point {min(p, v)}")
     tris = qhull.simplices.astype(np.intp)
-    nbrs = qhull.neighbors.astype(np.intp)
-    # Make every triangle ccw; neighbour j stays opposite vertex j.
     area = _orient(unit, tris)
     cw = area < 0
     tris[cw, 1:] = tris[cw, :0:-1]
-    nbrs[cw, 1:] = nbrs[cw, :0:-1]
-    tris, nbrs = _drop_boundary_slivers(tris, nbrs, np.abs(area))
+    tris = _drop_boundary_slivers(tris, np.abs(area))
     if len(tris) == 0:
         raise DegenerateInput("all points are collinear")
-    tris = _fan_cocircular_cells(unit, tris, nbrs)
+    tris = _fan_cocircular_cells(unit, tris)
 
     thin = np.flatnonzero(_orient(unit, tris) <= GEOM_EPS)
     if thin.size:

@@ -538,3 +538,24 @@ def test_population_limit_recovery_is_the_affine_preimage():
         assert holds.any()
         preimages = np.einsum("kv,kvd->kd", lam[holds], tri.points[tri.simplices[holds]])
         assert np.abs(preimages - recs[i].x_hat).max() <= 1e-12
+
+
+def interior_coordinate_medians(dm, grid):
+    """Leave-one-out median |x_hat - truth| per coordinate over the interior hold-outs."""
+    recs = leave_one_out(dm, grid, c=2)
+    interior = ((grid > 0.0) & (grid < 1.0)).all(axis=1)
+    return np.median(np.abs(np.array([r.x_hat for r in recs]) - grid)[interior], axis=0)
+
+
+def test_large_n_x1_error_reaches_the_population_floor():
+    # The x1 error stops at the surface's interpolation bias, which the population
+    # matrix shows alone (x2 is exact there), while the x2 error keeps falling with n.
+    # Bounds from seeds 0-5 at n = 10^4: x1 at 0.87-0.98 of the floor, x2 at
+    # 0.135-0.154 of x1.
+    grid = mean_sd_grid()
+    floor = interior_coordinate_medians(true_distance_matrix(FamilyVariant.MEAN_SD, grid), grid)
+    assert floor[0] == pytest.approx(0.0104, abs=1e-4) and floor[1] <= 1e-15
+    ds = generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, n=10_000, seed=0))
+    x1, x2 = interior_coordinate_medians(distance_matrix(ds.labeled, p=2), grid)
+    assert 0.8 * floor[0] <= x1 <= 1.05 * floor[0]
+    assert x2 <= 0.2 * x1

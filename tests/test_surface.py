@@ -14,6 +14,7 @@ from distmirror.surface import (
     _QUERY_FLOATS,
     _incircle,
     _orient,
+    _sides,
     MirrorSurface,
     Triangulation,
     barycentric,
@@ -125,6 +126,15 @@ def test_high_dimension_rejected():
         delaunay_triangulate(np.zeros((5, 3)))
 
 
+@pytest.mark.parametrize("points, message", [
+    ([[0.0, 0], [1, 0], [np.nan, 1], [0, np.inf]], r"point 2 \(\[nan, 1\.0\]\) is not finite"),
+    ([[0.0], [-np.inf], [1.0]], r"point 1 \(\[-inf\]\) is not finite"),
+], ids=["2-d", "1-d"])
+def test_non_finite_point_named(points, message):
+    with pytest.raises(MirrorError, match=f"^{message}$"):
+        delaunay_triangulate(np.array(points))
+
+
 def test_too_few_points_rejected():
     with pytest.raises(DegenerateInput):
         delaunay_triangulate(np.array([[0.0, 0], [1, 1]]))
@@ -170,6 +180,9 @@ def test_triangulation_needs_a_simplex():
 
 
 SQUARE = [[0.0, 0], [1, 0], [1, 1], [0, 1]]
+# A regular pentagon and its centre.
+PENTAGON = np.column_stack([np.cos(np.pi / 2 + 0.4 * np.pi * np.arange(5)),
+                            np.sin(np.pi / 2 + 0.4 * np.pi * np.arange(5))]).tolist() + [[0.0, 0]]
 
 
 @pytest.mark.parametrize("points, simplices, message", [
@@ -183,10 +196,13 @@ SQUARE = [[0.0, 0], [1, 0], [1, 1], [0, 1]]
     (SQUARE[:3] + [[-1.0, 0], [-1, -1]], [[0, 1, 2], [0, 3, 4]],
      r"the boundary walked from point 0 is not one closed cycle of its 6 sides"),
     (SQUARE[:3], [[0, 2, 1]], r"simplex 0 \(\[0, 2, 1\]\) is clockwise"),
+    # The centre fanned to every second vertex: one closed cycle, a pentagram that turns twice.
+    (PENTAGON, [[5, i, (i + 2) % 5] for i in range(5)],
+     r"the boundary walked from point 0 turns 2 times, not once"),
     ([[0.0], [1], [2], [3]], [[0, 1], [2, 3]],
      r"the segments are not one path after segment \[0, 1\]"),
 ], ids=["index-past-end", "negative-index", "nan-point", "disjoint-triangles", "bow-tie",
-        "clockwise", "1-d-gap"])
+        "clockwise", "pentagram", "1-d-gap"])
 def test_triangulation_rejects_a_bad_point_index_or_hull(points, simplices, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -366,6 +382,21 @@ def test_property_hull_is_the_boundary_cycle(pts):
     sides = [frozenset(e) for s in tri.simplices.tolist() for e in zip(s, s[1:] + s[:1])]
     for side in zip(hull, hull[1:] + hull[:1]):
         assert sides.count(frozenset(side)) == 1
+
+
+@given(point_sets)
+def test_property_side_twins_are_qhulls_neighbours(pts):
+    # qhull's own neighbour array is the oracle: made ccw, each triangle's sides
+    # have twins in exactly the triangles qhull names as its neighbours.
+    from scipy.spatial import Delaunay
+
+    qhull = Delaunay(pts)
+    tris = qhull.simplices.astype(np.intp)
+    cw = _orient(pts, tris) < 0
+    tris[cw, 1:] = tris[cw, :0:-1]
+    twin = _sides(tris)[2]
+    across = np.where(twin < 0, -1, twin // 3).reshape(-1, 3)
+    assert (np.sort(across, axis=1) == np.sort(qhull.neighbors, axis=1)).all()
 
 
 @given(point_sets)

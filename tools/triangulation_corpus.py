@@ -1,0 +1,155 @@
+"""Print the triangulation of a fixed corpus of point sets, one line per input.
+
+Usage::
+
+    python tools/triangulation_corpus.py SRC_DIR > out.txt
+
+``SRC_DIR`` is the directory that holds the ``distmirror`` package (``src`` in
+a checkout).  Each line is ``<family>/<index> <result>``, where the result is
+the SHA-256 of the simplices and the hull that ``delaunay_triangulate``
+returns, or the exception's type and text.  The corpus is drawn from fixed
+seeds, so running the script on two checkouts and diffing the outputs shows
+every input whose triangulation, hull or error changed.
+
+The families are the two simulation grids and their leave-one-out grids,
+jittered and scaled lattices, regular polygons with and without their
+centre, random and rounded clouds, tiny clusters inside the unit square,
+near-collinear sets, d = 1 sets, and a few malformed inputs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+
+import numpy as np
+
+
+def simulation_grids(sim):
+    for grid in (sim.mean_only_grid(), sim.mean_sd_grid()):
+        yield grid
+        for i in range(len(grid)):
+            yield np.delete(grid, i, axis=0)
+
+
+def lattices(rng, count=400):
+    for _ in range(count):
+        kx, ky = rng.integers(2, 8, size=2)
+        step = np.array([rng.choice([1.0, 0.3, 2.5]), rng.choice([1.0, 0.7])])
+        pts = np.array([[i, j] for i in range(kx) for j in range(ky)]) * step
+        pts = pts + rng.choice([0.0, 1e-13, 1e-4, 0.1]) * rng.uniform(-1, 1, pts.shape)
+        pts = (pts + rng.choice([0.0, 3.0, -1e3]))[rng.permutation(len(pts))]
+        yield pts * 10.0 ** rng.integers(-6, 7)
+
+
+def polygons(rng):
+    for k in range(3, 25):
+        ang = 2 * np.pi * np.arange(k) / k
+        ring = np.column_stack([np.cos(ang), np.sin(ang)])
+        for centre in (False, True):
+            pts = np.vstack([ring, [[0.0, 0.0]]]) if centre else ring
+            for _ in range(5):
+                yield pts[rng.permutation(len(pts))] * 10.0 ** rng.integers(-6, 7)
+
+
+def random_clouds(rng, count=300):
+    for _ in range(count):
+        pts = rng.random((int(rng.integers(3, 120)), 2))
+        yield pts * 10.0 ** rng.uniform(-5, 4) + rng.choice([0.0, 1.0, -50.0])
+
+
+def rounded_clouds(rng, count=200):
+    # Few distinct values per axis: repeated points, collinear runs and cocircular quads.
+    for _ in range(count):
+        levels = int(rng.integers(2, 9))
+        pts = np.round(rng.random((int(rng.integers(3, 40)), 2)) * levels) / levels
+        if rng.random() < 0.5:
+            pts = np.unique(pts, axis=0)
+        yield pts[rng.permutation(len(pts))] * rng.choice([1.0, 1e-3, 7.0])
+
+
+def tiny_clusters(rng):
+    corners = np.array([[0.0, 0], [1, 0], [1, 1], [0, 1]])
+    ang = np.pi / 3 * np.arange(6)
+    hexagon = np.vstack([np.column_stack([np.cos(ang), np.sin(ang)]), [[0.0, 0.0]]])
+    subgrid = np.array([[i, j] for i in range(3) for j in range(3)], dtype=float)
+    for cluster in (hexagon, subgrid):
+        for r in 10.0 ** -np.arange(1.0, 9.0):
+            for centre in (0.5, 0.25):
+                yield np.vstack([corners, centre + r * cluster])
+    for _ in range(50):
+        r = 10.0 ** rng.uniform(-8, -1)
+        yield np.vstack([corners, rng.random(2) + r * rng.random((int(rng.integers(3, 12)), 2))])
+
+
+def near_collinear(rng, count=150):
+    for _ in range(count):
+        m = int(rng.integers(3, 15))
+        t = np.sort(rng.random(m)) if rng.random() < 0.5 else np.linspace(0.0, 1.0, m)
+        direction = rng.normal(size=2)
+        pts = t[:, None] * direction
+        lift = rng.choice([0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-9, 1e-6])
+        pts[:, 1] += lift * rng.uniform(-1, 1, m)
+        if rng.random() < 0.5:
+            pts = np.vstack([pts, [[0.5 * direction[0], 0.5 * direction[1] + 1.0]]])
+        yield pts[rng.permutation(len(pts))]
+
+
+def one_dimensional(rng, count=60):
+    for _ in range(count):
+        pts = rng.random((int(rng.integers(2, 30)), 1)) * 10.0 ** rng.integers(-4, 5)
+        if rng.random() < 0.3:
+            pts = np.round(pts, 1)
+        yield pts
+
+
+def malformed():
+    yield np.array([[0.0, 0], [1, 0], [np.nan, 1]])
+    yield np.array([[0.0, np.inf], [1, 0], [0, 1]])
+    yield np.array([[0.0], [np.nan], [2.0]])
+    yield np.array([[0.0, 0], [1, 1]])
+    yield np.array([[0.0]])
+    yield np.zeros((5, 3))
+    yield np.zeros((4, 0))
+    yield np.zeros(4)
+
+
+def corpus(sim):
+    rng = np.random.default_rng(20240601)
+    yield "simulation-grids", simulation_grids(sim)
+    yield "lattices", lattices(rng)
+    yield "polygons", polygons(rng)
+    yield "random-clouds", random_clouds(rng)
+    yield "rounded-clouds", rounded_clouds(rng)
+    yield "tiny-clusters", tiny_clusters(rng)
+    yield "near-collinear", near_collinear(rng)
+    yield "one-dimensional", one_dimensional(rng)
+    yield "malformed", malformed()
+
+
+def outcome(surface, pts) -> str:
+    try:
+        tri = surface.delaunay_triangulate(pts)
+    except Exception as exc:  # every outcome is printed, errors included
+        return f"{type(exc).__name__}: {exc}"
+    digest = hashlib.sha256(np.ascontiguousarray(tri.simplices, dtype=np.int64).tobytes())
+    digest.update(b"|" + np.ascontiguousarray(tri.hull, dtype=np.int64).tobytes())
+    return f"{tri.n_simplices} simplices, hull {len(tri.hull)}: {digest.hexdigest()[:32]}"
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[0], file=sys.stderr)
+        print("usage: triangulation_corpus.py SRC_DIR", file=sys.stderr)
+        return 2
+    sys.path.insert(0, argv[1])
+    from distmirror import sim, surface
+
+    for family, inputs in corpus(sim):
+        for i, pts in enumerate(inputs):
+            print(f"{family}/{i} {outcome(surface, pts)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
