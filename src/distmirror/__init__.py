@@ -15,7 +15,7 @@ recovery.
 
 __version__ = "0.1.0"
 
-from .core import Dataset, SampleSet, load_dataset, save_dataset, validate_equal_sample_size
+from .core import Dataset, SampleSet, load_dataset, save_dataset
 from .embedding import (
     MirrorEmbedding,
     RealizabilityReport,
@@ -68,7 +68,6 @@ __all__ = [
     "SampleSet",
     "load_dataset",
     "save_dataset",
-    "validate_equal_sample_size",
     "MirrorEmbedding",
     "RealizabilityReport",
     "cmds",

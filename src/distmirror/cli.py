@@ -18,8 +18,7 @@ import numpy as np
 
 from . import __version__
 from ._parallel import worker_count
-from .core import (_is_number_text, load_dataset, read_table, validate_equal_sample_size,
-                   write_table)
+from .core import _is_number_text, load_dataset, read_table, write_table
 from .embedding import (
     cmds,
     realizability_diagnostics,
@@ -41,7 +40,7 @@ from .surface import (
     interpolate,
     write_triangulation,
 )
-from .transport import distance_matrix, read_distance_matrix, write_distance_matrix
+from .transport import _check_sets, distance_matrix, read_distance_matrix, write_distance_matrix
 
 _METRIC_ORDER = {"w1": 1.0, "w2": 2.0}
 #: Grid points ``fit`` holds at once: each chunk is as many whole first-axis
@@ -82,12 +81,11 @@ def _cmd_distmat(args) -> int:
     p = _METRIC_ORDER[args.metric]
     t0 = time.perf_counter()
     ds = load_dataset(args.input, args.format)
-    n = validate_equal_sample_size(ds)
     dm = distance_matrix(list(ds.all_sets), p)
     write_distance_matrix(dm, args.output)
     elapsed = time.perf_counter() - t0
     print(
-        f"distmat: m={dm.m} n={n} q={ds.q} metric={args.metric} "
+        f"distmat: m={dm.m} n={ds.all_sets[0].n} q={ds.q} metric={args.metric} "
         f"wall={elapsed:.3f}s -> {args.output}"
     )
     return 0
@@ -171,7 +169,7 @@ def _cmd_recover(args) -> int:
     _check_worker_setting()
     p = _METRIC_ORDER[args.metric]
     ds = load_dataset(args.input, args.format)
-    validate_equal_sample_size(ds)
+    _check_sets(ds.all_sets)
     if not ds.labeled:
         raise MirrorError("recovery requires labeled sets")
     if not (args.leave_one_out or ds.unlabeled):

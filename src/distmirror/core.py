@@ -58,7 +58,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import DatasetError, DuplicateParameters, MirrorError, UnequalSampleSizes
+from .errors import DatasetError, DuplicateParameters, MirrorError
 
 __all__ = [
     "SampleSet",
@@ -67,7 +67,6 @@ __all__ = [
     "save_dataset",
     "read_table",
     "write_table",
-    "validate_equal_sample_size",
 ]
 
 
@@ -200,21 +199,6 @@ class Dataset:
     def params_matrix(self) -> np.ndarray:
         """Stack labeled parameter vectors into an (m, d) matrix."""
         return np.array([s.params for s in self.labeled], dtype=np.float64)
-
-
-def validate_equal_sample_size(ds: Dataset) -> int:
-    """Return the common n, or raise :class:`UnequalSampleSizes`.
-
-    The exact permutation coupling behind the transport solver requires
-    every set (labeled and unlabeled) to hold the same number of rows.
-    """
-    sets = ds.all_sets
-    n = sets[0].n
-    offenders = [(s.id, s.n) for s in sets if s.n != n]
-    if offenders:
-        bad = [(sets[0].id, n)] + offenders
-        raise UnequalSampleSizes([i for i, _ in bad], [k for _, k in bad])
-    return n
 
 
 @contextmanager

@@ -20,10 +20,8 @@ class DuplicateParameters(DatasetError):
 class UnequalSampleSizes(MirrorError):
     """Sample sets do not share a common number of observations."""
 
-    def __init__(self, ids, sizes):
-        self.ids = tuple(ids)
-        self.sizes = tuple(sizes)
-        detail = ", ".join(f"{i}(n={n})" for i, n in zip(self.ids, self.sizes))
+    def __init__(self, sets):
+        detail = ", ".join(f"{s.id}(n={s.n})" for s in sets)
         super().__init__(f"sample sets differ in size: {detail}")
 
 

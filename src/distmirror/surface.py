@@ -24,12 +24,16 @@ triangulations is "each cocircular cell is fanned from its lowest-index
 vertex", making triangulations reproducible across platforms and qhull
 versions.
 
-Only qhull's triangles are read.  Which triangles share a side comes from
-one side table built from the triangles alone (``_sides``): side 3k + j of
-triangle k runs from its vertex j to vertex j + 1, and its twin is the side
-with the same two ends, or -1 on the boundary.  The table finds the boundary
-slivers to peel, the cocircular cells to fan and the boundary that
-``Triangulation`` derives its hull from.
+Of qhull's output only its triangles and its ``coplanar`` report are read.
+That report lists the points qhull left out of every triangle, each with its
+nearest vertex, and its first entry is an error naming the two as coincident
+points.  Which triangles share a side comes from one side table built from
+the triangles alone (``_sides``): side 3k + j of triangle k runs from its
+vertex j to vertex j + 1, and its twin is the side with the same two ends, or
+-1 on the boundary.  The table finds the boundary slivers to peel, the
+cocircular cells to fan and the boundary that ``Triangulation`` derives its
+hull from.  A point that the peel leaves in no triangle is an error, raised
+by ``Triangulation``, which needs every point to be a vertex.
 
 A point is on the hull boundary when it lies within ``BOUNDARY_TOL`` times
 the points' largest extent of it, compared in prescaled units (all divided
@@ -141,14 +145,14 @@ class Triangulation:
     """Simplicial cover of the convex hull of m parameter points.
 
     ``simplices`` holds (d+1)-tuples of point indices (counterclockwise for
-    d = 2, sorted rows, lexicographic order).  Every point is finite, every
-    index names a point, and no simplex is degenerate or, for d = 2,
-    clockwise.  ``hull`` is derived from the simplices: the faces that belong
-    to exactly one simplex bound them, and it lists their vertices as one
-    counterclockwise cycle from its lowest index for d = 2, or the two ends
-    in coordinate order for d = 1.  A boundary that is not one closed cycle
-    turning once (d = 2) or whose segments are not one path (d = 1) is an
-    error.
+    d = 2, sorted rows, lexicographic order).  Every point is finite and a
+    vertex of some simplex, every index names a point, and no simplex is
+    degenerate or, for d = 2, clockwise.  ``hull`` is derived from the
+    simplices: the faces that belong to exactly one simplex bound them, and
+    it lists their vertices as one counterclockwise cycle from its lowest
+    index for d = 2, or the two ends in coordinate order for d = 1.  A
+    boundary that is not one closed cycle turning once (d = 2) or whose
+    segments are not one path (d = 1) is an error.
     """
 
     points: np.ndarray
@@ -166,6 +170,9 @@ class Triangulation:
             at = ", ".join(map(str, np.unravel_index(bad[0], simplices.shape)))
             raise MirrorError(f"simplices[{at}] = {simplices.flat[bad[0]]} names no point "
                               f"in 0..{m - 1}")
+        lone = np.flatnonzero(np.bincount(simplices.ravel(), minlength=m) == 0)
+        if lone.size:
+            raise DegenerateInput(f"point {lone[0]} is a vertex of no simplex")
         object.__setattr__(self, "points", _freeze(points))
         object.__setattr__(self, "simplices", _freeze(simplices, np.intp))
         # slogdet runs the LU of inv: sign 0 on a zero pivot, and for d = 2 the area's sign.

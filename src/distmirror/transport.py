@@ -12,7 +12,9 @@ deliberately absent; all downstream tolerances assume exact costs.  The
 layer returns costs only: no caller reads the coupling that attains one.
 A cost too large for a float is infinite, and :func:`distance_matrix`
 names the first pair whose cost is, as it does the first pair of differing
-sets whose cost underflows to zero.
+sets whose cost underflows to zero.  Every entry point first checks that its
+sets share q and n; an unequal n names every set whose n differs from the
+first set's.
 """
 
 from __future__ import annotations
@@ -82,13 +84,22 @@ def _first_entry(ids: tuple[str, ...], values: np.ndarray, bad: np.ndarray, mirr
     return text + f" != d({ids[j]!r}, {ids[i]!r}) = {float(values[j, i])!r}" if mirror else text
 
 
-def _check_pair(a: SampleSet, b: SampleSet) -> None:
-    if a.q != b.q:
-        raise MirrorError(
-            f"sample dimension mismatch: {a.id!r} has q={a.q}, {b.id!r} has q={b.q}"
-        )
-    if a.n != b.n:
-        raise UnequalSampleSizes([a.id, b.id], [a.n, b.n])
+def _check_sets(sets: Sequence[SampleSet]) -> None:
+    """Reject sets that exact transport cannot compare: none, or sets whose q or n differ.
+
+    The permutation coupling needs every set to hold as many draws as the
+    first; an unequal n names the first set and every set that differs from it.
+    """
+    if not sets:
+        raise MirrorError("distance_matrix requires at least one sample set")
+    first = sets[0]
+    for s in sets:
+        if s.q != first.q:
+            raise MirrorError(f"sample dimension mismatch: {first.id!r} has q={first.q}, "
+                              f"{s.id!r} has q={s.q}")
+    offenders = [s for s in sets if s.n != first.n]
+    if offenders:
+        raise UnequalSampleSizes([first, *offenders])
 
 
 def _check_order(p: float) -> None:
@@ -100,7 +111,7 @@ def _check_order(p: float) -> None:
 def cost_matrix(a: SampleSet, b: SampleSet, p: float) -> np.ndarray:
     """Dense matrix of per-pair costs ||a_i - b_j||^p (Euclidean norm)."""
     _check_order(p)
-    _check_pair(a, b)
+    _check_sets((a, b))
     # Imported here: only q > 1 costs read scipy.spatial, which q = 1 data never loads.
     from scipy.spatial.distance import cdist
 
@@ -139,7 +150,7 @@ def wasserstein_exact(a: SampleSet, b: SampleSet, p: float = 1) -> float:
     distances and rooted once at the end.  A cost that overflows is ``inf``.
     """
     _check_order(p)
-    _check_pair(a, b)
+    _check_sets((a, b))
     with np.errstate(over="ignore"):  # a cost past the float range is inf
         if a.q == 1:
             return _sorted_pair_cost(np.sort(a.samples[:, 0]), np.sort(b.samples[:, 0]), p)
@@ -166,10 +177,7 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
     """
     _check_order(p)
     sets = list(sets)
-    if not sets:
-        raise MirrorError("distance_matrix requires at least one sample set")
-    for s in sets[1:]:
-        _check_pair(sets[0], s)
+    _check_sets(sets)
     m = len(sets)
     rows, cols = np.triu_indices(m, 1)
     pairs = list(zip(rows.tolist(), cols.tolist()))

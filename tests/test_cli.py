@@ -427,6 +427,23 @@ def test_recover_leave_one_out_fills_truth(tmp_path):
     np.testing.assert_allclose(truth, grid, atol=0)
 
 
+@pytest.mark.parametrize("command", ["distmat", "recover"])
+def test_unequal_sample_sizes_name_every_offender(tmp_path, capsys, command):
+    # 6-row labeled sets; of the unlabeled sets one has 7 rows and the last has 5.
+    # A check per joint embedding would name one pair; the check up front names all.
+    rng = np.random.default_rng(0)
+    axis = np.linspace(0.0, 1.0, 3)
+    records = [{"id": f"g{i}", "params": [a, b], "samples": rng.random((6, 3)).tolist()}
+               for i, (a, b) in enumerate((a, b) for a in axis for b in axis)]
+    records += [{"id": f"u{i}", "samples": rng.random((n, 3)).tolist()}
+                for i, n in enumerate([6, 7, 6, 5])]
+    data, out = tmp_path / "data.ndjson", tmp_path / "out.csv"
+    write_ndjson(data, records)
+    assert main([command, "--input", str(data), "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: sample sets differ in size: g0(n=6), u1(n=7), u3(n=5)\n"
+    assert not out.exists()
+
+
 def dim_fixture(tmp_path):
     """Noisy mean-sd sets on a 4 x 4 grid plus three unlabeled sets."""
     axis = np.linspace(0.0, 1.0, 4)

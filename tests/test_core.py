@@ -26,10 +26,9 @@ from distmirror.core import (
     SampleSet,
     load_dataset,
     save_dataset,
-    validate_equal_sample_size,
 )
 from distmirror.embedding import MirrorEmbedding, read_embedding, write_embedding
-from distmirror.errors import DatasetError, DuplicateParameters, MirrorError, UnequalSampleSizes
+from distmirror.errors import DatasetError, DuplicateParameters, MirrorError
 from distmirror.recovery import RecoveryResult
 from distmirror.sim import FamilyVariant, GaussianFamilySpec
 from distmirror.surface import MirrorSurface, Triangulation, delaunay_triangulate
@@ -214,31 +213,6 @@ def test_round_trip_identity(tmp_path, fmt):
     path2 = tmp_path / f"d2.{fmt}"
     save_dataset(back, path2, fmt)
     assert path.read_bytes() == path2.read_bytes()
-
-
-def test_equal_sample_size_ok():
-    sets = tuple(
-        SampleSet(id=f"s{i}", samples=np.zeros((100, 2)) + i, params=np.array([float(i)]))
-        for i in range(2)
-    )
-    ds = Dataset(labeled=sets)
-    assert validate_equal_sample_size(ds) == 100
-
-
-def test_equal_sample_size_single_observation():
-    ds = Dataset(labeled=(SampleSet(id="a", samples=np.ones((1, 1)), params=np.array([0.0])),))
-    assert validate_equal_sample_size(ds) == 1
-
-
-def test_unequal_sample_sizes_lists_ids():
-    sets = (
-        SampleSet(id="a", samples=np.zeros((100, 1)), params=np.array([0.0])),
-        SampleSet(id="b", samples=np.zeros((99, 1)), params=np.array([1.0])),
-    )
-    ds = Dataset(labeled=sets)
-    with pytest.raises(UnequalSampleSizes) as err:
-        validate_equal_sample_size(ds)
-    assert "b" in str(err.value)
 
 
 def test_invariants_checked_eagerly():

@@ -153,6 +153,33 @@ def test_near_collinear_hull_point_kept_as_vertex():
     assert tri.hull.tolist() == [0, 2, 1, 3]
 
 
+# Two near-collinear inputs of tools/triangulation_corpus.py whose qhull triangles
+# sit near the area floor.  The sliver peel leaves some points in no triangle
+# (on /20 points 0, 2, 3 and 6; on /65 two pieces meeting at one vertex).
+NEAR_COLLINEAR_20 = [
+    [-0.09749595841408576, -0.04650965877898301], [-0.30598362607692353, -0.1459670151684727],
+    [-0.1082245984253607, -0.05162766976292395], [-0.15094006122040549, -0.07200473596640779],
+    [-0.4828112958749254, -0.23032122552267523], [-0.21525481373443517, -0.10268556871443534],
+    [-0.2435526405394341, -0.11618481822577659], [-0.4088169259429291, -0.19502280953789175]]
+NEAR_COLLINEAR_65 = [
+    [-0.18847812293670282, -0.4162588631180079], [-0.3010164754549118, -0.6648027574716823],
+    [-0.03289895015079793, -0.07265819169996011], [-0.3074826634265092, -0.6790835026888425],
+    [-0.19502555954651, -0.43071904807845185], [-0.36802496873746265, -0.8127927671284887],
+    [-0.022770832681106783, -0.05028997942998916], [-0.046775444326744096, -0.10330479195264863],
+    [-0.2647874389640345, -0.5847899830064642], [-0.3164416675708238, -0.6988696976197245],
+    [-0.04677598177405309, -0.1033059789135714], [-0.2408288924409153, -0.5318769065149079],
+    [-0.3226837885524082, -0.7126555850434071], [-0.3523623489981771, -0.778201461855161]]
+
+
+@pytest.mark.parametrize("points, message", [
+    (NEAR_COLLINEAR_20, "point 0 is a vertex of no simplex"),
+    (NEAR_COLLINEAR_65, "point 1 is a vertex of no simplex"),
+], ids=["near-collinear-20", "near-collinear-65"])
+def test_near_collinear_peel_leaving_a_point_in_no_triangle_rejected(points, message):
+    with pytest.raises(DegenerateInput, match=f"^{message}$"):
+        delaunay_triangulate(np.array(points))
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150])
 def test_triangulation_scale_invariant(scale):
     g = np.array([[i, j] for i in range(4) for j in range(4)], dtype=float)
@@ -196,13 +223,14 @@ PENTAGON = np.column_stack([np.cos(np.pi / 2 + 0.4 * np.pi * np.arange(5)),
     (SQUARE[:3] + [[-1.0, 0], [-1, -1]], [[0, 1, 2], [0, 3, 4]],
      r"the boundary walked from point 0 is not one closed cycle of its 6 sides"),
     (SQUARE[:3], [[0, 2, 1]], r"simplex 0 \(\[0, 2, 1\]\) is clockwise"),
+    (SQUARE, [[0, 1, 2]], r"point 3 is a vertex of no simplex"),
     # The centre fanned to every second vertex: one closed cycle, a pentagram that turns twice.
     (PENTAGON, [[5, i, (i + 2) % 5] for i in range(5)],
      r"the boundary walked from point 0 turns 2 times, not once"),
     ([[0.0], [1], [2], [3]], [[0, 1], [2, 3]],
      r"the segments are not one path after segment \[0, 1\]"),
 ], ids=["index-past-end", "negative-index", "nan-point", "disjoint-triangles", "bow-tie",
-        "clockwise", "pentagram", "1-d-gap"])
+        "clockwise", "lone-point", "pentagram", "1-d-gap"])
 def test_triangulation_rejects_a_bad_point_index_or_hull(points, simplices, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

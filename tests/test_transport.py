@@ -97,6 +97,40 @@ def test_unequal_sizes_rejected():
         wasserstein_exact(make([[0.0], [1.0]]), make([[0.0]]), 1)
 
 
+def test_equal_sample_size_ok():
+    a, b = (make(np.zeros((100, 2)) + i, f"s{i}") for i in range(2))
+    assert wasserstein_exact(a, b, 1) == pytest.approx(np.sqrt(2))
+    assert distance_matrix([a, b], 1).values[0, 1] == pytest.approx(np.sqrt(2))
+
+
+def test_equal_sample_size_single_observation():
+    a = make(np.ones((1, 1)), "a")
+    assert wasserstein_exact(a, a, 1) == 0.0
+    assert distance_matrix([a], 1).values.tolist() == [[0.0]]
+
+
+def test_unequal_sample_sizes_lists_ids():
+    # The first set, then every set whose n differs from it, in input order.
+    a, b = make(np.zeros((100, 1)), "a"), make(np.zeros((99, 1)), "b")
+    for call in (lambda: wasserstein_exact(a, b, 1), lambda: distance_matrix([a, b], 1)):
+        with pytest.raises(UnequalSampleSizes, match=r"^sample sets differ in size: a\(n=100\), b\(n=99\)$"):
+            call()
+    sets = [make(np.zeros((n, 1)), name) for name, n in [("a", 5), ("b", 6), ("x", 5), ("c", 7)]]
+    with pytest.raises(UnequalSampleSizes,
+                       match=r"^sample sets differ in size: a\(n=5\), b\(n=6\), c\(n=7\)$"):
+        distance_matrix(sets, 1)
+
+
+def test_sets_of_another_dimension_or_none_rejected():
+    a, b, c = make(np.zeros((2, 1)), "a"), make(np.zeros((2, 1)), "b"), make(np.zeros((3, 2)), "c")
+    with pytest.raises(MirrorError, match=r"^sample dimension mismatch: 'a' has q=1, 'c' has q=2$"):
+        distance_matrix([a, b, c], 1)
+    with pytest.raises(MirrorError, match=r"^sample dimension mismatch: 'c' has q=2, 'a' has q=1$"):
+        cost_matrix(c, a, 1)
+    with pytest.raises(MirrorError, match=r"^distance_matrix requires at least one sample set$"):
+        distance_matrix([], 1)
+
+
 @pytest.mark.parametrize("p", [1, 2])
 @given(q=st.integers(1, 3), n=st.integers(1, 6), data=st.data())
 def test_matches_brute_force(p, q, n, data):
