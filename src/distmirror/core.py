@@ -25,6 +25,9 @@ NDJSON: one record per line,
 ``{"id": str, "params": [float, ...] | absent, "samples": [[float, ...], ...]}``.
 A missing ``params`` field (not an empty list) marks the set unlabeled.
 
+A q = 1 set is held in ascending order with -0.0 folded into 0.0 (see
+:class:`SampleSet`), so :func:`save_dataset` writes its draws in that order.
+
 CSV: the header is exactly ``id, p1..pd, s1..sq`` (d >= 0, q >= 1), each cell
 stripped of surrounding space and in that order; any other header is an error
 at line 1 that names its first unexpected column.  One row per observation;
@@ -87,8 +90,10 @@ class SampleSet:
 
     ``samples`` is an (n, q) matrix whose rows are iid observations in the
     embedding space; ``params`` is the generating parameter vector, or None
-    for an unlabeled set.  Arrays are made read-only so instances can be
-    shared freely across threads.
+    for an unlabeled set.  A q = 1 set is held as its order statistics:
+    ascending, with -0.0 folded into 0.0, so any order of the same draws gives
+    the same bits.  q > 1 sets keep their row order.  Arrays are made
+    read-only so instances can be shared freely across threads.
     """
 
     id: str
@@ -104,7 +109,15 @@ class SampleSet:
             )
         if not np.all(np.isfinite(samples)):
             raise DatasetError(f"set {self.id!r}: samples contain non-finite values")
-        object.__setattr__(self, "samples", _freeze(samples))
+        if samples.shape[1] == 1:
+            # The sort is the object's one copy.  Adding 0.0 folds -0.0 into 0.0:
+            # numpy's vectorised sort does not keep the order of equal signed zeros.
+            samples = np.sort(samples, axis=0)
+            samples += 0.0
+            samples.setflags(write=False)
+        else:
+            samples = _freeze(samples)
+        object.__setattr__(self, "samples", samples)
         if self.params is not None:
             params = np.asarray(self.params, dtype=np.float64)
             if params.ndim != 1 or params.size < 1:

@@ -26,11 +26,12 @@ versions.
 
 Of qhull's output only its triangles and its ``coplanar`` report are read.
 That report lists the points qhull left out of every triangle, each with its
-nearest vertex, and its first entry is an error naming the two as coincident
-points.  Which triangles share a side comes from one side table built from
-the triangles alone (``_sides``): side 3k + j of triangle k runs from its
-vertex j to vertex j + 1, and its twin is the side with the same two ends, or
--1 on the boundary.  The table finds the boundary slivers to peel, the
+nearest vertex, and its first entry is an error naming the two: the point
+lies within qhull's precision of that vertex.  The two are not equal, since
+coincident points are rejected before qhull runs.  Which triangles share a
+side comes from one side table built from the triangles alone (``_sides``):
+side 3k + j of triangle k runs from its vertex j to vertex j + 1, and its
+twin is the side with the same two ends, or -1 on the boundary.  The table finds the boundary slivers to peel, the
 cocircular cells to fan and the boundary that ``Triangulation`` derives its
 hull from.  A point that the peel leaves in no triangle is an error, raised
 by ``Triangulation``, which needs every point to be a vertex.
@@ -397,7 +398,8 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
         raise DegenerateInput("all points are collinear") from None
     if len(qhull.coplanar):
         p, _, v = qhull.coplanar[0].tolist()
-        raise DegenerateInput(f"point {max(p, v)} coincides with point {min(p, v)}")
+        raise DegenerateInput(f"point {p} lies within qhull's precision of point {v} "
+                              "and is in no triangle")
     tris = qhull.simplices.astype(np.intp)
     area = _orient(unit, tris)
     cw = area < 0

@@ -7,14 +7,15 @@ p-distance reduces to a minimum over permutation couplings,
 
 which is solved exactly: by pairing order statistics when q = 1 (optimal
 for every p >= 1 in one dimension), and by linear sum assignment on the
-dense cost matrix otherwise.  Entropic or other approximate solvers are
-deliberately absent; all downstream tolerances assume exact costs.  The
-layer returns costs only: no caller reads the coupling that attains one.
-A cost too large for a float is infinite, and :func:`distance_matrix`
-names the first pair whose cost is, as it does the first pair of differing
-sets whose cost underflows to zero.  Every entry point first checks that its
-sets share q and n; an unequal n names every set whose n differs from the
-first set's.
+dense cost matrix otherwise.  A q = 1 :class:`SampleSet` already holds its
+samples in ascending order, so they are paired as held, with no sort and no
+copy.  Entropic or other approximate solvers are deliberately absent; all
+downstream tolerances assume exact costs.  The layer returns costs only: no
+caller reads the coupling that attains one.  A cost too large for a float
+is infinite, and :func:`distance_matrix` names the first pair whose cost is,
+as it does the first pair of differing sets whose cost underflows to zero.
+Every entry point first checks that its sets share q and n; an unequal n
+names every set whose n differs from the first set's.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def cost_matrix(a: SampleSet, b: SampleSet, p: float) -> np.ndarray:
 
 
 def _sorted_pair_cost(sa: np.ndarray, sb: np.ndarray, p: float) -> float:
-    """Cost of pairing pre-sorted 1-d samples in order."""
+    """Cost of pairing ascending 1-d samples in order."""
     # np.add.reduce is the pairwise sum np.mean takes, without its Python overhead.
     # The gaps are transformed in place; for p = 2 the sign needs no removing.
     gaps = sa - sb
@@ -145,15 +146,15 @@ def _sorted_rows(s: SampleSet) -> np.ndarray:
 def wasserstein_exact(a: SampleSet, b: SampleSet, p: float = 1) -> float:
     """Minimal cost W_p over the permutation couplings of two equal-size sets.
 
-    q = 1 pairs the sorted samples; otherwise an exact linear-assignment
-    solve on the cost matrix.  Costs for p = 2 are minimized on squared
+    q = 1 pairs the samples as held, in ascending order; otherwise an exact
+    linear-assignment solve on the cost matrix.  Costs for p = 2 are minimized on squared
     distances and rooted once at the end.  A cost that overflows is ``inf``.
     """
     _check_order(p)
     _check_sets((a, b))
     with np.errstate(over="ignore"):  # a cost past the float range is inf
         if a.q == 1:
-            return _sorted_pair_cost(np.sort(a.samples[:, 0]), np.sort(b.samples[:, 0]), p)
+            return _sorted_pair_cost(a.samples[:, 0], b.samples[:, 0], p)
         # Imported here: scipy.optimize takes about 0.15 s to load, and q = 1 never needs it.
         from scipy.optimize import linear_sum_assignment
 
@@ -169,11 +170,11 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
     """Pairwise exact Wasserstein p-distances for a list of sample sets.
 
     Each unordered pair is computed once and mirrored, so the result is
-    exactly symmetric.  For q = 1 each set is sorted once and the pairs run in
-    the calling thread; only assignment pairs (q > 1) run in the worker pool.
-    The result is identical for any worker count.  A cost that overflows a
-    float, or that underflows to zero between sets whose samples differ, is a
-    MirrorError naming the first such pair.
+    exactly symmetric.  For q = 1 the pairs read each set's ascending samples
+    as held and run in the calling thread; only assignment pairs (q > 1) run
+    in the worker pool.  The result is identical for any worker count.  A
+    cost that overflows a float, or that underflows to zero between sets whose
+    samples differ, is a MirrorError naming the first such pair.
     """
     _check_order(p)
     sets = list(sets)
@@ -182,9 +183,9 @@ def distance_matrix(sets: Sequence[SampleSet], p: float = 1) -> DistanceMatrix:
     rows, cols = np.triu_indices(m, 1)
     pairs = list(zip(rows.tolist(), cols.tolist()))
     if sets[0].q == 1:
-        sorted_1d = [np.sort(s.samples[:, 0]) for s in sets]
+        draws = [s.samples[:, 0] for s in sets]
         with np.errstate(over="ignore"):  # an overflow is inf, reported below
-            costs = [_sorted_pair_cost(sorted_1d[i], sorted_1d[j], p) for i, j in pairs]
+            costs = [_sorted_pair_cost(draws[i], draws[j], p) for i, j in pairs]
     else:
         costs = map_deterministic(lambda ij: wasserstein_exact(sets[ij[0]], sets[ij[1]], p), pairs)
     costs = np.array(costs, dtype=np.float64)

@@ -274,6 +274,15 @@ def test_tiny_cluster_triangulates(kind, r):
         assert np.sum(tri.simplices == len(pts) - 1) == 6
 
 
+def test_point_qhull_leaves_out_is_named_with_its_nearest_vertex():
+    # At r = 1e-7 no two points are equal, but qhull puts the centre in no triangle.
+    pts = tiny_cluster("hexagon", 1e-7)
+    assert len(np.unique(pts, axis=0)) == len(pts) == 11
+    with pytest.raises(DegenerateInput, match=r"^point 10 lies within qhull's precision of "
+                       r"point 4 and is in no triangle$"):
+        delaunay_triangulate(pts)
+
+
 @pytest.mark.parametrize("kind, thin", [("hexagon", (8, 9, 10)), ("subgrid", (8, 9, 6))])
 def test_tiny_cluster_below_area_floor_names_first_kept_triangle(kind, thin):
     # At r = 1e-6 some cells keep qhull's triangles, and one of them is under

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -223,6 +224,20 @@ def test_distance_matrix_q1_pairs_open_no_pool(monkeypatch):
     # Assignment pairs still go to the pool, so the patch is in force.
     with pytest.raises(AssertionError, match="thread pool"):
         distance_matrix([make(rng.standard_normal((5, 3)), f"s{i}") for i in range(3)], 2)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_distance_matrix_q1_holds_no_second_copy(p):
+    # The sets are read as held: a sorted copy of each would double their bytes.
+    rng = np.random.default_rng(33)
+    sets = [make(rng.standard_normal((20_000, 1)) + i, f"s{i}") for i in range(20)]
+    tracemalloc.start()
+    try:
+        distance_matrix(sets, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(s.samples.nbytes for s in sets) / 4
 
 
 @pytest.mark.parametrize("q", [1, 2])

@@ -11,6 +11,11 @@ returns, or the exception's type and text.  The corpus is drawn from fixed
 seeds, so running the script on two checkouts and diffing the outputs shows
 every input whose triangulation, hull or error changed.
 
+Every outcome is printed, but the exit status is 1 if any input raised an
+exception that is not a ``MirrorError``: every rejected input must be a
+located error of the program's own, never a crash (ROADMAP aim 3).  A run in
+which every input triangulated or raised a ``MirrorError`` exits 0.
+
 The families are the two simulation grids and their leave-one-out grids,
 jittered and scaled lattices, regular polygons with and without their
 centre, random and rounded clouds, tiny clusters inside the unit square,
@@ -127,14 +132,15 @@ def corpus(sim):
     yield "malformed", malformed()
 
 
-def outcome(surface, pts) -> str:
+def outcome(surface, pts) -> tuple[str, bool]:
+    """The input's result line, and whether it is a triangulation or a MirrorError."""
     try:
         tri = surface.delaunay_triangulate(pts)
     except Exception as exc:  # every outcome is printed, errors included
-        return f"{type(exc).__name__}: {exc}"
+        return f"{type(exc).__name__}: {exc}", isinstance(exc, surface.MirrorError)
     digest = hashlib.sha256(np.ascontiguousarray(tri.simplices, dtype=np.int64).tobytes())
     digest.update(b"|" + np.ascontiguousarray(tri.hull, dtype=np.int64).tobytes())
-    return f"{tri.n_simplices} simplices, hull {len(tri.hull)}: {digest.hexdigest()[:32]}"
+    return f"{tri.n_simplices} simplices, hull {len(tri.hull)}: {digest.hexdigest()[:32]}", True
 
 
 def main(argv: list[str]) -> int:
@@ -145,10 +151,13 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, argv[1])
     from distmirror import sim, surface
 
+    status = 0
     for family, inputs in corpus(sim):
         for i, pts in enumerate(inputs):
-            print(f"{family}/{i} {outcome(surface, pts)}")
-    return 0
+            text, ok = outcome(surface, pts)
+            print(f"{family}/{i} {text}")
+            status |= not ok
+    return status
 
 
 if __name__ == "__main__":
