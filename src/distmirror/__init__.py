@@ -42,7 +42,6 @@ from .sim import (
     generate,
     run_mirror_experiment,
     run_recovery_experiment,
-    true_wasserstein,
 )
 from .surface import (
     MirrorSurface,
@@ -92,7 +91,6 @@ __all__ = [
     "generate",
     "run_mirror_experiment",
     "run_recovery_experiment",
-    "true_wasserstein",
     "MirrorSurface",
     "Triangulation",
     "barycentric",

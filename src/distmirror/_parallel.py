@@ -11,9 +11,10 @@ their time in native code that releases it.
 
 - ``transport.distance_matrix`` maps its assignment pairs (q > 1), and they
   pay: ``linear_sum_assignment`` releases the GIL, and on 2 cores the traced
-  ``cli-chain`` solves ran 13.57 s busy in 6.91 s of wall time (ROADMAP.md,
-  Baseline).  The q = 1 pairs run serially: the mean-sd study's four matrices
-  took 0.26-0.43 s serial against 0.69-1.48 s in the pool (15 runs each).
+  ``cli-chain`` solves ran 9.71-11.86 s busy in 4.92-6.00 s of wall time
+  (``perfbench/run.py --trace 1``, 3 passes).  The q = 1 pairs run serially:
+  the mean-sd study's four matrices took 0.26-0.43 s serial against 0.69-1.48 s
+  in the pool (15 runs each).
 - ``recovery.leave_one_out`` maps only its m embeddings, whose ``eigh``
   releases the GIL.  On 2 cores the mean-sd study's 400 embeddings took
   0.49-0.79 s wall (median 0.60 s) and 0.83-1.05 s cpu in two workers, against
@@ -36,8 +37,10 @@ Every dense matrix here is at most about m x m with m ~ 100: ``eigh`` in the
 embedding, which runs inside the pool, and the batched ``inv``/``svd``/``det``
 of the geometry.  Matrices that small gain nothing from BLAS threads even
 serially, and under the pool each worker's BLAS threads compete for the same
-cores.  On 2 cores, one BLAS thread took the traced mean-sd study's 400
-``eigh`` calls from 2.60 to 0.78 s of wall time.
+cores.  On 2 cores the mean-sd study (``run_recovery_experiment(seed=0)``, in
+process) took 1.96-2.64 s wall and 2.27-2.68 s cpu with this cap, against
+3.06-3.90 s wall and 4.67-5.58 s cpu with numpy's library left at its two
+threads and scipy's still capped (5 alternating fresh processes each).
 
 scipy's own bundled OpenBLAS loads with the first scipy package an input
 needs, partway through a command: ``scipy.spatial`` for every d = 2

@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -141,6 +141,18 @@ class SampleSet:
         return self.params is not None
 
 
+def _check_dimension(sets: Sequence[SampleSet], symbol: str) -> None:
+    """Reject sets whose sample dimension q, or parameter dimension d of labeled
+    sets, differs from the first set's; the error names that set and the first
+    set that differs."""
+    kind, dims = (("sample", [s.q for s in sets]) if symbol == "q"
+                  else ("parameter", [s.params.size for s in sets]))
+    bad = next((k for k, dim in enumerate(dims) if dim != dims[0]), None)
+    if bad is not None:
+        raise DatasetError(f"{kind} dimension mismatch: {sets[0].id!r} has {symbol}={dims[0]}, "
+                           f"{sets[bad].id!r} has {symbol}={dims[bad]}")
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Labeled and unlabeled sample sets sharing one embedding space.
@@ -166,21 +178,9 @@ class Dataset:
         repeated = [i for i, k in Counter(s.id for s in sets).items() if k > 1]
         if repeated:
             raise DatasetError(f"set id {repeated[0]!r} is used more than once")
-        q = sets[0].q
-        for s in sets:
-            if s.q != q:
-                raise DatasetError(
-                    f"inconsistent sample dimension: set {s.id!r} has q={s.q}, "
-                    f"expected q={q}"
-                )
+        _check_dimension(sets, "q")
         if self.labeled:
-            d = self.labeled[0].params.size
-            for s in self.labeled:
-                if s.params.size != d:
-                    raise DatasetError(
-                        f"inconsistent parameter dimension: set {s.id!r} has "
-                        f"d={s.params.size}, expected d={d}"
-                    )
+            _check_dimension(self.labeled, "d")
             _, group, counts = np.unique(self.params_matrix(), axis=0,
                                          return_inverse=True, return_counts=True)
             shared = np.flatnonzero(counts[group] > 1)

@@ -94,17 +94,15 @@ def _face_candidates(
     vals = surface.values[faces].reshape(n_simplices * n_faces, k, -1)  # (K*F, k, c)
     pts = surface.tri.points[faces].reshape(n_simplices * n_faces, k, -1)  # (K*F, k, d)
     n = len(vals)
-    if k == 1:
-        weights = np.ones((n, 1))
-        feasible = np.ones(n, dtype=bool)
-    else:
+    weights = np.zeros((n, k))  # column j > 0 is vertex j's weight mu_j
+    solvable = np.ones(n, dtype=bool)  # a vertex (k = 1) is its own minimizer
+    if k > 1:
         # The Gram matrix of the directions from vertex 0, and their products with
         # the target's offset from it, one entry at a time.
         base = vals[:, 0, :]
         rhs = target[None, :] - base
         d1 = vals[:, 1, :] - base
         g11, p1 = _dot(d1, d1), _dot(d1, rhs)
-        weights = np.zeros((n, k))  # column j > 0 is vertex j's weight mu_j
         if k == 2:
             scale = np.maximum(g11.reshape(n_simplices, n_faces).max(axis=0, initial=0.0), 1.0)
             solvable = (g11.reshape(n_simplices, n_faces) > 1e-14 * scale).ravel()
@@ -118,10 +116,10 @@ def _face_candidates(
             safe_det = np.where(solvable, det, 1.0)
             weights[:, 1] = (g22 * p1 - g12 * p2) / safe_det
             weights[:, 2] = (g11 * p2 - g12 * p1) / safe_det
-        weights[:, 0] = 1.0 - weights[:, 1:].sum(axis=1)
-        feasible = solvable & (weights.min(axis=1) >= -FEASIBILITY_TOL)
-        weights = np.maximum(weights, 0.0)
-        weights /= weights.sum(axis=1, keepdims=True)
+    weights[:, 0] = 1.0 - weights[:, 1:].sum(axis=1)
+    feasible = solvable & (weights.min(axis=1) >= -FEASIBILITY_TOL)
+    weights = np.maximum(weights, 0.0)
+    weights /= weights.sum(axis=1, keepdims=True)
     x = np.einsum("ki,kid->kd", weights, pts)
     diff = np.einsum("ki,kic->kc", weights, vals) - target[None, :]
     value = np.einsum("kc,kc->k", diff, diff)

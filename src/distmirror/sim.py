@@ -42,7 +42,6 @@ __all__ = [
     "mean_only_mirror",
     "mean_sd_mirror",
     "gaussian_moments",
-    "true_wasserstein",
     "true_distance_matrix",
     "generate",
     "aligned_mirror_error",
@@ -94,6 +93,9 @@ class GaussianFamilySpec:
             )
         if self.n < 1:
             raise MirrorError("n must be at least 1")
+        # The seed is the substream key's first 64-bit word: another seed must not alias it.
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
+            raise MirrorError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         object.__setattr__(self, "grid", _freeze(grid))
 
     @property
@@ -124,19 +126,12 @@ def gaussian_moments(variant: FamilyVariant, x: np.ndarray) -> tuple[np.ndarray,
     return moments[..., 0], moments[..., 1]
 
 
-def true_wasserstein(variant: FamilyVariant, x: np.ndarray, x2: np.ndarray) -> float:
-    """Closed-form population distance between two family members.
+def true_distance_matrix(variant: FamilyVariant, grid: np.ndarray) -> DistanceMatrix:
+    """Population distance matrix over a grid, from the closed forms.
 
     Univariate Gaussians: W2 = sqrt((mu - mu')^2 + (sigma - sigma')^2).
     With equal variances this is exactly |mu - mu'|, which is also W1.
     """
-    mu_a, sd_a = gaussian_moments(variant, x)
-    mu_b, sd_b = gaussian_moments(variant, x2)
-    return float(np.hypot(mu_a - mu_b, sd_a - sd_b))
-
-
-def true_distance_matrix(variant: FamilyVariant, grid: np.ndarray) -> DistanceMatrix:
-    """Population distance matrix over a grid, from the closed forms."""
     mu, sd = gaussian_moments(variant, grid)
     values = np.hypot(mu[:, None] - mu, sd[:, None] - sd)
     return DistanceMatrix(ids=tuple(_set_id(i) for i in range(len(mu))), values=values)
@@ -156,7 +151,7 @@ def _substream_normal(seed: int, index: int, n: int) -> np.ndarray:
     # Imported here: only simulated draws read scipy.special, which loaded data never needs.
     from scipy.special import ndtri
 
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
+    key = np.array([seed, index], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     raw = gen.integers(0, np.iinfo(np.uint64).max, size=n, dtype=np.uint64, endpoint=True)
     uniforms = (raw.astype(np.float64) + 0.5) * 2.0**-64

@@ -222,6 +222,9 @@ class MirrorSurface:
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
+        if values.ndim != 2 or values.shape[1] < 1:
+            raise MirrorError(f"surface values must be an (m, c) matrix with c >= 1, "
+                              f"got shape {values.shape}")
         if values.shape[0] != self.tri.m:
             raise MirrorError(
                 f"value rows ({values.shape[0]}) must match point count ({self.tri.m})"
@@ -504,21 +507,23 @@ def simplex_gradients(surface: MirrorSurface) -> np.ndarray:
     return np.swapaxes(surface.values[tri.simplices], 1, 2) @ tri._bary[:, :, : tri.d]
 
 
+def _jacobian_singular_values(surface: MirrorSurface) -> np.ndarray:
+    """Singular values of each simplex's Jacobian, descending, shape (K, min(c, d))."""
+    return np.linalg.svd(simplex_gradients(surface), compute_uv=False)
+
+
 def lipschitz_constant(surface: MirrorSurface) -> float:
     """Lipschitz constant of the interpolant over the hull.
 
     Equals the largest per-simplex Jacobian spectral norm; piecewise
     affinity plus continuity make this bound tight.
     """
-    grads = simplex_gradients(surface)
-    if grads.size == 0:
-        return 0.0
-    return float(np.linalg.norm(grads, ord=2, axis=(1, 2)).max())
+    return float(_jacobian_singular_values(surface)[:, 0].max())
 
 
 def jacobian_condition_numbers(surface: MirrorSurface) -> np.ndarray:
     """Condition number of each simplex's Jacobian (inf where singular)."""
-    s = np.linalg.svd(simplex_gradients(surface), compute_uv=False)
+    s = _jacobian_singular_values(surface)
     return np.divide(s[:, 0], s[:, -1], out=np.full(len(s), np.inf), where=s[:, -1] != 0)
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import SampleSet, _freeze, _located, read_table, write_table
+from .core import SampleSet, _check_dimension, _freeze, _located, read_table, write_table
 from .errors import MirrorError, UnequalSampleSizes
 
 __all__ = [
@@ -93,11 +93,8 @@ def _check_sets(sets: Sequence[SampleSet]) -> None:
     """
     if not sets:
         raise MirrorError("distance_matrix requires at least one sample set")
+    _check_dimension(sets, "q")
     first = sets[0]
-    for s in sets:
-        if s.q != first.q:
-            raise MirrorError(f"sample dimension mismatch: {first.id!r} has q={first.q}, "
-                              f"{s.id!r} has q={s.q}")
     offenders = [s for s in sets if s.n != first.n]
     if offenders:
         raise UnequalSampleSizes([first, *offenders])

@@ -368,6 +368,20 @@ def test_fit_unsupported_dimension_reports_fitter_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_fit_embedding_without_columns_is_an_error(tmp_path, capsys):
+    # A surface with no value column would write every grid point, the hull's outside included.
+    ids = ("a", "b", "c", "d")
+    (tmp_path / "emb.csv").write_text("id\n" + "".join(f"{i}\n" for i in ids))
+    params = tmp_path / "params.csv"
+    write_params_csv(ids, np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0], [0.5, 0.5]]), params)
+    out = tmp_path / "surface.csv"
+    assert main(["fit", "--embedding", str(tmp_path / "emb.csv"), "--params", str(params),
+                 "--grid-res", "3", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: surface values must be an (m, c) matrix with c >= 1, got shape (4, 0)\n")
+    assert not out.exists()
+
+
 def test_params_csv_round_trip(tmp_path):
     ids = ("a", "b")
     params = np.array([[0.1, 0.2], [0.3, 0.4]])
@@ -599,7 +613,13 @@ def test_simulate_empty_list_is_usage_error(tmp_path, capsys, argv):
     ("mean-only", ["--n-values", "10,10", "--seeds", "0"], "sample size 10 is given more than"),
     ("mean-only", ["--n-values", "10", "--seeds", "0,0"], "seed 0 is given more than once"),
     ("mean-sd", ["--n-values", "0"], "n must be at least 1"),
-], ids=["repeated-n", "repeated-seed", "zero-n"])
+    # A seed outside the substream key's 64 bits would alias one inside them.
+    ("mean-sd", ["--n-values", "10", "--seed", str(2**64)],
+     f"seed must be an integer in [0, 2**64), got {2**64}"),
+    ("mean-sd", ["--n-values", "10", "--seed=-1"], "seed must be an integer in [0, 2**64), got -1"),
+    ("mean-only", ["--n-values", "10", "--seeds", f"0,{2**64}"],
+     f"seed must be an integer in [0, 2**64), got {2**64}"),
+], ids=["repeated-n", "repeated-seed", "zero-n", "seed-2**64", "seed-minus-1", "seeds-2**64"])
 def test_simulate_bad_study_values_leave_no_output(tmp_path, capsys, experiment, argv, message):
     out = tmp_path / "r"
     assert main(["simulate", "--experiment", experiment, *argv, "--output-dir", str(out)]) == 1

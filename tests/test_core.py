@@ -127,6 +127,17 @@ def test_inconsistent_q_rejected(tmp_path):
         load_dataset(path)
 
 
+def test_dataset_names_the_first_set_and_the_first_of_another_dimension():
+    a = SampleSet("a", np.zeros((1, 2)), params=[0.0])
+    b = SampleSet("b", np.zeros((1, 3)), params=[1.0])
+    with pytest.raises(DatasetError, match=r"^sample dimension mismatch: 'a' has q=2, 'b' has q=3$"):
+        Dataset(labeled=(a, b))
+    c = SampleSet("c", np.zeros((1, 2)), params=[1.0, 2.0])
+    with pytest.raises(DatasetError,
+                       match=r"^parameter dimension mismatch: 'a' has d=1, 'c' has d=2$"):
+        Dataset(labeled=(a, c))
+
+
 def test_non_finite_rejected(tmp_path):
     path = tmp_path / "d.ndjson"
     path.write_text('{"id": "a", "params": [0], "samples": [[NaN]]}\n')

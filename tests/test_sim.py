@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from distmirror.embedding import cmds
+from distmirror.errors import MirrorError
 from distmirror.sim import (
     FamilyVariant,
     GaussianFamilySpec,
@@ -14,7 +15,6 @@ from distmirror.sim import (
     run_mirror_experiment,
     run_recovery_experiment,
     true_distance_matrix,
-    true_wasserstein,
 )
 from distmirror.transport import distance_matrix
 
@@ -30,20 +30,24 @@ def test_mean_sd_mirror_values():
     np.testing.assert_allclose(mean_sd_mirror(np.array([1.0, 1.0])), [2.42, 2.42])
 
 
+def true_pair_distance(variant, a, b):
+    return true_distance_matrix(variant, np.vstack([a, b])).values[0, 1]
+
+
 def test_oracle_zero_at_equal_parameters():
     x = np.array([2.0, 3.0])
-    assert true_wasserstein(FamilyVariant.MEAN_ONLY, x, x) == 0.0
+    assert true_pair_distance(FamilyVariant.MEAN_ONLY, x, x) == 0.0
 
 
 def test_oracle_mean_only_difference_of_mirrors():
     a, b = np.array([1.0, 1.0]), np.array([10.0, 5.5])
-    assert true_wasserstein(FamilyVariant.MEAN_ONLY, a, b) == pytest.approx(
+    assert true_pair_distance(FamilyVariant.MEAN_ONLY, a, b) == pytest.approx(
         abs(4.05 - 2.025)
     )
 
 
 def test_oracle_mean_sd_closed_form():
-    got = true_wasserstein(FamilyVariant.MEAN_SD, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
+    got = true_pair_distance(FamilyVariant.MEAN_SD, np.array([0.0, 0.0]), np.array([1.0, 1.0]))
     assert got == pytest.approx(2.4 * np.sqrt(2.0), abs=1e-9)
 
 
@@ -60,6 +64,13 @@ def test_generate_single_sample():
     spec = GaussianFamilySpec(variant=FamilyVariant.MEAN_ONLY, n=1, seed=9)
     ds = generate(spec)
     assert all(s.n == 1 and s.q == 1 for s in ds.labeled)
+
+
+@pytest.mark.parametrize("seed", [2**64, -1])
+def test_seed_outside_the_64_bit_key_rejected(seed):
+    # Masked to 64 bits, 2**64 would draw seed 0's samples and -1 those of 2**64 - 1.
+    with pytest.raises(MirrorError, match=rf"^seed must be an integer in \[0, 2\*\*64\), got {seed}$"):
+        generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_ONLY, n=10, seed=seed))
 
 
 def test_generate_deterministic():
@@ -128,7 +139,7 @@ def test_aligned_error_removes_isometries():
 def test_empirical_distance_approaches_oracle():
     # median |W_hat - W| over seeds shrinks as n grows (1-d fast path)
     x, x2 = np.array([2.0, 3.0]), np.array([7.0, 8.0])
-    oracle = true_wasserstein(FamilyVariant.MEAN_ONLY, x, x2)
+    oracle = true_pair_distance(FamilyVariant.MEAN_ONLY, x, x2)
     grid = np.vstack([x, x2])
     medians = []
     for n in (100, 1000, 10000):

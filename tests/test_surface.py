@@ -749,6 +749,16 @@ def test_lipschitz_constant_properties():
     assert np.all(conds >= 1)
 
 
+@given(point_sets, st.integers(1, 3), st.integers(0, 2**16))
+def test_property_jacobian_figures_read_the_singular_values(pts, c, seed):
+    surf = MirrorSurface(delaunay_triangulate(pts),
+                         np.random.default_rng(seed).standard_normal((len(pts), c)))
+    s = np.linalg.svd(simplex_gradients(surf), compute_uv=False)
+    assert lipschitz_constant(surf) == s[:, 0].max()
+    with np.errstate(divide="ignore"):
+        same_bits(jacobian_condition_numbers(surf), s[:, 0] / s[:, -1])
+
+
 def test_hull_boundary_distance():
     tri = delaunay_triangulate(np.array([[0.0, 0], [2, 0], [2, 2], [0, 2]]))
     dist = hull_boundary_distance(tri, [[1.0, 1.0], [0.0, 1.0], [0.5, 1.0]])
@@ -790,6 +800,7 @@ def test_axis_scaling_round_trip():
 @pytest.mark.parametrize("vals, message", [
     (np.ones((24, 1)), r"value rows \(24\) must match point count \(25\)"),
     (np.r_[np.ones(24), np.nan], "non-finite"),
+    (np.ones((25, 0)), r"must be an \(m, c\) matrix with c >= 1, got shape \(25, 0\)"),
 ])
 def test_mirror_surface_values_checked(vals, message):
     grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)

@@ -11,6 +11,13 @@ returns, or the exception's type and text.  The corpus is drawn from fixed
 seeds, so running the script on two checkouts and diffing the outputs shows
 every input whose triangulation, hull or error changed.
 
+After the last line, one summary goes to stderr: of the inputs that
+triangulate, on how many ``locate`` misses one of the input's own vertices, and
+on how many it misses a simplex centroid or the midpoint of a side two
+triangles share.  Every such point lies in the hull in exact arithmetic, so
+both counts are point-location misses (ROADMAP item 10).  The summary changes
+neither stdout nor the exit status.
+
 Every outcome is printed, but the exit status is 1 if any input raised an
 exception that is not a ``MirrorError``: every rejected input must be a
 located error of the program's own, never a crash (ROADMAP aim 3).  A run in
@@ -132,15 +139,30 @@ def corpus(sim):
     yield "malformed", malformed()
 
 
-def outcome(surface, pts) -> tuple[str, bool]:
-    """The input's result line, and whether it is a triangulation or a MirrorError."""
+def outcome(surface, pts):
+    """The input's result line, whether it is a triangulation or a MirrorError, and
+    the triangulation (None if it raised)."""
     try:
         tri = surface.delaunay_triangulate(pts)
     except Exception as exc:  # every outcome is printed, errors included
-        return f"{type(exc).__name__}: {exc}", isinstance(exc, surface.MirrorError)
+        return f"{type(exc).__name__}: {exc}", isinstance(exc, surface.MirrorError), None
     digest = hashlib.sha256(np.ascontiguousarray(tri.simplices, dtype=np.int64).tobytes())
     digest.update(b"|" + np.ascontiguousarray(tri.hull, dtype=np.int64).tobytes())
-    return f"{tri.n_simplices} simplices, hull {len(tri.hull)}: {digest.hexdigest()[:32]}", True
+    text = f"{tri.n_simplices} simplices, hull {len(tri.hull)}: {digest.hexdigest()[:32]}"
+    return text, True, tri
+
+
+def location_misses(surface, tri) -> tuple[bool, bool]:
+    """Does ``locate`` miss one of the triangulation's own vertices; does it miss
+    a simplex centroid or, for d = 2, the midpoint of a side two triangles share?"""
+    points = tri.points
+    probes = [points[tri.simplices].mean(axis=1)]
+    if tri.d == 2:
+        tail, head, twin = surface._sides(tri.simplices)
+        shared = twin > np.arange(len(twin))
+        probes.append((points[tail[shared]] + points[head[shared]]) / 2)
+    return (bool((surface.locate(tri, points) < 0).any()),
+            bool((surface.locate(tri, np.vstack(probes)) < 0).any()))
 
 
 def main(argv: list[str]) -> int:
@@ -151,12 +173,19 @@ def main(argv: list[str]) -> int:
     sys.path.insert(0, argv[1])
     from distmirror import sim, surface
 
-    status = 0
+    status, triangulated, vertex_misses, inner_misses = 0, 0, 0, 0
     for family, inputs in corpus(sim):
         for i, pts in enumerate(inputs):
-            text, ok = outcome(surface, pts)
+            text, ok, tri = outcome(surface, pts)
             print(f"{family}/{i} {text}")
             status |= not ok
+            if tri is not None:
+                vertex, inner = location_misses(surface, tri)
+                triangulated += 1
+                vertex_misses += vertex
+                inner_misses += inner
+    print(f"locate misses an own vertex on {vertex_misses} of {triangulated} triangulated "
+          f"inputs, and a centroid or shared-side midpoint on {inner_misses}", file=sys.stderr)
     return status
 
 
