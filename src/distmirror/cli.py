@@ -35,6 +35,7 @@ from .sim import (
 )
 from .surface import (
     MirrorSurface,
+    _axis_range,
     delaunay_triangulate,
     fit_axis_scaling,
     interpolate,
@@ -127,8 +128,9 @@ def _cmd_fit(args) -> int:
     by_id = {i: k for k, i in enumerate(ids_par)}
     missing = [i for i in ids_emb if i not in by_id]
     if missing:
-        raise MirrorError(f"params file lacks ids: {missing[:5]}")
+        raise MirrorError(f"{args.params}: params file lacks ids: {missing[:5]}")
     params = params[[by_id[i] for i in ids_emb]]
+    lo, hi = _axis_range(params)  # the grid spans each axis's range
 
     scaling = fit_axis_scaling(params) if args.normalize_params else None
     work = scaling.transform(params) if scaling else params
@@ -139,8 +141,7 @@ def _cmd_fit(args) -> int:
         write_triangulation(replace(surface.tri, points=params), args.triangulation)
 
     d = params.shape[1]
-    axes = [np.linspace(lo, hi, args.grid_res)
-            for lo, hi in zip(params.min(axis=0), params.max(axis=0))]
+    axes = [np.linspace(a, b, args.grid_res) for a, b in zip(lo, hi)]
     # The grid in row-major order, evaluated and written a chunk of first-axis rows at a time.
     step = max(1, _GRID_POINTS // args.grid_res ** (d - 1))
     written = 0

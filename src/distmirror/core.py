@@ -12,6 +12,12 @@ pipe is as good an input as a file.  The CSV loader converts sample cells a
 bounded chunk of rows at a time, so a file's values are never all held as text
 at once.
 
+Every other float matrix the library takes (points, queries, surface values,
+grids, parameters, configurations) passes one rule, ``_matrix``: it must be an
+(m, k) matrix with k >= 1, and the m or k its caller fixes, and the error names
+its first row that is not finite.  :class:`SampleSet`, ``MirrorEmbedding``,
+``DistanceMatrix`` and :func:`read_table` name a bad value by set id, entry or line.
+
 One error policy holds in every reader: of all the lines that are wrong, the
 earliest is the one reported, whether its fault is bytes that are not UTF-8, its
 structure (cells, fields, ids) or its values.  A CSV row that the csv module
@@ -81,6 +87,20 @@ def _freeze(a, dtype=np.float64) -> np.ndarray:
     """
     a = np.array(a, dtype=dtype, order="C")
     a.setflags(write=False)
+    return a
+
+
+def _matrix(a, noun: str, m: int | str = "m", k: int | str = "d") -> np.ndarray:
+    """a as a float (m, k) matrix of finite rows, k >= 1; an int m or k fixes that size, a str
+    names a free one.  Errors call a row ``noun``, as in ``point 2 ([nan, 1.0]) is not finite``."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or any(isinstance(n, int) and n != size for n, size in zip((m, k), a.shape)):
+        raise MirrorError(f"{noun}s must be an ({m}, {k}) matrix")
+    if not a.shape[1]:
+        raise MirrorError(f"{noun}s must have at least one coordinate")
+    bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+    if bad.size:
+        raise MirrorError(f"{noun} {bad[0]} ({a[bad[0]].tolist()}) is not finite")
     return a
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _freeze, read_table, write_table
+from .core import _freeze, _matrix, read_table, write_table
 from .errors import MirrorError, NoPositiveSpectrum
 from .transport import DistanceMatrix
 
@@ -176,16 +176,12 @@ def select_dimension(spectrum: np.ndarray) -> int:
 def procrustes_align(estimate: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """The orthogonal matrix R minimizing ||reference - estimate @ R||_F.
 
-    Both inputs are column-mean-centered first (matching CMDS output
-    conventions); R comes from the SVD of estimate^T reference and may
-    include a reflection.
+    Both inputs are finite (m, c) matrices of the same shape, and both are
+    column-mean-centered first (matching CMDS output conventions); R comes
+    from the SVD of estimate^T reference and may include a reflection.
     """
-    estimate = np.asarray(estimate, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if estimate.shape != reference.shape or estimate.ndim != 2:
-        raise MirrorError(
-            f"shape mismatch: estimate {estimate.shape} vs reference {reference.shape}"
-        )
+    estimate = _matrix(estimate, "estimate point", k="c")
+    reference = _matrix(reference, "reference point", *estimate.shape)
     est = estimate - estimate.mean(axis=0)
     ref = reference - reference.mean(axis=0)
     u, _, vt = np.linalg.svd(est.T @ ref)

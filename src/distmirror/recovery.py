@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import SampleSet, _freeze, write_table
+from .core import SampleSet, _freeze, _matrix, write_table
 from .embedding import MirrorEmbedding, cmds
 from .errors import MirrorError
 from .surface import MirrorSurface, delaunay_triangulate, near_hull_boundary
@@ -192,9 +192,7 @@ def leave_one_out(
     ``eigh`` releases the GIL; the recoveries, whose triangulation and face
     enumeration hold it, run in order in the calling thread (``_parallel.py``).
     """
-    params = np.ascontiguousarray(params, dtype=np.float64)
-    if params.ndim != 2 or len(params) != dm.m:
-        raise MirrorError(f"params must be an ({dm.m}, d) matrix, got shape {params.shape}")
+    params = _matrix(params, "param", dm.m)
     m, d = params.shape
     if m < d + 3:
         raise MirrorError(f"leave-one-out needs m >= d+3 = {d + 3} labeled sets, got {m}")

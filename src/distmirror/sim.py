@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import Dataset, SampleSet, _freeze
+from .core import Dataset, SampleSet, _freeze, _matrix
 from .embedding import MirrorEmbedding, cmds, procrustes_align
 from .errors import MirrorError
 from .recovery import RecoveryResult, leave_one_out
@@ -83,16 +83,16 @@ class GaussianFamilySpec:
     def __post_init__(self):
         mean_only = self.variant is FamilyVariant.MEAN_ONLY
         default = mean_only_grid if mean_only else mean_sd_grid
-        grid = np.asarray(default() if self.grid is None else self.grid, dtype=np.float64)
-        if grid.ndim != 2 or grid.shape[1] != 2:
-            raise MirrorError("grid must be an (m, 2) matrix")
+        grid = _matrix(default() if self.grid is None else self.grid, "grid point", k=2)
+        if not len(grid):
+            raise MirrorError(f"grid must hold at least one point, got shape {grid.shape}")
         lo, hi = (1.0, 10.0) if mean_only else (0.0, 1.0)
         if grid.min() < lo or grid.max() > hi:
             raise MirrorError(
                 f"{self.variant.value} grid must lie in [{lo}, {hi}]^2"
             )
-        if self.n < 1:
-            raise MirrorError("n must be at least 1")
+        if not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise MirrorError(f"n must be an integer of at least 1, got {self.n!r}")
         # The seed is the substream key's first 64-bit word: another seed must not alias it.
         if not isinstance(self.seed, (int, np.integer)) or not 0 <= int(self.seed) < 2**64:
             raise MirrorError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
@@ -189,13 +189,8 @@ def aligned_mirror_error(estimate: MirrorEmbedding, truth: np.ndarray) -> Aligne
     plotted against the true surface directly.
     """
     truth = np.asarray(truth, dtype=np.float64)
-    if truth.ndim == 1:
-        truth = truth[:, None]
-    if truth.shape != estimate.coords.shape:
-        raise MirrorError(
-            f"truth shape {truth.shape} does not match embedding "
-            f"{estimate.coords.shape}"
-        )
+    truth = _matrix(truth[:, None] if truth.ndim == 1 else truth, "truth point",
+                    *estimate.coords.shape)
     truth_center = truth.mean(axis=0)
     est_centered = estimate.coords - estimate.coords.mean(axis=0)
     rotation = procrustes_align(est_centered, truth - truth_center)

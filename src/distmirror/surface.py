@@ -4,8 +4,9 @@ The observed parameter points are triangulated (Delaunay for d = 2, sorted
 segments for d = 1); a mirror value in R^c sits at every vertex and is
 interpolated barycentrically inside each simplex.  Nothing is ever
 extrapolated: every query takes an (N, d) array of points, answers each row,
-and outside the convex hull answers -1 (``locate``) or a NaN row
-(``interpolate``), as scipy's ``find_simplex`` and ``LinearNDInterpolator`` do.
+and at a finite point outside the convex hull answers -1 (``locate``) or a NaN
+row (``interpolate``), as scipy's ``find_simplex`` and ``LinearNDInterpolator``
+do; a query row that is not finite is an error that names it (``core._matrix``).
 
 For d = 2, qhull (``scipy.spatial.Delaunay``) builds the triangulation.
 It and every geometric predicate run on the points translated and scaled
@@ -50,7 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _freeze, write_table
+from .core import _freeze, _matrix, write_table
 from .errors import DegenerateInput, MirrorError, UnsupportedDimension
 
 __all__ = [
@@ -76,17 +77,6 @@ BARY_TOL = 1e-12
 GEOM_EPS = 1e-12
 #: Distance to the hull boundary, relative to the largest extent, that counts as on it.
 BOUNDARY_TOL = 1e-9
-
-
-def _points(points) -> np.ndarray:
-    """points as a float (m, d) matrix; the error names the first point that is not finite."""
-    points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise MirrorError("points must be an (m, d) matrix")
-    bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
-    if bad.size:
-        raise MirrorError(f"point {bad[0]} ({points[bad[0]].tolist()}) is not finite")
-    return points
 
 
 def _sides(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -161,7 +151,7 @@ class Triangulation:
     hull: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        points = _points(self.points)
+        points = _matrix(self.points, "point")
         simplices = np.asarray(self.simplices, dtype=np.intp)
         m, d = points.shape
         if simplices.ndim != 2 or simplices.shape[1] != d + 1 or not len(simplices):
@@ -177,13 +167,20 @@ class Triangulation:
         object.__setattr__(self, "points", _freeze(points))
         object.__setattr__(self, "simplices", _freeze(simplices, np.intp))
         # slogdet runs the LU of inv: sign 0 on a zero pivot, and for d = 2 the area's sign.
-        sign = np.linalg.slogdet(self._homogeneous())[0]
-        bad = np.flatnonzero(sign <= 0 if d == 2 else sign == 0)
+        # A pivot that underflows to zero is degenerate too, and one that overflows, in a
+        # simplex wider than the float range, leaves both the sign and inv unusable.
+        with np.errstate(over="ignore", divide="ignore"):  # each is reported below
+            sign, logdet = np.linalg.slogdet(self._homogeneous())
+        flat = (sign == 0) | (logdet == -np.inf)
+        wide = ~flat & ~np.isfinite(logdet)
+        bad = np.flatnonzero(flat | wide | (d == 2) & (sign < 0))
         if bad.size:
             k = bad[0]
-            if sign[k] == 0:
-                raise DegenerateInput(f"simplex {k} ({simplices[k].tolist()}) is degenerate")
-            raise MirrorError(f"simplex {k} ({simplices[k].tolist()}) is clockwise")
+            at = f"simplex {k} ({simplices[k].tolist()})"
+            if flat[k]:
+                raise DegenerateInput(f"{at} is degenerate")
+            raise MirrorError(f"{at} spans more than the float range" if wide[k]
+                              else f"{at} is clockwise")
         object.__setattr__(self, "hull", _freeze(_boundary(points, simplices), np.intp))
 
     def _homogeneous(self) -> np.ndarray:
@@ -220,17 +217,8 @@ class MirrorSurface:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
-        if values.ndim != 2 or values.shape[1] < 1:
-            raise MirrorError(f"surface values must be an (m, c) matrix with c >= 1, "
-                              f"got shape {values.shape}")
-        if values.shape[0] != self.tri.m:
-            raise MirrorError(
-                f"value rows ({values.shape[0]}) must match point count ({self.tri.m})"
-            )
-        if not np.all(np.isfinite(values)):
-            raise MirrorError("surface values contain non-finite entries")
+        values = _matrix(values[:, None] if values.ndim == 1 else values, "surface value",
+                         self.tri.m, "c")
         object.__setattr__(self, "values", _freeze(values))
 
     @property
@@ -366,14 +354,12 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
     where several triangulations are Delaunay, is fanned from its
     lowest-index vertex.
     """
-    points = _points(points)
+    points = _matrix(points, "point")
     m, d = points.shape
     if d >= 3:
         raise UnsupportedDimension(
             f"triangulation supports d in {{1, 2}}, got d={d}"
         )
-    if d < 1:
-        raise MirrorError("points must have at least one coordinate")
     if m < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points for d={d}, got {m}")
     # lexsort is stable: within a run of equal rows the indices ascend, so the
@@ -430,13 +416,6 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
 _QUERY_FLOATS = 1 << 14
 
 
-def _rows(tri: Triangulation, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != tri.d:
-        raise MirrorError(f"query points have shape {x.shape}, expected (N, {tri.d})")
-    return x
-
-
 def _blockwise(answer, x: np.ndarray, row_floats: int) -> np.ndarray:
     """``answer`` of x's rows, as many at a time as hold ``_QUERY_FLOATS`` floats."""
     step = max(1, _QUERY_FLOATS // row_floats)
@@ -455,7 +434,7 @@ def locate(tri: Triangulation, x: np.ndarray) -> np.ndarray:
         inside = lam.min(axis=2) >= -BARY_TOL
         return np.where(inside.any(axis=1), inside.argmax(axis=1), -1)
 
-    return _blockwise(block, _rows(tri, x), tri.n_simplices * (tri.d + 1))
+    return _blockwise(block, _matrix(x, "query point", "N", tri.d), tri.n_simplices * (tri.d + 1))
 
 
 def barycentric(tri: Triangulation, simplex: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -466,7 +445,7 @@ def barycentric(tri: Triangulation, simplex: np.ndarray, x: np.ndarray) -> np.nd
     outside [0, K), such as ``locate``'s -1, and on a point outside its
     simplex beyond tolerance.
     """
-    x, sid = _rows(tri, x), np.asarray(simplex)
+    x, sid = _matrix(x, "query point", "N", tri.d), np.asarray(simplex)
     if sid.shape != x.shape[:1] or sid.dtype.kind not in "iu":
         raise MirrorError(f"need one integer simplex index per row, got {sid.dtype} {sid.shape}")
     bad = np.flatnonzero((sid < 0) | (sid >= tri.n_simplices))
@@ -491,7 +470,7 @@ def interpolate(surface: MirrorSurface, x: np.ndarray) -> np.ndarray:
     Exact at vertices, continuous across shared faces, and affine inside
     each simplex (so affine data is reproduced everywhere).
     """
-    tri, x = surface.tri, _rows(surface.tri, x)
+    tri, x = surface.tri, _matrix(x, "query point", "N", surface.tri.d)
     sid = locate(tri, x)
     inside = sid >= 0
     lam = barycentric(tri, sid[inside], x[inside])
@@ -549,7 +528,7 @@ def _prescaled_boundary_distance(
         gap = x - (a + np.clip(t, 0.0, 1.0)[..., None] * ab)
         return np.sqrt(np.add.reduce(gap * gap, axis=2)).min(axis=1)
 
-    return _blockwise(block, _rows(tri, x), a.size), e, extent
+    return _blockwise(block, _matrix(x, "query point", "N", tri.d), a.size), e, extent
 
 
 def hull_boundary_distance(tri: Triangulation, x: np.ndarray) -> np.ndarray:
@@ -584,13 +563,22 @@ class AxisScaling:
         return np.asarray(y, dtype=np.float64) * self.scale + self.offset
 
 
+def _axis_range(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each axis's (min, max); an axis wider than the float range is an error."""
+    lo, hi = points.min(axis=0), points.max(axis=0)
+    with np.errstate(over="ignore"):  # an overflow is inf, reported below
+        wide = np.flatnonzero(np.isinf(hi - lo))
+    if wide.size:
+        k = wide[0]
+        raise MirrorError(f"parameter axis {k + 1} spans more than the float range "
+                          f"({float(lo[k])} to {float(hi[k])})")
+    return lo, hi
+
+
 def fit_axis_scaling(points: np.ndarray) -> AxisScaling:
     """Fit the affine map sending each axis's observed range onto [0, 1]."""
-    points = np.asarray(points, dtype=np.float64)
-    lo = points.min(axis=0)
-    span = points.max(axis=0) - lo
-    span = np.where(span == 0, 1.0, span)
-    return AxisScaling(offset=lo, scale=span)
+    lo, hi = _axis_range(np.asarray(points, dtype=np.float64))
+    return AxisScaling(offset=lo, scale=np.where(hi == lo, 1.0, hi - lo))
 
 
 def write_triangulation(tri: Triangulation, path: str | Path) -> None:

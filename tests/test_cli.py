@@ -378,8 +378,70 @@ def test_fit_embedding_without_columns_is_an_error(tmp_path, capsys):
     assert main(["fit", "--embedding", str(tmp_path / "emb.csv"), "--params", str(params),
                  "--grid-res", "3", "--output", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: surface values must be an (m, c) matrix with c >= 1, got shape (4, 0)\n")
+        "error: surface values must have at least one coordinate\n")
     assert not out.exists()
+
+
+# The square of side 2e308 with its centre: each axis spans more than the float range.
+SQUARE_AT_FLOAT_LIMIT = [[-1e308, -1e308], [1e308, -1e308], [1e308, 1e308], [-1e308, 1e308],
+                         [0.0, 0.0]]
+WIDE_AXIS_ERROR = "error: parameter axis 1 spans more than the float range (-1e+308 to 1e+308)\n"
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize-params"]], ids=["raw", "normalized"])
+def test_fit_axis_wider_than_the_float_range_is_an_error(tmp_path, capsys, flags):
+    # No grid spans such an axis: np.linspace overflows, and only its finite rows would be written.
+    ids = tuple("abcde")
+    (tmp_path / "emb.csv").write_text("id,y1\n" + "".join(f"{i},{k}.0\n" for k, i in enumerate(ids)))
+    params = tmp_path / "params.csv"
+    write_params_csv(ids, np.array(SQUARE_AT_FLOAT_LIMIT), params)
+    out = tmp_path / "surface.csv"
+    assert main(["fit", "--embedding", str(tmp_path / "emb.csv"), "--params", str(params),
+                 "--grid-res", "3", "--output", str(out), *flags]) == 1
+    assert capsys.readouterr().err == WIDE_AXIS_ERROR
+    assert not out.exists()
+
+
+def test_recover_normalized_axis_wider_than_the_float_range_is_an_error(tmp_path, capsys):
+    # Such an axis has an infinite scale, which would turn finite parameters into NaN.
+    data = tmp_path / "data.ndjson"
+    write_ndjson(data, [{"id": f"s{k}", "params": x, "samples": [[float(k)], [k + 0.5]]}
+                        for k, x in enumerate([[-1e308, 0.0], [1e308, 0.5], [0.0, 1.0]])]
+                 + [{"id": "u", "samples": [[0.2], [0.7]]}])
+    out = tmp_path / "rec.csv"
+    assert main(["recover", "--input", str(data), "--normalize-params", "--output", str(out)]) == 1
+    assert capsys.readouterr().err == WIDE_AXIS_ERROR
+    assert not out.exists()
+
+
+PARAMS_ABC = "id,p1\na,0.0\nb,1.0\nc,2.0\n"
+
+
+@pytest.mark.parametrize("files, argv, message", [
+    ({"emb.csv": "id,y1\na,0.0\nb,1.0\nd,2.0\n", "params.csv": PARAMS_ABC},
+     ["fit", "--embedding", "emb.csv", "--params", "params.csv"],
+     "params.csv: params file lacks ids: ['d']"),
+    ({"emb.csv": "id,y1\n", "params.csv": PARAMS_ABC},
+     ["fit", "--embedding", "emb.csv", "--params", "params.csv"], "emb.csv: no table rows"),
+    ({"data.ndjson": '{"id": "u", "samples": [[1.0]]}\n'},
+     ["recover", "--input", "data.ndjson"], "recovery requires labeled sets"),
+    ({"data.ndjson": ""}, ["distmat", "--input", "data.ndjson"],
+     "data.ndjson: file contains no records"),
+    ({"data.ndjson": '{"id": "a", "samples": [1.0, 2.0]}\n'}, ["distmat", "--input", "data.ndjson"],
+     "data.ndjson: line 1: 'samples' must be a list of lists of numbers"),
+    ({"data.ndjson": '{"id": "a"}\n'}, ["distmat", "--input", "data.ndjson"],
+     "data.ndjson: line 1: record must contain 'id' and 'samples'"),
+    ({"dm.csv": "a,b,c\n0.0,1.0,2.0\n1.0,0.0,1.0\n"}, ["embed", "--input", "dm.csv"],
+     "dm.csv: expected 3 value rows, found 2"),
+], ids=["params-lack-an-id", "header-only-embedding", "only-unlabeled", "empty-ndjson",
+        "flat-samples", "no-samples", "fewer-rows-than-ids"])
+def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, files, argv, message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert main([*argv, "--output", "out.csv"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_params_csv_round_trip(tmp_path):
@@ -612,7 +674,7 @@ def test_simulate_empty_list_is_usage_error(tmp_path, capsys, argv):
 @pytest.mark.parametrize("experiment, argv, message", [
     ("mean-only", ["--n-values", "10,10", "--seeds", "0"], "sample size 10 is given more than"),
     ("mean-only", ["--n-values", "10", "--seeds", "0,0"], "seed 0 is given more than once"),
-    ("mean-sd", ["--n-values", "0"], "n must be at least 1"),
+    ("mean-sd", ["--n-values", "0"], "n must be an integer of at least 1, got 0"),
     # A seed outside the substream key's 64 bits would alias one inside them.
     ("mean-sd", ["--n-values", "10", "--seed", str(2**64)],
      f"seed must be an integer in [0, 2**64), got {2**64}"),

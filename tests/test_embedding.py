@@ -286,3 +286,12 @@ def test_procrustes_orthogonality_invariant():
 def test_procrustes_shape_mismatch():
     with pytest.raises(MirrorError):
         procrustes_align(np.zeros((3, 2)), np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("side", ["estimate", "reference"])
+def test_procrustes_names_a_point_that_is_not_finite(side):
+    # Its SVD would raise a raw LinAlgError.
+    inputs = {"estimate": np.eye(3, 2), "reference": np.eye(3, 2)}
+    inputs[side][2, 0] = np.nan
+    with pytest.raises(MirrorError, match=rf"^{side} point 2 \(\[nan, 0\.0\]\) is not finite$"):
+        procrustes_align(inputs["estimate"], inputs["reference"])

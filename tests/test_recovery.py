@@ -416,6 +416,16 @@ def test_leave_one_out_rejects_params_of_other_sets():
             leave_one_out(dm, params, c=2)
 
 
+def test_leave_one_out_names_a_param_row_that_is_not_finite():
+    # Row 5 of the given params, not its index in the grid with hold-out 0 removed.
+    rng = np.random.default_rng(59)
+    grid = unit_grid(3)
+    dm = distance_matrix(gaussian_sets(rng, grid), p=1)
+    grid[5, 1] = np.nan
+    with pytest.raises(MirrorError, match=r"^param 5 \(\[0\.5, nan\]\) is not finite$"):
+        leave_one_out(dm, grid, c=2)
+
+
 def test_leave_one_out_pools_only_the_embeddings(monkeypatch):
     # The pool maps the m embeddings; every recovery runs in the calling thread.
     grid = unit_grid(3)

@@ -73,6 +73,31 @@ def test_seed_outside_the_64_bit_key_rejected(seed):
         generate(GaussianFamilySpec(variant=FamilyVariant.MEAN_ONLY, n=10, seed=seed))
 
 
+@pytest.mark.parametrize("n, shown", [(2.5, "2.5"), ("3", "'3'")], ids=["fraction", "text"])
+def test_sample_size_not_an_integer_rejected(n, shown):
+    # numpy's draws would raise a raw TypeError on a fraction, and '<' one on text.
+    with pytest.raises(MirrorError, match=rf"^n must be an integer of at least 1, got {shown}$"):
+        GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, n=n)
+
+
+def test_study_sample_size_not_an_integer_rejected():
+    with pytest.raises(MirrorError, match=r"^n must be an integer of at least 1, got 10\.5$"):
+        run_mirror_experiment(n_values=(10.5,), seeds=(0,))
+
+
+def test_empty_grid_rejected():
+    with pytest.raises(MirrorError, match=r"^grid must hold at least one point, got shape \(0, 2\)$"):
+        GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=np.zeros((0, 2)))
+
+
+def test_grid_point_not_finite_named_by_its_grid_row():
+    # Row 3, not its index in a leave-one-out grid with an earlier point removed.
+    grid = mean_sd_grid()
+    grid[3, 0] = np.nan
+    with pytest.raises(MirrorError, match=r"^grid point 3 \(\[nan, 0\.3333333333333333\]\) is not finite$"):
+        run_recovery_experiment(n_values=(10,), grid=grid)
+
+
 def test_generate_deterministic():
     spec = GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, n=25, seed=123)
     a, b = generate(spec), generate(spec)

@@ -1,3 +1,4 @@
+import re
 import warnings
 from fractions import Fraction
 from functools import partial
@@ -613,8 +614,21 @@ def test_locate_empty_query(kite):
 
 @pytest.mark.parametrize("x", [[2.0, 0.5], [[[2.0, 0.5]]], [[2.0]], [[2.0, 0.5, 1.0]]])
 def test_query_shape_checked(kite, x):
-    with pytest.raises(MirrorError, match=r"expected \(N, 2\)"):
+    with pytest.raises(MirrorError, match=r"^query points must be an \(N, 2\) matrix$"):
         locate(kite, x)
+
+
+@pytest.mark.parametrize("query", [
+    locate, partial(barycentric, simplex=np.zeros(3, dtype=int)), hull_boundary_distance,
+    near_hull_boundary,
+    lambda tri, x: interpolate(MirrorSurface(tri, np.arange(4.0)), x),
+], ids=["locate", "barycentric", "hull_boundary_distance", "near_hull_boundary", "interpolate"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_query_point_not_finite_named(kite, query, bad):
+    # Not an answer for a point outside the hull: -1, a NaN row, or a distance.
+    x = np.array([[1.0, 0.5], [1.0, 1.0], [bad, 0.5]])
+    with pytest.raises(MirrorError, match=rf"^query point 2 \(\[{bad}, 0\.5\]\) is not finite$"):
+        query(kite, x=x)
 
 
 def test_barycentric_vertex_exact(kite):
@@ -798,11 +812,35 @@ def test_axis_scaling_round_trip():
 
 
 @pytest.mark.parametrize("vals, message", [
-    (np.ones((24, 1)), r"value rows \(24\) must match point count \(25\)"),
-    (np.r_[np.ones(24), np.nan], "non-finite"),
-    (np.ones((25, 0)), r"must be an \(m, c\) matrix with c >= 1, got shape \(25, 0\)"),
-])
+    (np.ones((24, 1)), r"surface values must be an \(25, c\) matrix"),
+    (np.r_[np.ones(24), np.nan], r"surface value 24 \(\[nan\]\) is not finite"),
+    (np.ones((25, 0)), r"surface values must have at least one coordinate"),
+], ids=["row-count", "not-finite", "no-column"])
 def test_mirror_surface_values_checked(vals, message):
     grid = np.array([[a, b] for a in range(5) for b in range(5)], dtype=float)
-    with pytest.raises(MirrorError, match=message):
+    with pytest.raises(MirrorError, match=f"^{message}$"):
         MirrorSurface(delaunay_triangulate(grid), vals)
+
+
+# The square of side 2e308 with its centre: each axis spans more than the float range.
+SQUARE_AT_FLOAT_LIMIT = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1], [0, 0]]) * 1e308
+
+
+def test_simplex_wider_than_the_float_range_rejected():
+    # Its LU overflows, so neither slogdet's sign nor inv's barycentric coordinates hold:
+    # locate would put two of the square's four centroids in the wrong triangle.
+    with pytest.raises(MirrorError, match=r"^simplex 0 \(\[0, 1, 4\]\) spans more than the float range$"):
+        delaunay_triangulate(SQUARE_AT_FLOAT_LIMIT)
+
+
+@pytest.mark.parametrize("points, axis", [
+    (SQUARE_AT_FLOAT_LIMIT, 1),
+    (SQUARE_AT_FLOAT_LIMIT * [1e-308, 1], 2),
+    (SQUARE_AT_FLOAT_LIMIT[[0, 4, 2], :1], 1),
+], ids=["square", "second-axis", "d=1"])
+def test_axis_scaling_wider_than_the_float_range_rejected(points, axis):
+    # Its scale would be inf, and every transformed point 0 or NaN.
+    low, high = points[:, axis - 1].min(), points[:, axis - 1].max()
+    message = f"parameter axis {axis} spans more than the float range ({low} to {high})"
+    with pytest.raises(MirrorError, match=f"^{re.escape(message)}$"):
+        fit_axis_scaling(points)

@@ -19,20 +19,25 @@ both counts are point-location misses (ROADMAP item 10).  The summary changes
 neither stdout nor the exit status.
 
 Every outcome is printed, but the exit status is 1 if any input raised an
-exception that is not a ``MirrorError``: every rejected input must be a
-located error of the program's own, never a crash (ROADMAP aim 3).  A run in
-which every input triangulated or raised a ``MirrorError`` exits 0.
+exception that is not a ``MirrorError``, or raised a warning while it was
+triangulated or probed: every rejected input must be a located error of the
+program's own, never a crash, and no input may overflow or divide by zero
+unreported (ROADMAP aim 3).  Each warning is also printed to stderr, after its
+input's line.  A run in which every input triangulated or raised a
+``MirrorError``, and nothing warned, exits 0.
 
 The families are the two simulation grids and their leave-one-out grids,
 jittered and scaled lattices, regular polygons with and without their
 centre, random and rounded clouds, tiny clusters inside the unit square,
-near-collinear sets, d = 1 sets, and a few malformed inputs.
+near-collinear sets, d = 1 sets, a few malformed inputs, and shapes at the
+ends of the float range (ROADMAP item 5).
 """
 
 from __future__ import annotations
 
 import hashlib
 import sys
+import warnings
 
 import numpy as np
 
@@ -126,6 +131,17 @@ def malformed():
     yield np.zeros(4)
 
 
+def float_limits():
+    # Spans beyond the float range, just inside it, and at the subnormal end.
+    square = np.array([[-1.0, -1], [1, -1], [1, 1], [-1, 1], [0, 0]])
+    for scale in (1e308, 0.5e308, 1e-308, 1e-320):
+        yield square * scale
+    yield (square + 1) * 0.85e308
+    yield np.array([[-1.0, 0], [1, 0], [0, 1]]) * 1e308
+    yield np.array([[-1e308], [0.0], [1e308]])
+    yield square * [1e308, 1.0]
+
+
 def corpus(sim):
     rng = np.random.default_rng(20240601)
     yield "simulation-grids", simulation_grids(sim)
@@ -137,6 +153,7 @@ def corpus(sim):
     yield "near-collinear", near_collinear(rng)
     yield "one-dimensional", one_dimensional(rng)
     yield "malformed", malformed()
+    yield "float-limits", float_limits()
 
 
 def outcome(surface, pts):
@@ -154,15 +171,19 @@ def outcome(surface, pts):
 
 def location_misses(surface, tri) -> tuple[bool, bool]:
     """Does ``locate`` miss one of the triangulation's own vertices; does it miss
-    a simplex centroid or, for d = 2, the midpoint of a side two triangles share?"""
-    points = tri.points
+    a simplex centroid or, for d = 2, the midpoint of a side two triangles share?
+
+    The probes are averaged on the points divided by one power of two, which is
+    exact and keeps every sum finite at the float limit."""
+    e = surface._prescale_exponent(tri.points)
+    points = np.ldexp(tri.points, -e)
     probes = [points[tri.simplices].mean(axis=1)]
     if tri.d == 2:
         tail, head, twin = surface._sides(tri.simplices)
         shared = twin > np.arange(len(twin))
         probes.append((points[tail[shared]] + points[head[shared]]) / 2)
-    return (bool((surface.locate(tri, points) < 0).any()),
-            bool((surface.locate(tri, np.vstack(probes)) < 0).any()))
+    return (bool((surface.locate(tri, tri.points) < 0).any()),
+            bool((surface.locate(tri, np.ldexp(np.vstack(probes), e)) < 0).any()))
 
 
 def main(argv: list[str]) -> int:
@@ -176,14 +197,18 @@ def main(argv: list[str]) -> int:
     status, triangulated, vertex_misses, inner_misses = 0, 0, 0, 0
     for family, inputs in corpus(sim):
         for i, pts in enumerate(inputs):
-            text, ok, tri = outcome(surface, pts)
-            print(f"{family}/{i} {text}")
-            status |= not ok
-            if tri is not None:
-                vertex, inner = location_misses(surface, tri)
-                triangulated += 1
-                vertex_misses += vertex
-                inner_misses += inner
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                text, ok, tri = outcome(surface, pts)
+                print(f"{family}/{i} {text}")
+                if tri is not None:
+                    vertex, inner = location_misses(surface, tri)
+                    triangulated += 1
+                    vertex_misses += vertex
+                    inner_misses += inner
+            for w in caught:
+                print(f"{family}/{i} warned: {w.category.__name__}: {w.message}", file=sys.stderr)
+            status |= not ok or bool(caught)
     print(f"locate misses an own vertex on {vertex_misses} of {triangulated} triangulated "
           f"inputs, and a centroid or shared-side midpoint on {inner_misses}", file=sys.stderr)
     return status
