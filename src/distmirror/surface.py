@@ -9,7 +9,7 @@ row (``interpolate``), as scipy's ``find_simplex`` and ``LinearNDInterpolator``
 do; a query row that is not finite is an error that names it (``core._matrix``).
 
 For d = 2, qhull (``scipy.spatial.Delaunay``) builds the triangulation.
-It and every geometric predicate run on the points translated and scaled
+qhull and every geometric predicate run on the points translated and scaled
 uniformly into the unit box, where the predicates use a static epsilon of
 1e-12; inputs are assumed well-conditioned (grids and similar).  The
 orientation and incircle predicates are closed-form float expansions whose
@@ -25,16 +25,36 @@ triangulations is "each cocircular cell is fanned from its lowest-index
 vertex", making triangulations reproducible across platforms and qhull
 versions.
 
+qhull runs once or twice.  The first run leaves out facet merging (``Q0``).
+Merging joins the triangles of a cocircular cell, such as a grid's square,
+which qhull then triangulates again and the fan (below) re-triangulates
+anyway; on the 99-point grids of the mean-sd study it is about two thirds of
+qhull's time.  That run's triangles are kept when it is
+*settled*: qhull raised no error and left no point out; after orientation and
+the sliver peel, every interior side is strictly Delaunay (incircle below
+``-GEOM_EPS``) or a cocircular side of a cell that was fanned; no final
+triangle is under the area floor; and ``Triangulation`` accepts the result.
+Otherwise qhull runs again with scipy's default options, which merge facets,
+and that run alone decides the triangles or the error, as it did when it was
+the only run.  The result does not depend on which run produced it: a
+settled triangulation has every interior side locally Delaunay, so it is a
+Delaunay triangulation; its strictly Delaunay sides belong to every Delaunay
+triangulation, so they cut the points into the same cocircular cells as the
+merged run's sides do, and each cell's fan depends only on its vertices.
+That argument holds up to ``GEOM_EPS``; the triangulation corpus and a
+property test compare the two runs.
+
 Of qhull's output only its triangles and its ``coplanar`` report are read.
-That report lists the points qhull left out of every triangle, each with its
-nearest vertex, and its first entry is an error naming the two: the point
-lies within qhull's precision of that vertex.  The two are not equal, since
-coincident points are rejected before qhull runs.  Which triangles share a
-side comes from one side table built from the triangles alone (``_sides``):
-side 3k + j of triangle k runs from its vertex j to vertex j + 1, and its
-twin is the side with the same two ends, or -1 on the boundary.  The table finds the boundary slivers to peel, the
-cocircular cells to fan and the boundary that ``Triangulation`` derives its
-hull from.  A point that the peel leaves in no triangle is an error, raised
+In the run that decides the result, that report lists the points qhull left
+out of every triangle, each with its nearest vertex, and its first entry is
+an error naming the two: the point lies within qhull's precision of that
+vertex.  The two are not equal, since coincident points are rejected before
+qhull runs.  Which triangles share a side comes from one side table built
+from the triangles alone (``_sides``): side 3k + j of triangle k runs from
+its vertex j to vertex j + 1, and its twin is the side with the same two
+ends, or -1 on the boundary.  The table finds the boundary slivers to peel,
+the cocircular cells to fan and the boundary that ``Triangulation`` derives
+its hull from.  A point that the peel leaves in no triangle is an error, raised
 by ``Triangulation``, which needs every point to be a vertex.
 
 A point is on the hull boundary when it lies within ``BOUNDARY_TOL`` times
@@ -77,6 +97,11 @@ BARY_TOL = 1e-12
 GEOM_EPS = 1e-12
 #: Distance to the hull boundary, relative to the largest extent, that counts as on it.
 BOUNDARY_TOL = 1e-9
+
+# qhull's options for d = 2: scipy's default, which merges facets, and the same without
+# merging (Q0).  scipy adds Qt (triangulated output) to both.
+_QHULL_MERGED = "Qbb Qc Qz Q12"
+_QHULL_UNMERGED = _QHULL_MERGED + " Q0"
 
 
 def _sides(tris: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -283,7 +308,7 @@ def _drop_boundary_slivers(tris: np.ndarray, area: np.ndarray) -> np.ndarray:
     return tris[alive]
 
 
-def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray) -> np.ndarray:
+def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray) -> tuple[np.ndarray, bool]:
     """Re-triangulate every cocircular Delaunay cell as a fan from its lowest index.
 
     Adjacency comes from the side table of ``_sides``: each interior side is
@@ -299,6 +324,10 @@ def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray) -> np.ndarray:
     Delaunay, so this only fixes the choice among them.  The static epsilon
     passes every quad of a cluster far smaller than the unit box, so such a
     cell may fail that shape; it keeps qhull's triangles.
+
+    Also returns whether the input is settled (module docstring): every
+    interior side is strictly Delaunay, with incircle below ``-GEOM_EPS``, or
+    cocircular in a cell that was fanned.
     """
     m, n_tris = len(unit), len(tris)
     tail, head, twin = _sides(tris)
@@ -310,7 +339,8 @@ def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray) -> np.ndarray:
     flips = np.column_stack([near, far, tail[side], near, far, head[side]]).reshape(-1, 3)
     s1, s2 = _orient(unit, flips).reshape(-1, 2).T
     convex = (np.minimum(s1, s2) < -GEOM_EPS) & (np.maximum(s1, s2) > GEOM_EPS)
-    cocircular = convex & (np.abs(_incircle(unit, tris[side // 3], far)) <= GEOM_EPS)
+    incircle = _incircle(unit, tris[side // 3], far)
+    cocircular = convex & (np.abs(incircle) <= GEOM_EPS)
     a, b = side[cocircular] // 3, twin[side[cocircular]] // 3
     # Label each triangle with the lowest triangle index in its cell.
     label = np.arange(n_tris)
@@ -333,7 +363,8 @@ def _fan_cocircular_cells(unit: np.ndarray, tris: np.ndarray) -> np.ndarray:
     key = np.sort(cell * m + src)
     fanned[key[1:][key[1:] == key[:-1]] // m] = False
     fanned[fan_cell[_orient(unit, fan) <= GEOM_EPS]] = False
-    return np.concatenate([tris[~fanned[label]], fan[fanned[fan_cell]]])
+    settled = bool(((incircle < -GEOM_EPS) | cocircular & fanned[label[side // 3]]).all())
+    return np.concatenate([tris[~fanned[label]], fan[fanned[fan_cell]]]), settled
 
 
 def _canonical_simplices(tris: np.ndarray) -> np.ndarray:
@@ -352,7 +383,9 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
     the points translated and uniformly scaled into the unit box, so the
     result does not depend on the coordinate scale.  Each cocircular cell,
     where several triangulations are Delaunay, is fanned from its
-    lowest-index vertex.
+    lowest-index vertex.  qhull runs without facet merging first, and again
+    with scipy's default options only when that run is not settled (module
+    docstring); either way the result is the merged run's.
     """
     points = _matrix(points, "point")
     m, d = points.shape
@@ -374,15 +407,25 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
         simplices = _canonical_simplices(np.column_stack([order[:-1], order[1:]]))
         return Triangulation(points=points, simplices=simplices)
 
-    # Imported here: only d = 2 reads scipy.spatial, which d = 1 and q = 1 runs never load.
-    from scipy.spatial import Delaunay, QhullError
-
     # The power-of-two prescale is exact and keeps the differences finite.
     unit = np.ldexp(points, -_prescale_exponent(points))
     low = unit.min(axis=0)
     unit = (unit - low) / np.max(unit.max(axis=0) - low)
     try:
-        qhull = Delaunay(unit)
+        tri, settled = _triangulate_unit(points, unit, _QHULL_UNMERGED)
+    except MirrorError:
+        settled = False
+    return tri if settled else _triangulate_unit(points, unit, _QHULL_MERGED)[0]
+
+
+def _triangulate_unit(points: np.ndarray, unit: np.ndarray,
+                      options: str) -> tuple[Triangulation, bool]:
+    """One qhull run over the unit-box points, peeled and fanned, and whether it is settled."""
+    # Imported here: only d = 2 reads scipy.spatial, which d = 1 and q = 1 runs never load.
+    from scipy.spatial import Delaunay, QhullError
+
+    try:
+        qhull = Delaunay(unit, qhull_options=options)
     except QhullError:
         raise DegenerateInput("all points are collinear") from None
     if len(qhull.coplanar):
@@ -396,13 +439,13 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
     tris = _drop_boundary_slivers(tris, np.abs(area))
     if len(tris) == 0:
         raise DegenerateInput("all points are collinear")
-    tris = _fan_cocircular_cells(unit, tris)
+    tris, settled = _fan_cocircular_cells(unit, tris)
 
     thin = np.flatnonzero(_orient(unit, tris) <= GEOM_EPS)
     if thin.size:
         tri = tuple(tris[thin[0]].tolist())
         raise DegenerateInput(f"triangle {tri} has non-positive area; input too degenerate")
-    return Triangulation(points=points, simplices=_canonical_simplices(tris))
+    return Triangulation(points=points, simplices=_canonical_simplices(tris)), settled
 
 
 # ---------------------------------------------------------------------------

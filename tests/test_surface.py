@@ -1,5 +1,6 @@
 import re
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import partial
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from distmirror import surface
 from distmirror.errors import DegenerateInput, MirrorError, UnsupportedDimension
+from distmirror.sim import mean_only_grid, mean_sd_grid
 from distmirror.surface import (
     BARY_TOL,
     BOUNDARY_TOL,
@@ -441,6 +444,94 @@ def test_property_side_twins_are_qhulls_neighbours(pts):
 def test_property_cocircular_cells_fan_from_lowest_index(pts):
     tri = delaunay_triangulate(pts)
     assert tie_break_violations(pts, tri.simplices) == []
+
+
+@contextmanager
+def qhull_runs():
+    """The qhull options of every scipy Delaunay run made inside the block, in order."""
+    import scipy.spatial
+
+    runs, real = [], scipy.spatial.Delaunay
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs.get("qhull_options"))
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.spatial, "Delaunay", counted)
+        yield runs
+
+
+def one_run_alone(pts, options):
+    """``delaunay_triangulate`` with both runs given the same qhull options: that run's
+    simplices and hull, or its error text."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(surface, "_QHULL_UNMERGED", options)
+        mp.setattr(surface, "_QHULL_MERGED", options)
+        try:
+            tri = delaunay_triangulate(pts)
+        except MirrorError as exc:
+            return str(exc)
+    return tri.simplices.tolist(), tri.hull.tolist()
+
+
+@given(point_sets)
+def test_property_same_triangulation_as_the_merged_run_alone(pts):
+    tri = delaunay_triangulate(pts)
+    assert (tri.simplices.tolist(), tri.hull.tolist()) == one_run_alone(
+        pts, surface._QHULL_MERGED)
+
+
+def grid_5x5():
+    axis = np.linspace(0.0, 2.0, 5)
+    return np.array([[a, b] for a in axis for b in axis])
+
+
+@pytest.mark.parametrize("grid", [mean_sd_grid, mean_only_grid, grid_5x5])
+def test_benchmark_grids_keep_the_unmerged_run(grid):
+    # The full grid and each grid with one point held out, as recovery triangulates them.
+    pts = grid()
+    for held_out in [None, *range(len(pts))]:
+        with qhull_runs() as runs:
+            delaunay_triangulate(pts if held_out is None else np.delete(pts, held_out, axis=0))
+        assert runs == [surface._QHULL_UNMERGED], held_out
+
+
+# Corpus input lattices/17: a 6 x 6 lattice of step 1e-5, each point moved by up to
+# 1e-13 of a step.  qhull without facet merging calls it collinear.
+LATTICE_17 = [
+    [2.9999999999999184e-05, 6.077952845157843e-19], [1.9999999999999585e-05, -1.778720627164525e-19],
+    [4.9999999999999054e-05, 2.9999999999999957e-05], [3.0000000000000587e-05, 2.000000000000046e-05],
+    [4.9999999999999515e-05, 9.999999999999904e-06], [2.1847677687732504e-19, 3.999999999999971e-05],
+    [2.0000000000000486e-05, 2.9999999999999757e-05], [2.9999999999999296e-05, 4.999999999999966e-05],
+    [3.000000000000067e-05, 4.0000000000000884e-05], [5.000000000000056e-05, 4.0000000000000376e-05],
+    [4.000000000000075e-05, 9.999999999999972e-06], [-3.0156359193974324e-19, 2.999999999999915e-05],
+    [4.0000000000000064e-05, 3.9999999999999705e-05], [2.0000000000000883e-05, 5.000000000000037e-05],
+    [1.9999999999999117e-05, 1.0000000000000387e-05], [4.0000000000000315e-05, 2.999999999999942e-05],
+    [1.0000000000000902e-05, 1.0000000000000697e-05], [1.0000000000000873e-05, 1.9999999999999537e-05],
+    [1.0000000000000656e-05, 4.2488307838407954e-20], [2.9999999999999252e-05, 2.9999999999999123e-05],
+    [4.000000000000051e-05, 2.000000000000038e-05], [5.000000000000019e-05, 5.000000000000009e-05],
+    [4.9999999999999474e-05, -1.6346614331581064e-19], [2.0000000000000313e-05, 1.999999999999925e-05],
+    [2.9999999999999198e-05, 1.0000000000000856e-05], [5.0000000000000185e-05, 1.9999999999999466e-05],
+    [6.821536307024107e-19, 4.999999999999932e-05], [1.0000000000000169e-05, 3.0000000000000682e-05],
+    [7.54459503547733e-21, 2.334821372806617e-19], [2.000000000000094e-05, 3.999999999999944e-05],
+    [5.444614932757891e-19, 2.0000000000000052e-05], [5.046977104540713e-19, 9.999999999999547e-06],
+    [1.0000000000000826e-05, 3.999999999999999e-05], [1.0000000000000362e-05, 5.000000000000075e-05],
+    [3.999999999999946e-05, -9.19610147348284e-19], [3.999999999999907e-05, 5.000000000000084e-05]]
+
+
+@pytest.mark.parametrize("points", [np.array(LATTICE_17), tiny_cluster("subgrid", 1e-4)],
+                         ids=["lattice-17", "tiny-subgrid-1e-4"])
+def test_unsettled_unmerged_run_is_rerun_merged(points):
+    unmerged = one_run_alone(points, surface._QHULL_UNMERGED)
+    merged = one_run_alone(points, surface._QHULL_MERGED)
+    assert unmerged != merged
+    if isinstance(unmerged, str):
+        assert unmerged == "all points are collinear"
+    with qhull_runs() as runs:
+        tri = delaunay_triangulate(points)
+    assert runs == [surface._QHULL_UNMERGED, surface._QHULL_MERGED]
+    assert (tri.simplices.tolist(), tri.hull.tolist()) == merged
 
 
 def exact_incircle(a, b, c, d):

@@ -11,11 +11,16 @@ returns, or the exception's type and text.  The corpus is drawn from fixed
 seeds, so running the script on two checkouts and diffing the outputs shows
 every input whose triangulation, hull or error changed.
 
-After the last line, one summary goes to stderr: of the inputs that
-triangulate, on how many ``locate`` misses one of the input's own vertices, and
-on how many it misses a simplex centroid or the midpoint of a side two
-triangles share.  Every such point lies in the hull in exact arithmetic, so
-both counts are point-location misses (ROADMAP item 10).  The summary changes
+After the last line, two summaries go to stderr.  The first says, of the inputs
+that triangulate, on how many ``locate`` misses one of the input's own vertices,
+and on how many it puts a simplex centroid in any simplex but its own, or the
+midpoint of a side two triangles share in neither of them.  Every such point
+lies in the hull in exact arithmetic, in the simplex or simplices it was built
+from, so both counts are point-location faults (ROADMAP item 10).  The second
+says, in all and per family, on how many of the inputs that reached qhull it
+ran twice: the run without facet merging was not settled, and the merged run
+was made again (the ``surface`` docstring).  The script counts the
+``scipy.spatial.Delaunay`` calls each input makes.  The summaries change
 neither stdout nor the exit status.
 
 Every outcome is printed, but the exit status is 1 if any input raised an
@@ -38,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -170,20 +176,24 @@ def outcome(surface, pts):
 
 
 def location_misses(surface, tri) -> tuple[bool, bool]:
-    """Does ``locate`` miss one of the triangulation's own vertices; does it miss
-    a simplex centroid or, for d = 2, the midpoint of a side two triangles share?
+    """Does ``locate`` miss one of the triangulation's own vertices; does it put a
+    simplex centroid in any simplex but its own or, for d = 2, the midpoint of a
+    side two triangles share in neither of them?
 
     The probes are averaged on the points divided by one power of two, which is
     exact and keeps every sum finite at the float limit."""
     e = surface._prescale_exponent(tri.points)
     points = np.ldexp(tri.points, -e)
-    probes = [points[tri.simplices].mean(axis=1)]
+    own = np.arange(tri.n_simplices)
+    probes, owners = [points[tri.simplices].mean(axis=1)], [np.column_stack([own, own])]
     if tri.d == 2:
         tail, head, twin = surface._sides(tri.simplices)
-        shared = twin > np.arange(len(twin))
+        shared = np.flatnonzero(twin > np.arange(len(twin)))
         probes.append((points[tail[shared]] + points[head[shared]]) / 2)
+        owners.append(np.column_stack([shared // 3, twin[shared] // 3]))
+    found = surface.locate(tri, np.ldexp(np.vstack(probes), e))
     return (bool((surface.locate(tri, tri.points) < 0).any()),
-            bool((surface.locate(tri, np.ldexp(np.vstack(probes), e)) < 0).any()))
+            not (found[:, None] == np.vstack(owners)).any(axis=1).all())
 
 
 def main(argv: list[str]) -> int:
@@ -192,11 +202,22 @@ def main(argv: list[str]) -> int:
         print("usage: triangulation_corpus.py SRC_DIR", file=sys.stderr)
         return 2
     sys.path.insert(0, argv[1])
+    import scipy.spatial
     from distmirror import sim, surface
 
+    # Every qhull run is counted: the d = 2 path imports Delaunay from scipy.spatial per call.
+    qhull_runs, delaunay = [0], scipy.spatial.Delaunay
+
+    def counted_delaunay(*args, **kwargs):
+        qhull_runs[0] += 1
+        return delaunay(*args, **kwargs)
+
+    scipy.spatial.Delaunay = counted_delaunay
     status, triangulated, vertex_misses, inner_misses = 0, 0, 0, 0
+    reached, reran = Counter(), Counter()  # per family: inputs that ran qhull, and twice
     for family, inputs in corpus(sim):
         for i, pts in enumerate(inputs):
+            qhull_runs[0] = 0
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 text, ok, tri = outcome(surface, pts)
@@ -209,8 +230,16 @@ def main(argv: list[str]) -> int:
             for w in caught:
                 print(f"{family}/{i} warned: {w.category.__name__}: {w.message}", file=sys.stderr)
             status |= not ok or bool(caught)
+            if qhull_runs[0]:
+                reached[family] += 1
+                reran[family] += qhull_runs[0] > 1
     print(f"locate misses an own vertex on {vertex_misses} of {triangulated} triangulated "
-          f"inputs, and a centroid or shared-side midpoint on {inner_misses}", file=sys.stderr)
+          f"inputs, and puts a centroid or shared-side midpoint outside its own simplices "
+          f"on {inner_misses}", file=sys.stderr)
+    print(f"qhull ran twice (the merged rerun) on {sum(reran.values())} of "
+          f"{sum(reached.values())} inputs that reached it: "
+          + ", ".join(f"{family} {reran[family]} of {n}" for family, n in reached.items()),
+          file=sys.stderr)
     return status
 
 
