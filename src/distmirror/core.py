@@ -25,6 +25,14 @@ cannot split, such as one with a cell over its field size limit, is an error at
 its line.  An error that spans the whole file, such as two sets sharing
 parameters, names the file alone.
 
+A value that must not repeat follows the same rule: the error names the
+earliest entry equal to an earlier one, and that value's first entry
+(``_first_repeat``; rows compare as tuples, so -0.0 equals 0.0).  Its five
+sites are :class:`Dataset`'s set ids and its parameter vectors, the study
+lists of ``sim._check_distinct``, the points of ``surface.delaunay_triangulate``
+and the ids of :func:`read_table`, whose streaming check reports a repeated
+id before a bad value on a later line.
+
 On-disk formats
 ---------------
 NDJSON: one record per line,
@@ -57,7 +65,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
@@ -102,6 +109,17 @@ def _matrix(a, noun: str, m: int | str = "m", k: int | str = "d") -> np.ndarray:
     if bad.size:
         raise MirrorError(f"{noun} {bad[0]} ({a[bad[0]].tolist()}) is not finite")
     return a
+
+
+def _first_repeat(keys: Iterable) -> tuple[int, int] | None:
+    """(i, j) for the earliest key j equal to an earlier key, and i that key's first
+    index; None when the hashable keys are distinct."""
+    first: dict = {}
+    for j, key in enumerate(keys):
+        i = first.setdefault(key, j)
+        if i != j:
+            return i, j
+    return None
 
 
 @dataclass(frozen=True)
@@ -195,18 +213,15 @@ class Dataset:
             raise DatasetError("labeled sets must carry parameter vectors")
         if any(s.params is not None for s in self.unlabeled):
             raise DatasetError("unlabeled sets must not carry parameter vectors")
-        repeated = [i for i, k in Counter(s.id for s in sets).items() if k > 1]
-        if repeated:
-            raise DatasetError(f"set id {repeated[0]!r} is used more than once")
+        repeat = _first_repeat(s.id for s in sets)
+        if repeat:
+            raise DatasetError(f"set id {sets[repeat[1]].id!r} is used more than once")
         _check_dimension(sets, "q")
         if self.labeled:
             _check_dimension(self.labeled, "d")
-            _, group, counts = np.unique(self.params_matrix(), axis=0,
-                                         return_inverse=True, return_counts=True)
-            shared = np.flatnonzero(counts[group] > 1)
-            if shared.size:
-                first_two = np.flatnonzero(group == group[shared[0]])[:2]
-                a, b = (self.labeled[k] for k in first_two)
+            repeat = _first_repeat(map(tuple, self.params_matrix().tolist()))
+            if repeat:
+                a, b = (self.labeled[k] for k in repeat)
                 raise DuplicateParameters(
                     f"sets {a.id!r} and {b.id!r} share parameters {a.params.tolist()}"
                 )
@@ -484,6 +499,8 @@ def read_table(path: str | Path, header_ids: bool = False) -> tuple[tuple[str, .
     and every row holds only numbers.  Blank rows and comments are as in the
     module's "On-disk formats".  Returns the ids and the (rows, k) value
     matrix; ids must be distinct, and every error names the file and the line.
+    A repeated id is found as its line is read, before any later line's fault,
+    and the earliest line that repeats an earlier id is named, as ``_first_repeat`` does.
     """
     path = Path(path)
     if not path.exists():

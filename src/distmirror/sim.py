@@ -18,7 +18,6 @@ regardless of generation order or platform.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -26,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import Dataset, SampleSet, _freeze, _matrix
+from .core import Dataset, SampleSet, _first_repeat, _freeze, _matrix
 from .embedding import MirrorEmbedding, cmds, procrustes_align
 from .errors import MirrorError
 from .recovery import RecoveryResult, leave_one_out
@@ -192,8 +191,8 @@ def aligned_mirror_error(estimate: MirrorEmbedding, truth: np.ndarray) -> Aligne
     truth = _matrix(truth[:, None] if truth.ndim == 1 else truth, "truth point",
                     *estimate.coords.shape)
     truth_center = truth.mean(axis=0)
+    rotation = procrustes_align(estimate.coords, truth)  # which centers both itself
     est_centered = estimate.coords - estimate.coords.mean(axis=0)
-    rotation = procrustes_align(est_centered, truth - truth_center)
     aligned = est_centered @ rotation + truth_center
     per_point = np.linalg.norm(aligned - truth, axis=1)
     return AlignedError(
@@ -204,10 +203,13 @@ def aligned_mirror_error(estimate: MirrorEmbedding, truth: np.ndarray) -> Aligne
 
 
 def _check_distinct(name: str, values: Sequence[int]) -> None:
-    """Reject a study list that names a value twice; its rows would repeat."""
-    repeated = [v for v, k in Counter(values).items() if k > 1]
-    if repeated:
-        raise MirrorError(f"{name} {repeated[0]} is given more than once")
+    """Reject an empty study list, which gives no rows, and one that names a value
+    twice, naming the earliest repeat as every repeat check does (``core._first_repeat``)."""
+    if not len(values):
+        raise MirrorError(f"the list of {name}s is empty")
+    repeat = _first_repeat(values)
+    if repeat:
+        raise MirrorError(f"{name} {values[repeat[1]]} is given more than once")
 
 
 @dataclass(frozen=True)

@@ -15,15 +15,15 @@ uniformly into the unit box, where the predicates use a static epsilon of
 orientation and incircle predicates are closed-form float expansions whose
 rounding error in the unit box stays below 2e-14, so the epsilon, not the
 rounding, decides which quads count as cocircular.  Coincident points are
-found before qhull runs, in one sort of the rows, and the error names the
-first repeated point and its earlier copy.  The result does not depend on
-the points' overall coordinate scale, but the epsilon is absolute in the
-unit box: a cluster of points far smaller than the points' extent can be
-rejected ("non-positive area") or have its cells fanned where they are not
-Delaunay at the cluster's own scale.  The tie-break among equally Delaunay
-triangulations is "each cocircular cell is fanned from its lowest-index
-vertex", making triangulations reproducible across platforms and qhull
-versions.
+found before qhull runs, and the error names the earliest point that
+repeats an earlier one and that point's first copy (``core._first_repeat``).
+The result does not depend on the points' overall coordinate scale, but the
+epsilon is absolute in the unit box: a cluster of points far smaller than
+the points' extent can be rejected ("non-positive area") or have its cells
+fanned where they are not Delaunay at the cluster's own scale.  The
+tie-break among equally Delaunay triangulations is "each cocircular cell is
+fanned from its lowest-index vertex", making triangulations reproducible
+across platforms and qhull versions.
 
 qhull runs once or twice.  The first run leaves out facet merging (``Q0``).
 Merging joins the triangles of a cocircular cell, such as a grid's square,
@@ -71,7 +71,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _freeze, _matrix, write_table
+from .core import _first_repeat, _freeze, _matrix, write_table
 from .errors import DegenerateInput, MirrorError, UnsupportedDimension
 
 __all__ = [
@@ -395,15 +395,12 @@ def delaunay_triangulate(points: np.ndarray) -> Triangulation:
         )
     if m < d + 1:
         raise DegenerateInput(f"need at least {d + 1} points for d={d}, got {m}")
-    # lexsort is stable: within a run of equal rows the indices ascend, so the
-    # smallest index that repeats an earlier row follows that row's first copy.
-    order = np.lexsort(points.T[::-1])
-    same = (points[order[1:]] == points[order[:-1]]).all(axis=1)
-    if same.any():
-        k = np.flatnonzero(same)[np.argmin(order[1:][same])]
-        raise DegenerateInput(f"point {order[k + 1]} coincides with point {order[k]}")
+    repeat = _first_repeat(map(tuple, points.tolist()))
+    if repeat:
+        raise DegenerateInput(f"point {repeat[1]} coincides with point {repeat[0]}")
 
     if d == 1:
+        order = np.argsort(points[:, 0])
         simplices = _canonical_simplices(np.column_stack([order[:-1], order[1:]]))
         return Triangulation(points=points, simplices=simplices)
 

@@ -25,12 +25,18 @@ from distmirror.core import (
     Dataset,
     SampleSet,
     load_dataset,
+    read_table,
     save_dataset,
 )
 from distmirror.embedding import MirrorEmbedding, read_embedding, write_embedding
 from distmirror.errors import DatasetError, DuplicateParameters, MirrorError
 from distmirror.recovery import RecoveryResult
-from distmirror.sim import FamilyVariant, GaussianFamilySpec
+from distmirror.sim import (
+    FamilyVariant,
+    GaussianFamilySpec,
+    run_mirror_experiment,
+    run_recovery_experiment,
+)
 from distmirror.surface import MirrorSurface, Triangulation, delaunay_triangulate
 from distmirror.transport import DistanceMatrix, distance_matrix, read_distance_matrix
 
@@ -81,17 +87,79 @@ def test_duplicate_parameters_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("params, pair", [
-    ([[2, 0], [1, 1], [3, 0], [1, 1], [2, 0], [1, 1]], (0, 4)),
+    ([[2, 0], [1, 1], [3, 0], [1, 1], [2, 0], [1, 1]], (1, 3)),
     ([[0, 1], [1, 1], [2, 2], [1, 1], [1, 1]], (1, 3)),
     ([[5, 5], [-0.0, 1], [0.0, 1]], (1, 2)),
-], ids=["earlier-pair-first", "three-way-repeat", "signed-zero"])
+], ids=["earliest-repeat-first", "three-way-repeat", "signed-zero"])
 def test_duplicate_parameters_name_first_pair(params, pair):
-    # The first pair in (i, j) order is named, with the first set's parameters.
+    # The earliest set that repeats an earlier set's parameters is named after the
+    # first set with them, with their parameters; set 4 also repeats set 0, but later.
     sets = [SampleSet(id=f"s{i}", samples=[[0.0]], params=p) for i, p in enumerate(params)]
     i, j = pair
     message = f"sets 's{i}' and 's{j}' share parameters {[float(v) for v in params[i]]}"
     with pytest.raises(DuplicateParameters, match=re.escape(message)):
         Dataset(labeled=sets)
+
+
+#: A key's 2-d point, for the sites that take parameters or points.
+_KEY_POINT = {"a": [0.0, 0.0], "b": [1.0, 0.0], "c": [0.0, 1.0]}
+
+
+def _labeled_by_id(keys):
+    return [SampleSet(id=k, samples=[[0.0]], params=[float(n)]) for n, k in enumerate(keys)]
+
+
+def _load_ids(path, keys):
+    write_ndjson(path, [{"id": s.id, "params": s.params.tolist(), "samples": [[0.0]]}
+                        for s in _labeled_by_id(keys)])
+    load_dataset(path)
+
+
+def _read_table_ids(path, keys):
+    path.write_text("id,v1\n" + "".join(f"{k},{n}\n" for n, k in enumerate(keys)))
+    read_table(path)
+
+
+# Each site: how it is fed the keys, and the message it gives for the pair (i, j).
+_REPEAT_SITES = {
+    "dataset-ids": (lambda path, keys: Dataset(labeled=_labeled_by_id(keys)),
+                    lambda i, j, keys: f"set id {keys[j]!r} is used more than once"),
+    "ndjson-ids": (_load_ids, lambda i, j, keys: f"set id {keys[j]!r} is used more than once"),
+    "dataset-params": (
+        lambda path, keys: Dataset(labeled=[SampleSet(id=f"s{n}", samples=[[0.0]],
+                                                      params=_KEY_POINT[k])
+                                            for n, k in enumerate(keys)]),
+        lambda i, j, keys: f"sets 's{i}' and 's{j}' share parameters {_KEY_POINT[keys[i]]}"),
+    "mirror-n-values": (
+        lambda path, keys: run_mirror_experiment(n_values=[10 * ord(k) for k in keys], seeds=[0]),
+        lambda i, j, keys: f"sample size {10 * ord(keys[j])} is given more than once"),
+    "mirror-seeds": (
+        lambda path, keys: run_mirror_experiment(n_values=[10], seeds=[ord(k) for k in keys]),
+        lambda i, j, keys: f"seed {ord(keys[j])} is given more than once"),
+    "recovery-n-values": (
+        lambda path, keys: run_recovery_experiment(n_values=[10 * ord(k) for k in keys]),
+        lambda i, j, keys: f"sample size {10 * ord(keys[j])} is given more than once"),
+    "points-d1": (lambda path, keys: delaunay_triangulate([[float(ord(k))] for k in keys]),
+                  lambda i, j, keys: f"point {j} coincides with point {i}"),
+    "points-d2": (lambda path, keys: delaunay_triangulate([_KEY_POINT[k] for k in keys]),
+                  lambda i, j, keys: f"point {j} coincides with point {i}"),
+    "read-table-ids": (_read_table_ids,
+                       lambda i, j, keys: f"line {j + 2}: id {keys[j]!r} repeats line {i + 2}"),
+}
+
+
+@pytest.mark.parametrize("site", _REPEAT_SITES)
+@pytest.mark.parametrize("keys, repeat", [
+    ("abba", (1, 2)),
+    ("abcba", (1, 3)),
+    ("abccab", (2, 3)),
+], ids=["abba", "abcba", "abccab"])
+def test_every_repeat_check_names_the_earliest_repeat(tmp_path, site, keys, repeat):
+    # One rule at every site: j is the earliest key equal to an earlier key, i that
+    # key's first index.  The first pair in (i, j) order, (0, j'), is not named.
+    feed, message = _REPEAT_SITES[site]
+    with pytest.raises(MirrorError, match=re.escape(message(*repeat, keys))):
+        feed(tmp_path / "keys.txt", keys)
 
 
 def test_duplicate_set_ids_rejected(tmp_path):

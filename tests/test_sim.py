@@ -85,6 +85,23 @@ def test_study_sample_size_not_an_integer_rejected():
         run_mirror_experiment(n_values=(10.5,), seeds=(0,))
 
 
+@pytest.mark.parametrize("run, message", [
+    (lambda: run_mirror_experiment(n_values=(10,), seeds=()), "the list of seeds is empty"),
+    (lambda: run_mirror_experiment(n_values=(), seeds=(0,)), "the list of sample sizes is empty"),
+    (lambda: run_recovery_experiment(n_values=()), "the list of sample sizes is empty"),
+], ids=["mirror-seeds", "mirror-n-values", "recovery-n-values"])
+def test_empty_study_list_rejected_before_any_work(monkeypatch, run, message):
+    # An empty list gave a study with no rows: a (1, 0) error array and no surface
+    # for its one n, or 100 triangulations whose flags no run reads.
+    def no_work(*args):
+        raise AssertionError("the study ran")
+
+    monkeypatch.setattr("distmirror.sim.generate", no_work)
+    monkeypatch.setattr("distmirror.sim.delaunay_triangulate", no_work)
+    with pytest.raises(MirrorError, match=rf"^{message}$"):
+        run()
+
+
 def test_empty_grid_rejected():
     with pytest.raises(MirrorError, match=r"^grid must hold at least one point, got shape \(0, 2\)$"):
         GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=np.zeros((0, 2)))
