@@ -1,8 +1,9 @@
 """Domain types, dataset validation, and ingestion of sample files.
 
-A dataset is a collection of sample sets.  Each set holds ``n`` observation
+A dataset is one tuple of sample sets.  Each set holds ``n`` observation
 vectors in R^q drawn from one distribution; a set is *labeled* when the
-generating parameter vector in R^d is known and *unlabeled* otherwise.
+generating parameter vector in R^d is known and *unlabeled* otherwise, so
+a dataset's labeled and unlabeled sets are read off the sets themselves.
 
 Validation lives in the constructors: :class:`SampleSet` checks shape and
 finiteness, :class:`Dataset` checks the invariants across sets.  The loaders
@@ -27,8 +28,9 @@ parameters, names the file alone.
 
 A value that must not repeat follows the same rule: the error names the
 earliest entry equal to an earlier one, and that value's first entry
-(``_first_repeat``; rows compare as tuples, so -0.0 equals 0.0).  Its five
-sites are :class:`Dataset`'s set ids and its parameter vectors, the study
+(``_first_repeat``; rows compare as tuples, so -0.0 equals 0.0).  Its seven
+sites are :class:`Dataset`'s set ids and its parameter vectors, the ids of
+``transport.DistanceMatrix`` and of ``embedding.MirrorEmbedding``, the study
 lists of ``sim._check_distinct``, the points of ``surface.delaunay_triangulate``
 and the ids of :func:`read_table`, whose streaming check reports a repeated
 id before a bad value on a later line.
@@ -66,7 +68,7 @@ import csv
 import io
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -193,35 +195,39 @@ def _check_dimension(sets: Sequence[SampleSet], symbol: str) -> None:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Labeled and unlabeled sample sets sharing one embedding space.
+    """Sample sets sharing one embedding space, labeled sets first.
 
-    Invariants checked eagerly at construction: distinct set ids, a common
-    sample dimension q across every set, a common parameter dimension d
-    across labeled sets, and pairwise distinct labeled parameter vectors.
+    A dataset is its one tuple of sets, ``all_sets``.  The constructor takes
+    the sets in any order and keeps them labeled first (those whose ``params``
+    is not None), each group in the order given; ``labeled`` and ``unlabeled``
+    are those two groups.  Invariants checked eagerly, over ``all_sets`` in
+    that order: at least one set, distinct set ids, a common sample dimension
+    q across every set, a common parameter dimension d across labeled sets,
+    and pairwise distinct labeled parameter vectors.
     """
 
-    labeled: tuple[SampleSet, ...]
-    unlabeled: tuple[SampleSet, ...] = ()
+    all_sets: tuple[SampleSet, ...]
+    labeled: tuple[SampleSet, ...] = field(init=False, repr=False)
+    unlabeled: tuple[SampleSet, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "labeled", tuple(self.labeled))
-        object.__setattr__(self, "unlabeled", tuple(self.unlabeled))
-        sets = self.labeled + self.unlabeled
+        sets = tuple(self.all_sets)
+        labeled = tuple(s for s in sets if s.labeled)
+        unlabeled = tuple(s for s in sets if not s.labeled)
+        sets = labeled + unlabeled
+        for name, value in (("all_sets", sets), ("labeled", labeled), ("unlabeled", unlabeled)):
+            object.__setattr__(self, name, value)
         if not sets:
             raise DatasetError("dataset contains no sample sets")
-        if any(s.params is None for s in self.labeled):
-            raise DatasetError("labeled sets must carry parameter vectors")
-        if any(s.params is not None for s in self.unlabeled):
-            raise DatasetError("unlabeled sets must not carry parameter vectors")
         repeat = _first_repeat(s.id for s in sets)
         if repeat:
             raise DatasetError(f"set id {sets[repeat[1]].id!r} is used more than once")
         _check_dimension(sets, "q")
-        if self.labeled:
-            _check_dimension(self.labeled, "d")
+        if labeled:
+            _check_dimension(labeled, "d")
             repeat = _first_repeat(map(tuple, self.params_matrix().tolist()))
             if repeat:
-                a, b = (self.labeled[k] for k in repeat)
+                a, b = (labeled[k] for k in repeat)
                 raise DuplicateParameters(
                     f"sets {a.id!r} and {b.id!r} share parameters {a.params.tolist()}"
                 )
@@ -238,11 +244,7 @@ class Dataset:
 
     @property
     def q(self) -> int:
-        return (self.labeled + self.unlabeled)[0].q
-
-    @property
-    def all_sets(self) -> tuple[SampleSet, ...]:
-        return self.labeled + self.unlabeled
+        return self.all_sets[0].q
 
     def params_matrix(self) -> np.ndarray:
         """Stack labeled parameter vectors into an (m, d) matrix."""
@@ -290,14 +292,6 @@ def _csv_rows(fh, path: Path):
         raise DatasetError(f"{path}: line {reader.line_num}: {e}") from None
 
 
-def _dataset(path: Path, sets: list[SampleSet]) -> Dataset:
-    if not sets:
-        raise DatasetError(f"{path}: file contains no records")
-    with _located(str(path)):
-        return Dataset(labeled=tuple(s for s in sets if s.labeled),
-                       unlabeled=tuple(s for s in sets if not s.labeled))
-
-
 def _json_numbers(values: list, field: str) -> np.ndarray:
     """A float vector from JSON numbers; true, false, strings and null are not numbers."""
     if not set(map(type, values)) <= {int, float}:
@@ -339,7 +333,8 @@ def _load_ndjson(path: Path) -> Dataset:
                     samples=_json_samples(rec["samples"]),
                     params=None if params is None else _json_numbers(params, "params"),
                 ))
-    return _dataset(path, sets)
+    with _located(str(path)):
+        return Dataset(sets)
 
 
 def _is_number_text(text: str) -> bool:
@@ -472,7 +467,8 @@ def _load_csv(path: Path) -> Dataset:
         samples = np.concatenate(blocks[k])
         blocks[k] = None  # frees the chunks that no later set shares
         sets.append(SampleSet(id=set_id, samples=samples, params=params))
-    return _dataset(path, sets)
+    with _located(str(path)):
+        return Dataset(sets)
 
 
 def load_dataset(path: str | Path, format: str = "ndjson") -> Dataset:

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import _freeze, _matrix, read_table, write_table
+from .core import _first_repeat, _freeze, _matrix, read_table, write_table
 from .errors import MirrorError, NoPositiveSpectrum
 from .transport import DistanceMatrix
 
@@ -37,9 +37,10 @@ __all__ = [
 class MirrorEmbedding:
     """Coordinates of m points in R^c plus the full spectrum of B.
 
-    Row i is the mirror estimate for set ``ids[i]``.  Columns are mutually
-    orthogonal, column-mean-zero, and column j has squared norm equal to
-    max(spectrum[j], 0).  Every coordinate and eigenvalue is finite.
+    Row i is the mirror estimate for set ``ids[i]``; the ids are distinct.
+    Columns are mutually orthogonal, column-mean-zero, and column j has
+    squared norm equal to max(spectrum[j], 0).  Every coordinate and
+    eigenvalue is finite.
     """
 
     ids: tuple[str, ...]
@@ -48,6 +49,9 @@ class MirrorEmbedding:
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
+        repeat = _first_repeat(self.ids)
+        if repeat:
+            raise MirrorError(f"embedding id {self.ids[repeat[1]]!r} is used more than once")
         coords = np.asarray(self.coords, dtype=np.float64)
         spectrum = np.asarray(self.spectrum, dtype=np.float64)
         m = len(self.ids)
@@ -134,11 +138,13 @@ def cmds(delta: DistanceMatrix, c: int | None) -> MirrorEmbedding:
     flipped so its entry of largest magnitude is positive, making output
     reproducible across platforms.  ``c=None`` takes
     :func:`select_dimension` of the same spectrum, so one eigendecomposition
-    serves both the choice and the coordinates.
+    serves both the choice and the coordinates; that choice needs m >= 2.
     """
     m = delta.m
     if c is not None and not 1 <= c <= m:
         raise MirrorError(f"embedding dimension c={c} must satisfy 1 <= c <= m={m}")
+    if c is None and m < 2:
+        raise MirrorError(f"choosing the embedding dimension needs at least two sets, got m={m}")
     evals, evecs = _sorted_eig(double_center(delta))
     if c is None:
         c = select_dimension(evals)

@@ -167,7 +167,7 @@ def generate(spec: GaussianFamilySpec) -> Dataset:
             id=_set_id(i), samples=(mu[i] + sigma[i] * z)[:, None], params=spec.grid[i]
         )
 
-    return Dataset(labeled=tuple(map_deterministic(make, list(range(spec.m)))))
+    return Dataset(tuple(map_deterministic(make, list(range(spec.m)))))
 
 
 @dataclass(frozen=True)

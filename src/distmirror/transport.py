@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import map_deterministic
-from .core import SampleSet, _check_dimension, _freeze, _located, read_table, write_table
+from .core import (SampleSet, _check_dimension, _first_repeat, _freeze, _located, read_table,
+                   write_table)
 from .errors import MirrorError, UnequalSampleSizes
 
 __all__ = [
@@ -45,13 +46,16 @@ SYMMETRY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric nonnegative matrix of pairwise empirical dissimilarities."""
+    """Symmetric nonnegative matrix of pairwise empirical dissimilarities between distinct ids."""
 
     ids: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "ids", tuple(self.ids))
+        repeat = _first_repeat(self.ids)
+        if repeat:
+            raise MirrorError(f"distance matrix id {self.ids[repeat[1]]!r} is used more than once")
         values = np.asarray(self.values, dtype=np.float64)
         m = len(self.ids)
         if values.shape != (m, m):

@@ -324,7 +324,7 @@ def build_desk_fixture(path):
         shift = np.zeros(16)
         shift[0], shift[1] = x
         sets.append(SampleSet(id=f"g{i}", samples=cloud + shift, params=x))
-    save_dataset(Dataset(labeled=tuple(sets)), path, "ndjson")
+    save_dataset(Dataset(tuple(sets)), path, "ndjson")
     return grid
 
 

@@ -426,15 +426,17 @@ PARAMS_ABC = "id,p1\na,0.0\nb,1.0\nc,2.0\n"
     ({"data.ndjson": '{"id": "u", "samples": [[1.0]]}\n'},
      ["recover", "--input", "data.ndjson"], "recovery requires labeled sets"),
     ({"data.ndjson": ""}, ["distmat", "--input", "data.ndjson"],
-     "data.ndjson: file contains no records"),
+     "data.ndjson: dataset contains no sample sets"),
     ({"data.ndjson": '{"id": "a", "samples": [1.0, 2.0]}\n'}, ["distmat", "--input", "data.ndjson"],
      "data.ndjson: line 1: 'samples' must be a list of lists of numbers"),
     ({"data.ndjson": '{"id": "a"}\n'}, ["distmat", "--input", "data.ndjson"],
      "data.ndjson: line 1: record must contain 'id' and 'samples'"),
     ({"dm.csv": "a,b,c\n0.0,1.0,2.0\n1.0,0.0,1.0\n"}, ["embed", "--input", "dm.csv"],
      "dm.csv: expected 3 value rows, found 2"),
+    ({"dm.csv": "a\n0.0\n"}, ["embed", "--input", "dm.csv", "--dim", "auto"],
+     "choosing the embedding dimension needs at least two sets, got m=1"),
 ], ids=["params-lack-an-id", "header-only-embedding", "only-unlabeled", "empty-ndjson",
-        "flat-samples", "no-samples", "fewer-rows-than-ids"])
+        "flat-samples", "no-samples", "fewer-rows-than-ids", "auto-dim-of-one-set"])
 def test_bad_input_is_one_error_line(tmp_path, monkeypatch, capsys, files, argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

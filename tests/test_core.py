@@ -71,6 +71,8 @@ def test_missing_params_means_unlabeled(tmp_path):
     assert ds.m == 0
     assert len(ds.unlabeled) == 1
     assert ds.unlabeled[0].params is None
+    with pytest.raises(DatasetError, match=r"^dataset has no labeled sets; d is undefined$"):
+        ds.d
 
 
 def test_duplicate_parameters_rejected(tmp_path):
@@ -98,7 +100,7 @@ def test_duplicate_parameters_name_first_pair(params, pair):
     i, j = pair
     message = f"sets 's{i}' and 's{j}' share parameters {[float(v) for v in params[i]]}"
     with pytest.raises(DuplicateParameters, match=re.escape(message)):
-        Dataset(labeled=sets)
+        Dataset(sets)
 
 
 #: A key's 2-d point, for the sites that take parameters or points.
@@ -122,13 +124,12 @@ def _read_table_ids(path, keys):
 
 # Each site: how it is fed the keys, and the message it gives for the pair (i, j).
 _REPEAT_SITES = {
-    "dataset-ids": (lambda path, keys: Dataset(labeled=_labeled_by_id(keys)),
+    "dataset-ids": (lambda path, keys: Dataset(_labeled_by_id(keys)),
                     lambda i, j, keys: f"set id {keys[j]!r} is used more than once"),
     "ndjson-ids": (_load_ids, lambda i, j, keys: f"set id {keys[j]!r} is used more than once"),
     "dataset-params": (
-        lambda path, keys: Dataset(labeled=[SampleSet(id=f"s{n}", samples=[[0.0]],
-                                                      params=_KEY_POINT[k])
-                                            for n, k in enumerate(keys)]),
+        lambda path, keys: Dataset([SampleSet(id=f"s{n}", samples=[[0.0]], params=_KEY_POINT[k])
+                                    for n, k in enumerate(keys)]),
         lambda i, j, keys: f"sets 's{i}' and 's{j}' share parameters {_KEY_POINT[keys[i]]}"),
     "mirror-n-values": (
         lambda path, keys: run_mirror_experiment(n_values=[10 * ord(k) for k in keys], seeds=[0]),
@@ -143,6 +144,13 @@ _REPEAT_SITES = {
                   lambda i, j, keys: f"point {j} coincides with point {i}"),
     "points-d2": (lambda path, keys: delaunay_triangulate([_KEY_POINT[k] for k in keys]),
                   lambda i, j, keys: f"point {j} coincides with point {i}"),
+    "distance-matrix-ids": (
+        lambda path, keys: DistanceMatrix(ids=tuple(keys), values=np.zeros((len(keys),) * 2)),
+        lambda i, j, keys: f"distance matrix id {keys[j]!r} is used more than once"),
+    "embedding-ids": (
+        lambda path, keys: MirrorEmbedding(ids=tuple(keys), coords=np.zeros((len(keys), 1)),
+                                           spectrum=np.zeros(len(keys))),
+        lambda i, j, keys: f"embedding id {keys[j]!r} is used more than once"),
     "read-table-ids": (_read_table_ids,
                        lambda i, j, keys: f"line {j + 2}: id {keys[j]!r} repeats line {i + 2}"),
 }
@@ -199,11 +207,11 @@ def test_dataset_names_the_first_set_and_the_first_of_another_dimension():
     a = SampleSet("a", np.zeros((1, 2)), params=[0.0])
     b = SampleSet("b", np.zeros((1, 3)), params=[1.0])
     with pytest.raises(DatasetError, match=r"^sample dimension mismatch: 'a' has q=2, 'b' has q=3$"):
-        Dataset(labeled=(a, b))
+        Dataset((a, b))
     c = SampleSet("c", np.zeros((1, 2)), params=[1.0, 2.0])
     with pytest.raises(DatasetError,
                        match=r"^parameter dimension mismatch: 'a' has d=1, 'c' has d=2$"):
-        Dataset(labeled=(a, c))
+        Dataset((a, c))
 
 
 def test_non_finite_rejected(tmp_path):
@@ -216,6 +224,20 @@ def test_non_finite_rejected(tmp_path):
 def test_missing_file_names_path(tmp_path):
     with pytest.raises(DatasetError, match="nope.ndjson"):
         load_dataset(tmp_path / "nope.ndjson")
+    with pytest.raises(DatasetError, match=f"^no such file: {re.escape(str(tmp_path / 'nope.csv'))}$"):
+        read_table(tmp_path / "nope.csv")
+
+
+def test_unknown_format_rejected(tmp_path):
+    path = tmp_path / "d.ndjson"
+    ds = Dataset((SampleSet(id="a", samples=[[0.0]]),))
+    save_dataset(ds, path)
+    message = r"^unknown format 'json' \(expected 'ndjson' or 'csv'\)$"
+    with pytest.raises(ValueError, match=message):
+        load_dataset(path, "json")
+    with pytest.raises(ValueError, match=message):
+        save_dataset(ds, tmp_path / "d.json", "json")
+    assert not (tmp_path / "d.json").exists()
 
 
 def test_csv_grouped_rows(tmp_path):
@@ -277,7 +299,7 @@ def test_round_trip_identity(tmp_path, fmt):
         for i in range(3)
     )
     unlabeled = (SampleSet(id="u0", samples=rng.standard_normal((4, 3))),)
-    ds = Dataset(labeled=labeled, unlabeled=unlabeled)
+    ds = Dataset(labeled + unlabeled)
     path = tmp_path / f"d.{fmt}"
     save_dataset(ds, path, fmt)
     back = load_dataset(path, fmt)
@@ -300,7 +322,7 @@ def test_invariants_checked_eagerly():
     with pytest.raises(DatasetError):
         SampleSet(id="bad", samples=np.empty((0, 2)))
     with pytest.raises(DatasetError):
-        Dataset(labeled=())
+        Dataset(())
 
 
 def test_sampleset_arrays_immutable():
@@ -598,16 +620,16 @@ def datasets(draw):
     """Mixed labeled and unlabeled sets of any finite floats, with any ids."""
     q, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
-    labeled, unlabeled, used = [], [], set()
+    sets, used = [], set()
     for set_id in ids:
         samples = draw(arrays(np.float64, (draw(st.integers(1, 3)), q), elements=floats))
         params = draw(st.none() | arrays(np.float64, d, elements=floats))
-        if params is None or tuple(params + 0.0) in used:  # + 0.0 folds -0.0 into 0.0
-            unlabeled.append(SampleSet(id=set_id, samples=samples))
-        else:
+        if params is not None and tuple(params + 0.0) in used:  # + 0.0 folds -0.0 into 0.0
+            params = None
+        if params is not None:
             used.add(tuple(params + 0.0))
-            labeled.append(SampleSet(id=set_id, samples=samples, params=params))
-    return Dataset(labeled=tuple(labeled), unlabeled=tuple(unlabeled))
+        sets.append(SampleSet(id=set_id, samples=samples, params=params))
+    return Dataset(tuple(sets))
 
 
 def bits(a):
@@ -619,7 +641,7 @@ def fields(ds):
 
 
 @given(datasets())
-@example(Dataset(labeled=(), unlabeled=(SampleSet(id="\r", samples=np.zeros((1, 1))),)))
+@example(Dataset((SampleSet(id="\r", samples=np.zeros((1, 1))),)))
 def test_property_save_load_round_trip_is_bit_exact(ds):
     with tempfile.TemporaryDirectory() as tmp:
         loaded = {}
@@ -630,6 +652,23 @@ def test_property_save_load_round_trip_is_bit_exact(ds):
             assert fields(loaded[fmt]) == fields(ds)
             assert [s.labeled for s in loaded[fmt].all_sets] == [s.labeled for s in ds.all_sets]
     assert fields(loaded["ndjson"]) == fields(loaded["csv"])
+
+
+@given(datasets(), st.data())
+def test_property_any_order_of_the_sets_gives_labeled_first_in_input_order(ds, data):
+    given_order = data.draw(st.permutations(ds.all_sets))
+    labeled = [s for s in given_order if s.labeled]
+    unlabeled = [s for s in given_order if not s.labeled]
+    mixed, sorted_ = Dataset(tuple(given_order)), Dataset(tuple(labeled + unlabeled))
+    assert list(mixed.labeled) == labeled and list(mixed.unlabeled) == unlabeled
+    assert list(mixed.all_sets) == labeled + unlabeled
+    assert (mixed.m, mixed.q) == (sorted_.m, sorted_.q) == (len(labeled), given_order[0].q)
+    assert bits(mixed.params_matrix()) == bits(sorted_.params_matrix())
+    if labeled:
+        assert mixed.d == sorted_.d == labeled[0].params.size
+    else:
+        with pytest.raises(DatasetError, match=r"^dataset has no labeled sets; d is undefined$"):
+            mixed.d
 
 
 # Many signed zeros, and no gap so small that a W2 cost underflows to zero.
@@ -653,7 +692,7 @@ def test_property_q1_set_is_held_as_its_order_statistics(draws, data):
     for p in (1, 2):
         assert (distance_matrix(sets[0], p).values.tobytes()
                 == distance_matrix(sets[1], p).values.tobytes())
-    ds = Dataset(labeled=(), unlabeled=tuple(sets[1]))
+    ds = Dataset(tuple(sets[1]))
     with tempfile.TemporaryDirectory() as tmp:
         for fmt in ("ndjson", "csv"):
             path = Path(tmp) / f"d.{fmt}"
@@ -717,8 +756,7 @@ def sets_of_sizes(sizes, q=1, d=1, unlabeled=0, seed=0):
     sets = [SampleSet(id=f"s{k}", samples=rng.standard_normal((n, q)),
                       params=None if k >= len(sizes) - unlabeled else np.full(d, float(k)))
             for k, n in enumerate(sizes)]
-    return Dataset(labeled=tuple(s for s in sets if s.labeled),
-                   unlabeled=tuple(s for s in sets if not s.labeled))
+    return Dataset(tuple(sets))
 
 
 @pytest.mark.parametrize("ds, interleaved, blank_every", [

@@ -242,6 +242,25 @@ def test_select_dimension_no_positive_spectrum():
         select_dimension(np.array([0.0, -1.0]))
 
 
+@pytest.mark.parametrize("spectrum, message", [
+    ([1.0], "spectrum must be a vector of length >= 2"),
+    ([[2.0, 1.0]], "spectrum must be a vector of length >= 2"),
+    ([1.0, 2.0, 0.0], "spectrum must be sorted in descending order"),
+], ids=["one-value", "matrix", "ascending-step"])
+def test_select_dimension_rejects_a_spectrum_it_cannot_read(spectrum, message):
+    with pytest.raises(MirrorError, match=f"^{message}$"):
+        select_dimension(np.array(spectrum))
+
+
+def test_eigendecomposition_failure_is_a_mirror_error(monkeypatch):
+    def no_convergence(b):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+    with pytest.raises(MirrorError, match=r"^eigendecomposition failed: Eigenvalues did not converge$"):
+        cmds(dm_from(COLLINEAR), 1)
+
+
 def test_procrustes_identity():
     rng = np.random.default_rng(16)
     x = rng.standard_normal((10, 3))

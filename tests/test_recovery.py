@@ -14,7 +14,8 @@ import distmirror.recovery as recovery
 from distmirror.core import Dataset, SampleSet
 from distmirror.embedding import MirrorEmbedding, cmds
 from distmirror.errors import MirrorError
-from distmirror.recovery import joint_embed, leave_one_out, recover_parameter
+from distmirror.recovery import (joint_embed, leave_one_out, recover_parameter,
+                                 write_recovery_report)
 from distmirror.sim import (FamilyVariant, GaussianFamilySpec, generate, mean_sd_grid,
                             true_distance_matrix)
 from distmirror.surface import (
@@ -101,6 +102,18 @@ def test_joint_embed_matches_direct_cmds():
 # ---------------------------------------------------------------------------
 # recover_parameter
 # ---------------------------------------------------------------------------
+
+
+def test_embedding_rows_must_be_one_more_than_the_parameters():
+    grid = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(MirrorError, match=r"^embedding has 3 rows; expected m\+1 = 4$"):
+        recover_parameter(identity_embedding(grid[:2], [0.1, 0.1]), grid)
+
+
+def test_empty_recovery_report_rejected(tmp_path):
+    with pytest.raises(MirrorError, match=r"^no recovery results to write$"):
+        write_recovery_report([], [], tmp_path / "report.csv")
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_identity_mirror_interior_point():
@@ -375,7 +388,7 @@ def test_recovery_rejects_a_non_finite_target():
 def test_leave_one_out_matches_naive_pipeline():
     rng = np.random.default_rng(56)
     grid = unit_grid(3)
-    ds = Dataset(labeled=tuple(gaussian_sets(rng, grid, n=15)))
+    ds = Dataset(tuple(gaussian_sets(rng, grid, n=15)))
     fast = leave_one_out(distance_matrix(ds.labeled, p=2), ds.params_matrix(), c=2)
     for i in (0, 4, 8):
         rest = [s for j, s in enumerate(ds.labeled) if j != i]
@@ -402,7 +415,7 @@ def test_leave_one_out_identity_mirror_interior_exact():
 
 def test_leave_one_out_requires_enough_sets():
     rng = np.random.default_rng(57)
-    ds = Dataset(labeled=tuple(gaussian_sets(rng, [[0.0, 0], [1, 0], [0, 1]])))
+    ds = Dataset(tuple(gaussian_sets(rng, [[0.0, 0], [1, 0], [0, 1]])))
     with pytest.raises(MirrorError, match="d\\+3"):
         leave_one_out(distance_matrix(ds.labeled, p=1), ds.params_matrix(), c=2)
 

@@ -107,6 +107,16 @@ def test_empty_grid_rejected():
         GaussianFamilySpec(variant=FamilyVariant.MEAN_SD, grid=np.zeros((0, 2)))
 
 
+@pytest.mark.parametrize("variant, grid, box", [
+    (FamilyVariant.MEAN_SD, [[0.5, 0.5], [0.5, 1.5]], r"\[0.0, 1.0\]"),
+    (FamilyVariant.MEAN_SD, [[-0.5, 0.5], [0.5, 0.5]], r"\[0.0, 1.0\]"),
+    (FamilyVariant.MEAN_ONLY, [[1.0, 1.0], [0.5, 2.0]], r"\[1.0, 10.0\]"),
+], ids=["mean-sd-above", "mean-sd-below", "mean-only-below"])
+def test_grid_outside_the_family_box_rejected(variant, grid, box):
+    with pytest.raises(MirrorError, match=rf"^{variant.value} grid must lie in {box}\^2$"):
+        GaussianFamilySpec(variant=variant, grid=np.array(grid))
+
+
 def test_grid_point_not_finite_named_by_its_grid_row():
     # Row 3, not its index in a leave-one-out grid with an earlier point removed.
     grid = mean_sd_grid()

@@ -110,6 +110,17 @@ def test_collinear_rejected():
         delaunay_triangulate(np.array([[0.0, 0], [1, 1], [2, 2], [3, 3]]))
 
 
+def test_sliver_peel_that_leaves_no_triangle_rejected():
+    # qhull triangulates the three points, but their one triangle is a boundary
+    # sliver, so the peel removes it and no triangle is left.
+    from scipy.spatial import Delaunay
+
+    points = np.array([[0.0, 0.0], [0.5, 1e-12], [1.0, 0.0]])
+    assert len(Delaunay(points).simplices) == 1
+    with pytest.raises(DegenerateInput, match=r"^all points are collinear$"):
+        delaunay_triangulate(points)
+
+
 def test_duplicates_rejected():
     # The message names the smallest index that repeats an earlier point, and
     # that point's first copy; -0.0 and 0.0 coincide.

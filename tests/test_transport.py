@@ -260,7 +260,7 @@ def test_overflowing_cost_is_an_error_naming_its_pair(tmp_path, capsys, q, scale
     sets = [SampleSet(id=f"s{i}", samples=rng.standard_normal((5, q)) * scale, params=[i])
             for i in range(4)]
     path = tmp_path / "huge.ndjson"
-    save_dataset(Dataset(labeled=tuple(sets)), path)
+    save_dataset(Dataset(tuple(sets)), path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = main(["distmat", "--input", str(path), "--metric", "w2",
@@ -279,7 +279,7 @@ def tiny_sets(q):
 def test_underflowing_cost_is_an_error_naming_its_pair(tmp_path, capsys):
     # Gaps near 1e-170 square to 0, so every W2 cost is 0 while W1 costs are not.
     path = tmp_path / "tiny.ndjson"
-    save_dataset(Dataset(labeled=tuple(tiny_sets(1))), path)
+    save_dataset(Dataset(tuple(tiny_sets(1))), path)
     argv = ["distmat", "--input", str(path), "--output", str(tmp_path / "dm.csv"), "--metric"]
     assert main(argv + ["w1"]) == 0
     assert (read_distance_matrix(tmp_path / "dm.csv").values[np.triu_indices(3, 1)] > 0).all()
@@ -408,7 +408,7 @@ print(scipy_loaded())
 from distmirror.core import Dataset, SampleSet, save_dataset
 tmp = pathlib.Path(sys.argv[1])
 rng = np.random.default_rng(0)
-save_dataset(Dataset(labeled=tuple(
+save_dataset(Dataset(tuple(
     SampleSet(id=f"s{k}", samples=rng.standard_normal((20, 1)) + k, params=[float(k)])
     for k in range(6))), tmp / "d.ndjson")
 with contextlib.redirect_stdout(io.StringIO()):
@@ -570,6 +570,7 @@ def test_reader_rejects_large_asymmetry(tmp_path):
 def test_distance_matrix_invariants_enforced():
     # Each error names the first offending entry in row-major order.
     for values, message in [
+        ([[0.0, 1], [1, 0]], r"^distance matrix shape \(2, 2\) does not match 3 ids$"),
         ([[0.0, 1, 2], [1, 0, 3], [2, 4, 0]],
          r"not exactly symmetric, first d\('b', 'c'\) = 3.0 != d\('c', 'b'\) = 4.0$"),
         ([[0.0, 1, 2], [1, 0, -1], [2, -1, 0]], r"negative entries, first d\('b', 'c'\) = -1.0$"),
