@@ -9,9 +9,9 @@ Validation lives in the constructors: :class:`SampleSet` checks shape and
 finiteness, :class:`Dataset` checks the invariants across sets.  The loaders
 only parse, and prefix any error with the file and line it comes from.  Each
 reader reads its file once, front to back, decoding UTF-8 as it goes, so a named
-pipe is as good an input as a file.  The CSV loader converts sample cells a
-bounded chunk of rows at a time, so a file's values are never all held as text
-at once.
+pipe is as good an input as a file.  The CSV loader appends each row's sample
+values to its set's float buffer as the row is read, so a file's values are
+never held as text, and each set is built from its buffer.
 
 Every other float matrix the library takes (points, queries, surface values,
 grids, parameters, configurations) passes one rule, ``_matrix``: it must be an
@@ -46,7 +46,7 @@ A q = 1 set is held in ascending order with -0.0 folded into 0.0 (see
 
 CSV: the header is exactly ``id, p1..pd, s1..sq`` (d >= 0, q >= 1), each cell
 stripped of surrounding space and in that order; any other header is an error
-at line 1 that names its first unexpected column.  One row per observation;
+at its line that names its first unexpected column.  One row per observation;
 empty parameter cells mark the set unlabeled.  The rows of one id need not be
 contiguous, but they must all carry the same parameters.
 
@@ -57,9 +57,9 @@ In every CSV file a row is blank when each of its cells is empty or
 whitespace, and blank rows are skipped, whatever their cell count.  A row
 whose first cell starts with ``#`` is a comment only before a table's
 header, where :func:`write_table` puts its note; after the header it is
-data, since an id may start with ``#``.  A sample CSV, whose first row is its
-header, and a table whose header lists its ids (a distance matrix) have no
-comments.
+data, since an id may start with ``#``.  A sample CSV, whose first row that is
+not blank is its header, and a table whose header lists its ids (a distance
+matrix) have no comments.
 """
 
 from __future__ import annotations
@@ -67,9 +67,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
+from math import isfinite, nan
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -344,7 +346,7 @@ def _is_number_text(text: str) -> bool:
 
 
 def _floats(cells: list | tuple) -> np.ndarray:
-    """Convert CSV cells, strings or equal-length tuples of them, to a float array.
+    """Convert CSV cells, strings or equal-length sequences of them, to a float array.
 
     numpy converts text as Python's float does; a cell that fails
     :func:`_is_number_text` raises the ValueError of text it cannot convert.
@@ -370,103 +372,83 @@ def _csv_params(cells: str | tuple[str, ...]) -> tuple[float, ...] | None:
     return tuple(params.tolist())
 
 
-def _samples(rows: list) -> np.ndarray:
-    """Convert rows of sample cells (strings, or tuples of them) to an (n, q) matrix."""
-    return _floats(rows).reshape(len(rows), -1)
-
-
-#: Rows of sample cells held as text at once, counted across all sets and not
-#: counting blank rows, before they are converted.  Chunks much smaller than this
-#: leave many interleaved sets a few rows per block, and larger ones parse no
-#: faster (see CHANGES.md).
-_CSV_CHUNK_ROWS = 4096
-
-
 def _load_csv(path: Path) -> Dataset:
-    """Check every row's structure in one loop, converting sample cells in chunks.
+    """Check every row in one loop, appending its sample values to its set's buffer.
 
-    Each row adds its sample cells, set and line to the pending chunk, and
-    blank rows are not counted.  A chunk of ``_CSV_CHUNK_ROWS`` rows is
-    converted in one call and its rows are appended, in file order, to their
-    sets' blocks.  A chunk that fails to convert or holds a non-finite value
-    is checked again one row at a time, so its error names the row's line.
-    The pending chunk is converted before an error in a later row leaves the
-    loop, so the error reported is the earliest line's.
+    A row whose sample cells are ASCII without '_', read by Python's float as
+    finite values, appends them to its set's ``array('d')``; a q = 1 row does so
+    without building a list, since a list per row makes a q = 1 load about a
+    third slower.  Any other row is converted by the reference, a
+    :class:`SampleSet` of that row alone at its line, which raises the row's
+    error or yields its values.  Rows are read in order, so the error reported is
+    the earliest line's.  Each set is built from a view of its buffer, and the
+    buffer freed, one set at a time.
     """
     with open(path, "rb") as fh, _csv_rows(fh, path) as reader:
-        header = [h.strip() for h in next(reader, [])]
+        header = [h.strip() for h in next((r for r in reader if any(c.strip() for c in r)), [])]
+        where = f"{path}: line {max(reader.line_num, 1)}"
         if header[:1] != ["id"]:
-            raise DatasetError(f"{path}: line 1: header must start with 'id'")
+            raise DatasetError(f"{where}: header must start with 'id'")
         width = len(header)
         d = next((k for k, h in enumerate(header[1:]) if h != f"p{k + 1}"), width - 1)
         unexpected = [h for k, h in enumerate(header[d + 1:]) if h != f"s{k + 1}"]
         if unexpected:
-            raise DatasetError(f"{path}: line 1: unexpected column {unexpected[0]!r}; "
+            raise DatasetError(f"{where}: unexpected column {unexpected[0]!r}; "
                                "the header must be id, p1..pd, s1..sq")
         if width == d + 1:
-            raise DatasetError(f"{path}: line 1: no sample columns s1..sq found")
+            raise DatasetError(f"{where}: no sample columns s1..sq found")
         params_of = itemgetter(*range(1, d + 1)) if d else (lambda row: "")
-        samples_of = itemgetter(*range(d + 1, width))
+        q = width - d - 1
 
-        # id -> (raw parameter cells of its first row, their values, set index)
+        # id -> (raw parameter cells of its first row, their values, its sample buffer)
         groups: dict[str, tuple] = {}
-        blocks: list[list[np.ndarray]] = []  # set index -> its converted rows
-        cells, owners, lines = [], [], []  # the pending chunk: each row's sample cells, set, line
-
-        def convert_chunk():
-            chunk, owner, chunk_lines = cells.copy(), np.array(owners), lines.copy()
-            for column in (cells, owners, lines):  # so a chunk that fails is not converted again
-                column.clear()
-            try:
-                values = _samples(chunk)
-                finite = np.isfinite(values).all()
-            except ValueError:
-                finite = False
-            if not finite:
-                ids = list(groups)  # set index -> id
-                for row_cells, k, line in zip(chunk, owner.tolist(), chunk_lines):
-                    with _located(f"{path}: line {line}"):
-                        SampleSet(id=ids[k], samples=_samples([row_cells]))
-            # A stable sort gives each set one block per chunk, its rows in file order.
-            order = owner.argsort(kind="stable")
-            owner, values = owner[order], values[order]
-            starts = np.flatnonzero(np.diff(owner, prepend=-1)).tolist()
-            for lo, hi in zip(starts, starts[1:] + [len(owner)]):
-                blocks[owner[lo]].append(values[lo:hi])
-
-        try:
-            for row in reader:
-                # A blank row's first cell is empty or starts with a space, outside '!'..'~'.
-                if len(row) != width or not "!" <= row[0] < "\x7f":
-                    if not any(c.strip() for c in row):
-                        continue
-                    if len(row) != width:
-                        raise DatasetError(f"{path}: line {reader.line_num}: "
-                                           f"expected {width} cells, got {len(row)}")
-                raw = params_of(row)
-                group = groups.get(row[0])
-                if group is None or raw != group[0]:
-                    with _located(f"{path}: line {reader.line_num}"):
-                        params = _csv_params(raw)
-                        if group is None:
-                            group = groups[row[0]] = (raw, params, len(blocks))
-                            blocks.append([])
-                        elif params != group[1]:
-                            raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
-                cells.append(samples_of(row))
-                owners.append(group[2])
-                lines.append(reader.line_num)
-                if len(cells) == _CSV_CHUNK_ROWS:
-                    convert_chunk()
-        finally:  # so an error in the chunk's rows comes before one after them
-            if cells:
-                convert_chunk()
+        for row in reader:
+            # A blank row's first cell is empty or starts with a space, outside '!'..'~'.
+            if len(row) != width or not "!" <= row[0] < "\x7f":
+                if not any(c.strip() for c in row):
+                    continue
+                if len(row) != width:
+                    raise DatasetError(f"{path}: line {reader.line_num}: "
+                                       f"expected {width} cells, got {len(row)}")
+            raw = params_of(row)
+            group = groups.get(row[0])
+            if group is None or raw != group[0]:
+                with _located(f"{path}: line {reader.line_num}"):
+                    params = _csv_params(raw)
+                    if group is None:
+                        group = groups[row[0]] = (raw, params, array("d"))
+                    elif params != group[1]:
+                        raise DatasetError(f"set {row[0]!r} changes parameters mid-file")
+            # The cheap check: ASCII cells without '_' that Python's float reads as finite values.
+            if q == 1:  # the common case, which builds no list
+                text = row[-1]
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = nan
+                if text.isascii() and "_" not in text and isfinite(value):
+                    group[2].append(value)
+                    continue
+            else:
+                cells = row[d + 1:]
+                text = "".join(cells)
+                try:
+                    values = [*map(float, cells)]
+                except ValueError:
+                    values = [nan]
+                # A sum that overflows sends a row of finite values to the reference.
+                if text.isascii() and "_" not in text and isfinite(sum(values)):
+                    group[2].fromlist(values)
+                    continue
+            # The reference raises the row's error at its line, or gives the row's values.
+            with _located(f"{path}: line {reader.line_num}"):
+                reference = SampleSet(id=row[0], samples=_floats([row[d + 1:]]))
+            group[2].fromlist(reference.samples.ravel().tolist())
 
     sets = []
-    for set_id, (_, params, k) in groups.items():
-        samples = np.concatenate(blocks[k])
-        blocks[k] = None  # frees the chunks that no later set shares
-        sets.append(SampleSet(id=set_id, samples=samples, params=params))
+    for set_id in list(groups):
+        _, params, samples = groups.pop(set_id)  # so each buffer is freed once its set is built
+        sets.append(SampleSet(id=set_id, samples=np.frombuffer(samples).reshape(-1, q), params=params))
     with _located(str(path)):
         return Dataset(sets)
 
